@@ -5,10 +5,18 @@ randomized trigger, how much from the delay, and does the combination
 beat either alone?  (The paper only evaluates the combination.)
 """
 
+from dataclasses import replace
+
+from repro.api import run_scenario, scenario
 from repro.core import MitigationPlan
-from repro.experiments import run_traffic
 
 from conftest import record
+
+
+def traffic_under(plan, settings):
+    """``baseline_traffic`` under mitigation *plan*."""
+    spec = replace(scenario("baseline_traffic"), mitigation=plan)
+    return run_scenario(spec, settings=settings)
 
 
 def test_mitigation_decomposition(benchmark, settings):
@@ -20,7 +28,7 @@ def test_mitigation_decomposition(benchmark, settings):
             "both": MitigationPlan.paper_solution(),
         }
         return {
-            name: run_traffic(mitigation=plan, settings=settings).tail_summary(
+            name: traffic_under(plan, settings).tail_summary(
                 start=settings.warmup_s
             )
             for name, plan in plans.items()
@@ -53,9 +61,9 @@ def test_trigger_spread_width(benchmark, settings):
                 trigger_spread=spread,
                 compaction_delay_s=1.0,
             )
-            out[spread] = run_traffic(
-                mitigation=plan, settings=settings
-            ).tail_summary(start=settings.warmup_s)["p999"]
+            out[spread] = traffic_under(plan, settings).tail_summary(
+                start=settings.warmup_s
+            )["p999"]
         return out
 
     p999 = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -25,7 +25,7 @@ Three entry points cover the three places evidence lives:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,11 @@ STATISTICAL_ALIGNMENT = 0.8
 #: Default spike-threshold rule shared with the figure scripts.
 SPIKE_FLOOR_S = 0.8
 SPIKE_MEDIAN_FACTOR = 2.5
+
+#: One ``(label, start, end)`` attribution window.
+Window = Tuple[str, float, float]
+#: The :class:`SpikeAttribution` label fields a window source can feed.
+CHANNELS = ("faults", "resilience", "cluster", "sync")
 
 
 @register
@@ -116,11 +121,6 @@ class SpikeAttribution:
     def from_dict(cls, data: dict) -> SpikeAttribution:
         data = dict(data)
         data["window"] = tuple(data["window"])
-        data.setdefault("faults", [])
-        data.setdefault("resilience", [])
-        data.setdefault("policies", [])
-        data.setdefault("cluster", [])
-        data.setdefault("sync", [])
         return cls(**data)
 
 
@@ -209,10 +209,7 @@ def detect(
     capacity: Optional[float] = None,
     checkpoint_times: Sequence[float] = (),
     per_checkpoint: Optional[Dict[int, Dict[str, int]]] = None,
-    fault_windows: Sequence[Tuple[str, float, float]] = (),
-    resilience_windows: Sequence[Tuple[str, float, float]] = (),
-    cluster_windows: Sequence[Tuple[str, float, float]] = (),
-    sync_windows: Sequence[Tuple[str, float, float]] = (),
+    windows: Optional[Mapping[str, Sequence[Window]]] = None,
     threshold: Optional[float] = None,
     pad_s: float = 1.0,
     saturation: float = 0.95,
@@ -225,12 +222,20 @@ def detect(
     flush/compaction concurrency arrays on *concurrency_times*.  When a
     CPU :class:`StepSeries` (and its *capacity*) is given, spikes whose
     window never saturates the CPU stay unattributed and the report
-    carries the run's saturation windows.
+    carries the run's saturation windows.  *windows* maps each of
+    :data:`CHANNELS` to the known-cause spans of that kind; a spike
+    carries the labels of every span its window overlaps.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(p999, dtype=float)
     if t.shape != v.shape:
         raise AnalysisError("times and p999 must have equal shapes")
+    windows = windows or {}
+    unknown = sorted(set(windows) - set(CHANNELS))
+    if unknown:
+        raise AnalysisError(
+            f"unknown attribution channel(s) {unknown}; known: {list(CHANNELS)}"
+        )
     if threshold is None:
         threshold = default_threshold(v)
 
@@ -298,18 +303,12 @@ def detect(
                 if count > 0
             )
 
-        fault_labels = sorted(
-            {name for name, fs, fe in fault_windows if fs <= w1 and fe >= w0}
-        )
-        resilience_labels = sorted(
-            {name for name, rs, re in resilience_windows if rs <= w1 and re >= w0}
-        )
-        cluster_labels = sorted(
-            {name for name, cs, ce in cluster_windows if cs <= w1 and ce >= w0}
-        )
-        sync_labels = sorted(
-            {name for name, ss, se in sync_windows if ss <= w1 and se >= w0}
-        )
+        labels = {
+            channel: sorted(
+                {name for name, ws, we in known if ws <= w1 and we >= w0}
+            )
+            for channel, known in windows.items()
+        }
 
         attributed = (
             n_flush > 0
@@ -337,11 +336,8 @@ def detect(
                 stages=stages,
                 attributed=attributed,
                 classification=classification,
-                faults=fault_labels,
-                resilience=resilience_labels,
                 policies=policies,
-                cluster=cluster_labels,
-                sync=sync_labels,
+                **labels,
             )
         )
 
@@ -368,7 +364,8 @@ def analyze_result(
     window_s: float = 0.05,
     **kwargs,
 ) -> MillibottleneckReport:
-    """Run the detector on a live :class:`StreamJobResult`."""
+    """Run the detector on a live :class:`StreamJobResult`, with the
+    attribution windows of the job's installed subsystems."""
     if end is None:
         end = result.duration
     times, p999 = result.latency_timeline(0.999, window=window_s, start=start, end=end)
@@ -383,11 +380,6 @@ def analyze_result(
     )
     kwargs.setdefault("cpu", result.cpu_series(None))
     kwargs.setdefault("capacity", result.job.cluster.cores_per_node)
-    injector = getattr(result.job, "fault_injector", None)
-    if injector is not None:
-        kwargs.setdefault("fault_windows", list(injector.windows))
-    kwargs.setdefault("resilience_windows", result.resilience_windows)
-    kwargs.setdefault("cluster_windows", result.cluster_windows)
     return detect(
         times,
         p999,
@@ -395,6 +387,7 @@ def analyze_result(
         spans=result.spans,
         checkpoint_times=checkpoints,
         per_checkpoint=per_checkpoint,
+        windows=result.windows(),
         **kwargs,
     )
 
@@ -404,30 +397,29 @@ def analyze_summary(summary, **kwargs) -> MillibottleneckReport:
 
     Summaries carry no CPU series, so attribution relies on span
     concurrency alone (``cpu_saturated_fraction`` stays ``None``).
+    Attribution windows are rebuilt from the summary's per-layer
+    digests.
     """
-    fault_windows = [
-        (f"{e['kind']}@{e['node']}", e["start"], e["end"])
-        for e in getattr(summary, "fault_events", [])
-        if e.get("end") is not None
-    ]
-    kwargs.setdefault("fault_windows", fault_windows)
-    resilience = getattr(summary, "resilience", None) or {}
-    resilience_windows = [
-        (mode, start, end)
-        for mode, start, end in resilience.get("mode_windows", [])
-        if end is not None
-    ]
-    resilience_windows.extend(
-        ("load-shed", start, end)
-        for start, end in (resilience.get("shed") or {}).get("windows", [])
-        if end is not None
-    )
-    kwargs.setdefault("resilience_windows", resilience_windows)
-    cluster = getattr(summary, "cluster", None) or {}
-    kwargs.setdefault(
-        "cluster_windows",
-        [(label, start, end) for label, start, end in cluster.get("windows", [])],
-    )
+    resilience = summary.resilience or {}
+    shed = (resilience.get("shed") or {}).get("windows", [])
+    windows = {
+        "faults": [
+            (f"{e['kind']}@{e['node']}", e["start"], e["end"])
+            for e in summary.fault_events
+            if e.get("end") is not None
+        ],
+        "resilience": [
+            (label, start, end)
+            for label, start, end in [
+                *resilience.get("mode_windows", []),
+                *(("load-shed", start, end) for start, end in shed),
+            ]
+            if end is not None
+        ],
+        "cluster": [
+            tuple(window) for window in (summary.cluster or {}).get("windows", [])
+        ],
+    }
     return detect(
         summary.fine_times,
         summary.fine_p999,
@@ -437,6 +429,7 @@ def analyze_summary(summary, **kwargs) -> MillibottleneckReport:
         compaction_concurrency=summary.compaction_concurrency,
         checkpoint_times=summary.checkpoint_times,
         per_checkpoint=summary.per_checkpoint_compactions or None,
+        windows=windows,
         **kwargs,
     )
 
@@ -487,6 +480,7 @@ def analyze_trace(
     *,
     capacity: Optional[float] = None,
     window_s: float = 0.05,
+    windows: Optional[Mapping[str, Sequence[Window]]] = None,
     **kwargs,
 ) -> MillibottleneckReport:
     """Run the detector on exported trace events.
@@ -494,7 +488,9 @@ def analyze_trace(
     Expects the tracks :meth:`StreamJobResult.export_trace` writes:
     flush/compaction ``X`` spans, per-node ``cpu`` counters, a
     ``latency_p999`` counter track, and ``checkpoint-trigger`` instants.
-    Pass *capacity* (cores per node) to enable CPU gating.
+    Pass *capacity* (cores per node) to enable CPU gating.  Fault
+    windows are read off the ``fault-inject`` instants; *windows* adds
+    (or, per channel, replaces) attribution windows.
     """
     events = list(events)
     lat_t, lat_v = _counter_track(events, "latency")
@@ -521,7 +517,6 @@ def analyze_trace(
         for e in events
         if e.ph == "i" and e.cat == "fault" and e.name == "fault-inject"
     ]
-    kwargs.setdefault("fault_windows", fault_windows)
     return detect(
         lat_t,
         lat_v,
@@ -531,5 +526,6 @@ def analyze_trace(
         capacity=capacity if cpu is not None else None,
         checkpoint_times=checkpoints,
         per_checkpoint=per_checkpoint,
+        windows={"faults": fault_windows, **(windows or {})},
         **kwargs,
     )

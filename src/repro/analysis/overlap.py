@@ -111,9 +111,6 @@ class OverlapReport:
             "overlap_fraction": self.overlap_fraction,
         }
 
-    #: Deprecated alias of :meth:`to_dict`.
-    as_dict = to_dict
-
     @classmethod
     def from_dict(cls, data: dict) -> OverlapReport:
         report = cls(tuple(data["window"]))

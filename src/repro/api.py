@@ -19,8 +19,7 @@ Quickstart::
     print(report.attributed_fraction, report.classification)
     result.export_trace("run.trace.json", format="chrome")  # → Perfetto
 
-:func:`run_scenario` is the canonical entry point; ``run_traffic`` and
-``run_wordcount`` remain as deprecated wrappers over it.
+:func:`run_scenario` is the canonical entry point.
 """
 
 from __future__ import annotations
@@ -64,12 +63,7 @@ from .experiments.shard import (
     merge_summaries,
     plan_shards,
 )
-from .experiments.runner import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    run_traffic,
-    run_wordcount,
-)
+from .experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
 from .errors import OverloadError, RetryExhaustedError, WatchdogError
 from .experiments.report import render_series, render_table, render_tails
 from .experiments.summary import RunSummary, summarize_run
@@ -166,9 +160,7 @@ __all__ = [
     "sample_scenario",
     "sample_scenarios",
     "build_scenario_job",
-    # runs (run_traffic / run_wordcount are deprecated wrappers)
-    "run_traffic",
-    "run_wordcount",
+    # runs
     "sweep",
     "run_grid",
     "summarize_run",

@@ -33,10 +33,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 from ..resilience.policies import CircuitBreaker, Deadline
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
+from ..stream.engine import Subsystem
 from .detector import PhiAccrualDetector
 from .spec import ClusterSpec, MembershipEvent
 
@@ -63,22 +64,22 @@ def state_digest(snapshot: Optional[dict]) -> str:
 
 
 def install_cluster(job, spec: ClusterSpec) -> "ClusterManager":
-    """Install the elastic cluster layer on a built (unstarted) job."""
-    if getattr(job, "cluster_manager", None) is not None:
-        raise SimulationError("cluster layer already installed")
+    """Install the elastic cluster layer on a built (unstarted) job
+    (filed under ``job.subsystems["cluster"]``)."""
     if spec.initial_nodes and spec.initial_nodes != len(job.nodes):
         raise ConfigurationError(
             f"ClusterSpec.initial_nodes={spec.initial_nodes} but the job "
             f"was built with {len(job.nodes)} nodes"
         )
     manager = ClusterManager(job, spec)
-    job.cluster_manager = manager
     manager.start()
     return manager
 
 
-class ClusterManager:
+class ClusterManager(Subsystem):
     """Deterministic membership + placement layer for one job."""
+
+    channel = "cluster"
 
     def __init__(self, job, spec: ClusterSpec) -> None:
         self.job = job
@@ -132,6 +133,7 @@ class ClusterManager:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
+        self.job.attach("cluster", self)
         now = self.sim.now
         for name in sorted(self.live):
             self.detector.register(name, now)

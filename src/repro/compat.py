@@ -16,7 +16,7 @@ import dataclasses
 import functools
 import warnings
 
-__all__ = ["deprecated", "keyword_only"]
+__all__ = ["keyword_only"]
 
 
 def keyword_only(cls):
@@ -54,35 +54,3 @@ def keyword_only(cls):
 
     cls.__init__ = __init__
     return cls
-
-
-def deprecated(reason: str):
-    """Mark a class or function as deprecated.
-
-    Instantiating the class (or calling the function) emits a
-    :class:`DeprecationWarning` carrying *reason*, which should name the
-    replacement.  Behaviour is otherwise unchanged — one release of
-    grace before removal.
-    """
-
-    def decorate(obj):
-        message = f"{obj.__name__} is deprecated: {reason}"
-        if isinstance(obj, type):
-            original = obj.__init__
-
-            @functools.wraps(original)
-            def __init__(self, *args, **kwargs):
-                warnings.warn(message, DeprecationWarning, stacklevel=2)
-                original(self, *args, **kwargs)
-
-            obj.__init__ = __init__
-            return obj
-
-        @functools.wraps(obj)
-        def wrapper(*args, **kwargs):
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            return obj(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

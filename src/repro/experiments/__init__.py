@@ -29,7 +29,7 @@ from .parallel import (
     sweep,
 )
 from .report import render_series, render_sweep, render_table, render_tails
-from .runner import DEFAULT_SETTINGS, ExperimentSettings, run_traffic, run_wordcount
+from .runner import DEFAULT_SETTINGS, ExperimentSettings
 from .shard import (
     ShardPlan,
     ShardedResult,
@@ -76,6 +76,4 @@ __all__ = [
     "render_table",
     "render_tails",
     "ExperimentSettings",
-    "run_traffic",
-    "run_wordcount",
 ]

@@ -56,7 +56,7 @@ def _run_traffic(
     checkpoint_interval_s: float = 8.0,
     initial_l0: str = "aligned",
 ):
-    """One live traffic run through the scenario path (warning-free)."""
+    """One live traffic run through the scenario path."""
     from ..scenarios.run import execute_scenario
 
     return execute_scenario(

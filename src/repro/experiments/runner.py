@@ -1,15 +1,9 @@
-"""Standard experiment runs.
+"""Standard experiment settings.
 
-Every figure/table benchmark goes through these helpers so that the
-durations, warmup and seeds are uniform and the EXPERIMENTS.md numbers
-are regenerable with one call each.
-
-:func:`run_traffic` and :func:`run_wordcount` are **deprecated** thin
-wrappers now: each builds the equivalent
-:class:`~repro.scenarios.spec.ScenarioSpec` and delegates to
-:func:`repro.scenarios.run.run_scenario`, the one canonical entry
-point.  They emit :class:`DeprecationWarning` and will be removed a
-release after every caller migrates.
+Every figure/table benchmark shares :class:`ExperimentSettings` so that
+the durations, warmup and seeds are uniform and the EXPERIMENTS.md
+numbers are regenerable with one call each; the runs themselves go
+through :func:`repro.scenarios.run.run_scenario`.
 """
 
 from __future__ import annotations
@@ -17,14 +11,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Dict, List, Optional, Union
 
-from ..compat import deprecated, keyword_only
+from ..compat import keyword_only
 from ..core.mitigation import MitigationPlan
 from ..serialize import register
-from ..storage.backend import StorageProfile, TMPFS
-from ..stream.engine import StreamJobResult
 from ..trace import Tracer
 
-__all__ = ["ExperimentSettings", "run_traffic", "run_wordcount"]
+__all__ = ["ExperimentSettings"]
 
 
 @register
@@ -61,9 +53,6 @@ class ExperimentSettings:
         """Plain-data form (cache keys, logs)."""
         return asdict(self)
 
-    #: Deprecated alias of :meth:`to_dict`.
-    as_dict = to_dict
-
     @classmethod
     def from_dict(cls, data: dict) -> ExperimentSettings:
         names = {f for f in cls.__dataclass_fields__}
@@ -88,10 +77,8 @@ def legacy_scenario(
 ):
     """The :class:`ScenarioSpec` equivalent of one legacy keyword call.
 
-    Shared by the deprecated wrappers below and the parallel executor's
-    legacy ``traffic``/``wordcount`` run kinds (which stay warning-free:
-    their cache keys and behavior are unchanged, only the execution path
-    is unified).
+    Backs the parallel executor's legacy ``traffic``/``wordcount`` run
+    kinds, whose cache keys predate the scenario library.
     """
     from ..scenarios.spec import ScenarioSpec, WorkloadSpec
 
@@ -106,88 +93,4 @@ def legacy_scenario(
         mitigation=mitigation,
         faults=faults,
         resilience=resilience,
-    )
-
-
-@deprecated("build a ScenarioSpec and call repro.api.run_scenario")
-def run_traffic(
-    mitigation: Optional[MitigationPlan] = None,
-    checkpoint_interval_s: float = 8.0,
-    initial_l0: Union[str, Dict[str, int]] = "aligned",
-    storage: StorageProfile = TMPFS,
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    tracer: Optional[Tracer] = None,
-    faults=None,
-    resilience=None,
-    tie_break: str = "fifo",
-    scale: int = 1,
-    barrier_s: Optional[float] = None,
-) -> StreamJobResult:
-    """Run the traffic-jam benchmark with standard settings.
-
-    .. deprecated::
-        Build a :class:`ScenarioSpec` (or pick a library scenario) and
-        call :func:`repro.api.run_scenario` instead.
-
-    ``scale``/``barrier_s`` are the sharded-execution knobs (see
-    :mod:`repro.experiments.shard`): a 1/scale slice of the deployment,
-    advanced in lock-step epochs of ``barrier_s`` simulated seconds.
-    """
-    from ..scenarios.run import execute_scenario
-
-    return execute_scenario(
-        legacy_scenario(
-            "traffic",
-            mitigation=mitigation,
-            interval_s=checkpoint_interval_s,
-            initial_l0=initial_l0,
-            storage=storage.name,
-            faults=faults,
-            resilience=resilience,
-        ),
-        settings=settings,
-        tracer=tracer,
-        tie_break=tie_break,
-        scale=scale,
-        barrier_s=barrier_s,
-    )
-
-
-@deprecated("build a ScenarioSpec and call repro.api.run_scenario")
-def run_wordcount(
-    mitigation: Optional[MitigationPlan] = None,
-    commit_interval_s: float = 8.0,
-    storage: StorageProfile = TMPFS,
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    tracer: Optional[Tracer] = None,
-    faults=None,
-    resilience=None,
-    tie_break: str = "fifo",
-    scale: int = 1,
-    barrier_s: Optional[float] = None,
-) -> StreamJobResult:
-    """Run the WordCount benchmark with standard settings.
-
-    .. deprecated::
-        Build a :class:`ScenarioSpec` (or pick a library scenario) and
-        call :func:`repro.api.run_scenario` instead.
-
-    ``scale``/``barrier_s`` as in :func:`run_traffic`.
-    """
-    from ..scenarios.run import execute_scenario
-
-    return execute_scenario(
-        legacy_scenario(
-            "wordcount",
-            mitigation=mitigation,
-            interval_s=commit_interval_s,
-            storage=storage.name,
-            faults=faults,
-            resilience=resilience,
-        ),
-        settings=settings,
-        tracer=tracer,
-        tie_break=tie_break,
-        scale=scale,
-        barrier_s=barrier_s,
     )

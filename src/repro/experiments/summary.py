@@ -161,11 +161,8 @@ def summarize_run(result, settings, kind: str = "traffic",
     trace_events = (
         [event.to_dict() for event in tracer] if tracer.enabled else []
     )
-    plan = getattr(result.job, "fault_plan", None)
-    injector = getattr(result.job, "fault_injector", None)
-    checker = getattr(result.job, "invariant_checker", None)
-    controller = getattr(result.job, "resilience", None)
-    cluster_report = result.cluster_report
+    reports = result.reports()
+    faults = reports.get("faults", {})
     return RunSummary(
         kind=kind,
         label=label,
@@ -199,9 +196,9 @@ def summarize_run(result, settings, kind: str = "traffic",
         },
         trace_schema=TRACE_SCHEMA_VERSION if trace_events else 0,
         trace_events=trace_events,
-        fault_plan={} if plan is None else plan.to_dict(),
-        fault_events=[] if injector is None else [dict(e) for e in injector.events],
-        invariant_violations=[] if checker is None else checker.to_dicts(),
-        resilience={} if controller is None else controller.report(),
-        cluster={} if cluster_report is None else cluster_report,
+        fault_plan=faults.get("plan", {}),
+        fault_events=faults.get("events", []),
+        invariant_violations=faults.get("invariant_violations", []),
+        resilience=reports.get("resilience", {}),
+        cluster=reports.get("cluster", {}),
     )

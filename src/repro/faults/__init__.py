@@ -23,9 +23,8 @@ Most callers only need :func:`inject_faults`::
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from ..errors import SimulationError
 from .capacity import capacity_dip
 from .injector import FaultInjector
 from .invariants import INVARIANTS, InvariantChecker, InvariantViolation, invariant
@@ -67,32 +66,15 @@ __all__ = [
 ]
 
 
-def inject_faults(
-    job,
-    plan: Union[FaultPlan, dict, str],
-    invariants: bool = True,
-    sample_interval_s: float = 1.0,
-    halt_on_violation: bool = False,
-) -> FaultInjector:
+def inject_faults(job, plan: Union[FaultPlan, dict, str]) -> FaultInjector:
     """Install *plan* (a :class:`FaultPlan`, dict, preset name, JSON
     string, or JSON file path) on a built-but-not-yet-run job, plus an
-    :class:`InvariantChecker` unless ``invariants=False``.
+    :class:`InvariantChecker`.
 
-    Returns the installed :class:`FaultInjector`; the job gains
-    ``fault_plan`` / ``fault_injector`` / ``invariant_checker``
-    attributes that the result and summary layers read.
+    Returns the installed :class:`FaultInjector`; the job files it
+    under ``job.subsystems["faults"]`` and the checker under
+    ``job.subsystems["invariants"]``.
     """
-    resolved = load_fault_plan(plan)
-    if getattr(job, "fault_injector", None) is not None:
-        raise SimulationError("job already has a fault injector installed")
-    injector = FaultInjector(job, resolved).install()
-    job.fault_plan = resolved
-    job.fault_injector = injector
-    if invariants:
-        checker = InvariantChecker(
-            sample_interval_s=sample_interval_s,
-            halt_on_violation=halt_on_violation,
-        )
-        checker.install(job)
-        job.invariant_checker = checker
+    injector = FaultInjector(job, load_fault_plan(plan)).install()
+    InvariantChecker().install(job)
     return injector

@@ -44,17 +44,19 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from ..errors import SimulationError
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
+from ..stream.engine import Subsystem
 from .capacity import capacity_dip
 from .plan import ALL_NODES, GLOBAL_KINDS, FaultPlan, FaultSpec
 
 __all__ = ["FaultInjector"]
 
 
-class FaultInjector:
+class FaultInjector(Subsystem):
     """Schedules and executes one :class:`FaultPlan` against one job."""
+
+    channel = "faults"
 
     def __init__(self, job, plan: FaultPlan) -> None:
         self.job = job
@@ -64,7 +66,6 @@ class FaultInjector:
         self.events: List[dict] = []
         #: ``(label, start, end)`` windows for spike attribution.
         self.windows: List[Tuple[str, float, float]] = []
-        self._installed = False
         # stacks for overlapping global faults
         self._backpressure: List[float] = []
         self._base_timeout = job.coordinator.timeout_s
@@ -75,15 +76,23 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def install(self) -> FaultInjector:
-        if self._installed:
-            raise SimulationError("fault injector already installed")
-        self._installed = True
+        self.job.attach("faults", self)
         for spec in self.plan.faults:
             for node in self._targets(spec):
                 self.sim.schedule(
                     spec.at_s, self._begin, spec, node, priority=HIGH_PRIORITY
                 )
         return self
+
+    def report(self) -> dict:
+        """The run summary's ``faults`` section (the checker's findings
+        ride along: it exists to audit this plan)."""
+        checker = self.job.subsystems.get("invariants")
+        return {
+            "plan": self.plan.to_dict(),
+            "events": [dict(event) for event in self.events],
+            "invariant_violations": [] if checker is None else checker.to_dicts(),
+        }
 
     def _targets(self, spec: FaultSpec) -> list:
         if spec.kind in GLOBAL_KINDS:
@@ -208,7 +217,7 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _begin_node_crash(self, spec: FaultSpec, node, event: dict):
-        manager = getattr(self.job, "cluster_manager", None)
+        manager = self.job.subsystems.get("cluster")
         if manager is None:
             # no cluster layer: classic crash-and-restore semantics
             return self._begin_worker_crash(spec, node, event)
@@ -220,7 +229,7 @@ class FaultInjector:
         return recover
 
     def _begin_node_flap(self, spec: FaultSpec, node, event: dict):
-        manager = getattr(self.job, "cluster_manager", None)
+        manager = self.job.subsystems.get("cluster")
         cycles = max(1, int(round(spec.factor)))
         event["cycles"] = cycles
         event["flaps"] = []
@@ -252,7 +261,7 @@ class FaultInjector:
             yield phase
 
     def _begin_network_partition(self, spec: FaultSpec, node, event: dict):
-        manager = getattr(self.job, "cluster_manager", None)
+        manager = self.job.subsystems.get("cluster")
         if manager is None:
             # heartbeats only exist in the cluster layer; nothing to cut
             event["ignored"] = "no cluster layer installed"

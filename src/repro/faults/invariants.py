@@ -46,6 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from ..errors import LSMError, SimulationError
 from ..serialize import register
 from ..sim.process import spawn
+from ..stream.engine import Subsystem
 
 __all__ = [
     "INVARIANTS",
@@ -97,7 +98,7 @@ def invariant(name: str):
     return decorate
 
 
-class InvariantChecker:
+class InvariantChecker(Subsystem):
     """Samples the registered invariants over a running job."""
 
     def __init__(
@@ -129,6 +130,7 @@ class InvariantChecker:
     def install(self, job) -> InvariantChecker:
         if self.job is not None:
             raise SimulationError("invariant checker is already installed")
+        job.attach("invariants", self)
         self.job = job
         spawn(job.sim, self._loop(), name="invariant-checker")
         return self
@@ -169,9 +171,9 @@ class InvariantChecker:
             self.job.sim.abort(f"invariant {name}: {message}")
         return violation
 
-    def finalize(self) -> List[InvariantViolation]:
+    def finalize(self, now: float) -> None:
         """One last full check at end of run (called by the engine)."""
-        return self.check_now()
+        self.check_now()
 
     def to_dicts(self) -> List[dict]:
         return [violation.to_dict() for violation in self.violations]
@@ -320,7 +322,7 @@ def _single_owner_per_partition(checker: InvariantChecker, job):
                     f"partition {instance.name} is hosted nowhere",
                     {"partition": instance.name},
                 )
-    manager = getattr(job, "cluster_manager", None)
+    manager = job.subsystems.get("cluster")
     if manager is None:
         return
     for name in sorted(manager.owner):
@@ -349,7 +351,7 @@ def _single_owner_per_partition(checker: InvariantChecker, job):
 
 @invariant("migration-no-lost-state")
 def _migration_no_lost_state(checker: InvariantChecker, job):
-    manager = getattr(job, "cluster_manager", None)
+    manager = job.subsystems.get("cluster")
     if manager is None:
         return
     now = job.sim.now

@@ -58,9 +58,6 @@ class CheckpointStats:
             "compaction_input_mb": self.compaction_input_mb,
         }
 
-    #: Deprecated alias of :meth:`to_dict`.
-    as_dict = to_dict
-
     @classmethod
     def from_dict(cls, data: dict) -> CheckpointStats:
         stats = cls(data["checkpoint"], data["time"])

@@ -14,10 +14,9 @@ The package wires four cooperating pieces onto a built
 * :class:`~repro.resilience.watchdog.Watchdog` — restarts stuck pools
   and hung workers through the checkpoint restore path.
 
-Entry points: pass ``resilience=ResilienceConfig(...)`` to
-:class:`~repro.stream.engine.StreamJob` (or a
-:class:`~repro.experiments.parallel.RunSpec`), or call
-:func:`install_resilience` on a built job.  The chaos-soak harness
+Entry points: call :func:`install_resilience` on a built job, or set
+``resilience=`` on a :class:`~repro.scenarios.spec.ScenarioSpec` /
+:class:`~repro.experiments.parallel.RunSpec`.  The chaos-soak harness
 lives in :mod:`repro.resilience.soak`.
 """
 
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
+from ..stream.engine import Subsystem
 from .config import DEFAULT_RESILIENCE, ResilienceConfig
 from .guard import OverloadController, SLOGuard
 from .policies import CircuitBreaker, Deadline, RetryPolicy
@@ -69,8 +69,10 @@ def load_resilience_config(
     raise TypeError(f"cannot interpret {value!r} as a resilience config")
 
 
-class ResilienceController:
+class ResilienceController(Subsystem):
     """Owns every resilience component attached to one job."""
+
+    channel = "resilience"
 
     def __init__(self, job, config: ResilienceConfig) -> None:
         self.job = job
@@ -78,7 +80,6 @@ class ResilienceController:
         limit = config.shed_rate_factor * job.source.steady_rate()
         self.shedder = LoadShedder(job.sim, limit, burst_s=config.shed_burst_s)
         self.shedder.apply_rate = job._apply_source_rate
-        job.admission = self.shedder
         self.guard = SLOGuard(job, config, self.shedder)
         self.watchdog = Watchdog(job, config)
         self.uploader = ResilientUploader(
@@ -88,9 +89,11 @@ class ResilienceController:
             config.circuit_breaker("hdfs-upload"),
             config.upload_deadline_s,
         )
-        job.coordinator.uploader = self.uploader.upload
 
     def install(self) -> ResilienceController:
+        self.job.attach("resilience", self)
+        self.job.admission = self.shedder
+        self.job.coordinator.uploader = self.uploader.upload
         self.guard.install()
         self.watchdog.install()
         return self
@@ -137,14 +140,10 @@ class ResilienceController:
 def install_resilience(job, config=True) -> Optional[ResilienceController]:
     """Attach the resilience layer to a built (un-run) job.
 
-    Returns the controller, or ``None`` when *config* disables the
-    layer.  Sets ``job.resilience`` (the controller) and
-    ``job.resilience_config``.
+    Returns the controller (filed under ``job.subsystems["resilience"]``),
+    or ``None`` when *config* disables the layer.
     """
     resolved = load_resilience_config(config)
     if resolved is None or not resolved.enabled:
         return None
-    controller = ResilienceController(job, resolved).install()
-    job.resilience = controller
-    job.resilience_config = resolved
-    return controller
+    return ResilienceController(job, resolved).install()

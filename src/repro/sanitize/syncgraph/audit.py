@@ -235,7 +235,7 @@ def analyze_sync(
             mb = analyze_trace(
                 list(events),
                 threshold=spike_threshold,
-                sync_windows=windows,
+                windows={"sync": windows},
             )
         except AnalysisError:
             mb = None  # trace without a latency track: edges still stand

@@ -4,10 +4,9 @@
 repo: it accepts a :class:`ScenarioSpec` (or a library name, or a
 serialized dict), assembles the job through the same app builders the
 legacy helpers used, injects the scenario's fault plan and resilience
-config, and runs it.  ``repro.api.run_scenario`` re-exports it;
-``run_traffic``/``run_wordcount`` are deprecated wrappers over it; the
-parallel executor's scenario kind and the sharded path both funnel
-through :func:`execute_scenario`.
+config, and runs it.  ``repro.api.run_scenario`` re-exports it; the
+parallel executor's run kinds and the sharded path all funnel through
+:func:`execute_scenario`.
 """
 
 from __future__ import annotations

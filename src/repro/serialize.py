@@ -15,8 +15,7 @@ The protocol here is the single supported surface:
 
 Participating classes implement ``to_dict()`` and a ``from_dict(data)``
 classmethod; plain dataclasses get both derived automatically by
-:func:`to_dict`/:func:`from_dict`.  Legacy ``as_dict()`` methods remain
-as thin aliases of ``to_dict()``.
+:func:`to_dict`/:func:`from_dict`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The Flink-like stream engine: stages, workers, checkpoints, Kafka."""
 
 from .checkpoint import CheckpointCoordinator, CheckpointRecord
-from .engine import StreamJob, StreamJobResult
+from .engine import StreamJob, StreamJobResult, Subsystem
 from .kafka import KafkaBroker, Partition, Topic
 from .messages import Record, RecordBatch
 from .sources import ClosedLoopSource, ConstantSource, DiurnalSource, PiecewiseSource
@@ -14,6 +14,7 @@ __all__ = [
     "CheckpointRecord",
     "StreamJob",
     "StreamJobResult",
+    "Subsystem",
     "KafkaBroker",
     "Partition",
     "Topic",

@@ -17,7 +17,7 @@ Wiring overview::
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,12 +46,39 @@ from .stage import SOURCE_INPUT, Stage, StageInstance, StageSpec
 from .state_backend import LSMStateBackend
 from .worker import WorkerNode
 
-__all__ = ["StreamJob", "StreamJobResult"]
+__all__ = ["StreamJob", "StreamJobResult", "Subsystem"]
 
 InitialL0 = Union[int, Callable[[StageInstance], int]]
 
 #: Index standing for the external source in the stage input graph.
 _SOURCE = -1
+
+#: Simulated seconds between state-accounting ticks.
+ACCOUNTING_DT = 1.0
+
+
+class Subsystem:
+    """What an add-on layer exposes once attached to a job.
+
+    :meth:`StreamJob.attach` files the layer under a name; from there
+    the engine finalizes it at end of run, the result lists its
+    windows and report, and the millibottleneck detector labels spikes
+    with the windows — none of them knowing which layer it is.
+    """
+
+    #: The ``SpikeAttribution`` field this layer's windows label
+    #: (``"faults"``, ``"resilience"``, ``"cluster"``), or ``None``.
+    channel: Optional[str] = None
+    #: ``(label, start, end)`` spans for spike attribution.
+    windows: Sequence[Tuple[str, float, float]] = ()
+
+    def report(self) -> Optional[dict]:
+        """JSON-plain digest filed under the layer's name in
+        :meth:`StreamJobResult.summary` (``None`` = no section)."""
+        return None
+
+    def finalize(self, now: float) -> None:
+        """Close open windows and books at end of run."""
 
 
 class StreamJob:
@@ -68,12 +95,8 @@ class StreamJob:
         lsm_options_factory: Optional[Callable[[StageSpec, int], LSMOptions]] = None,
         initial_l0: Optional[Dict[str, InitialL0]] = None,
         seed: int = 0,
-        accounting_dt: float = 1.0,
-        sample_real_state: bool = True,
         coalesce_accounting: bool = True,
         tracer: Optional[Tracer] = None,
-        faults=None,
-        resilience=None,
         tie_break: str = "fifo",
         skew: Sequence = (),
     ) -> None:
@@ -89,8 +112,6 @@ class StreamJob:
         self.checkpoint_config = checkpoint or CheckpointConfig()
         self.mitigation = mitigation or MitigationPlan.baseline()
         self.source = source
-        self.accounting_dt = accounting_dt
-        self.sample_real_state = sample_real_state
         #: Drive all per-instance accounting ticks from one batched
         #: process instead of one process per instance.  State-identical
         #: to the scalar path (the bodies run in the same order at the
@@ -99,8 +120,9 @@ class StreamJob:
         #: determinism A/B test.
         self.coalesce_accounting = coalesce_accounting
         self._started = False
-        #: Set by repro.cluster.install_cluster(); None on static runs.
-        self.cluster_manager = None
+        #: Installed add-on layers by name, in install order (see
+        #: :meth:`attach`).
+        self.subsystems: Dict[str, Subsystem] = {}
         #: Bumped on every topology mutation (node join, partition
         #: relocation); the batched accounting loop rebuilds its
         #: precomputed entries when it observes a new epoch.
@@ -286,34 +308,24 @@ class StreamJob:
         if initial_l0:
             self._preload_l0(initial_l0)
 
-        # --- fault injection (repro.faults) ------------------------------
-        #: Set by repro.faults.inject_faults(); None on fault-free runs.
-        self.fault_plan = None
-        self.fault_injector = None
-        self.invariant_checker = None
-        if faults is not None:
-            from ..faults import inject_faults
-
-            inject_faults(self, faults)
-
-        # --- overload protection (repro.resilience) -----------------------
-        #: Admission controller over the source rate (a LoadShedder when
-        #: the resilience layer is installed, else None = pass-through).
+        #: Admission controller over the source rate (``None`` =
+        #: pass-through); anything with ``offer(rate) -> admitted``.
         self.admission = None
         #: Last offered (pre-admission) source rate.
         self.offered_rate = 0.0
-        #: Set by repro.resilience.install_resilience(); None when the
-        #: layer is disabled.
-        self.resilience = None
-        self.resilience_config = None
-        if resilience is not None:
-            from ..resilience import install_resilience
-
-            install_resilience(self, resilience)
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
+
+    def attach(self, name: str, subsystem: Subsystem) -> Subsystem:
+        """File an add-on layer under *name*; a name installs once."""
+        if name in self.subsystems:
+            raise SimulationError(
+                f"subsystem {name!r} is already installed on this job"
+            )
+        self.subsystems[name] = subsystem
+        return subsystem
 
     def _node(self, name: str) -> WorkerNode:
         for node in self.nodes:
@@ -328,7 +340,7 @@ class StreamJob:
         raise ConfigurationError(f"unknown stage {name!r}")
 
     # ------------------------------------------------------------------
-    # elastic topology (driven by repro.cluster)
+    # elastic topology (scale-out and partition moves)
     # ------------------------------------------------------------------
 
     def add_worker_node(self, name: str, cores: int) -> WorkerNode:
@@ -567,12 +579,12 @@ class StreamJob:
         spec = stage.spec
         tick = 0
         while True:
-            yield self.accounting_dt
+            yield ACCOUNTING_DT
             tick += 1
             flow = stage.flows[instance.node.name]
             hosted = len(stage.instances_by_node[instance.node.name])
             rate = flow.arrival_rate / hosted
-            updates = rate * self.accounting_dt
+            updates = rate * ACCOUNTING_DT
             if updates <= 0:
                 continue
             # Keyed state overwrites in place: a memtable grows until it
@@ -588,11 +600,10 @@ class StreamJob:
                     int(round(new_entries)),
                     int(round(new_entries * spec.state_entry_bytes)),
                 )
-            if self.sample_real_state:
-                key_space = int(spec.distinct_keys_per_instance) or 997
-                key = f"{instance.name}:{tick % key_space}".encode()
-                payload = b"x" * min(int(spec.state_entry_bytes) or 1, 1024)
-                store.put(key, payload)
+            key_space = int(spec.distinct_keys_per_instance) or 997
+            key = f"{instance.name}:{tick % key_space}".encode()
+            payload = b"x" * min(int(spec.state_entry_bytes) or 1, 1024)
+            store.put(key, payload)
             if store.memtable_full and instance.flush_in_flight == 0:
                 # Memtable-full flush is the LSM write path's own
                 # backpressure; deferring it would grow the memtable
@@ -636,8 +647,7 @@ class StreamJob:
         Body-for-body identical to :meth:`_account_loop` (same math,
         same order), with the per-tick constants precomputed.
         """
-        dt = self.accounting_dt
-        sample = self.sample_real_state
+        dt = ACCOUNTING_DT
         backend_flush = self.backend.flush_instance
         epoch = self._topology_epoch
         tick = 0
@@ -665,8 +675,7 @@ class StreamJob:
                         int(round(new_entries)),
                         int(round(new_entries * entry_bytes)),
                     )
-                if sample:
-                    store.put(key_prefix + b"%d" % (tick % key_space), payload)
+                store.put(key_prefix + b"%d" % (tick % key_space), payload)
                 if store.memtable_full and instance.flush_in_flight == 0:
                     # Same memtable-full backpressure as the
                     # per-instance accounting loop.
@@ -724,10 +733,8 @@ class StreamJob:
         for stage in self.stages:
             for flow in stage.flows.values():
                 flow.finalize(self.sim.now)
-        if self.invariant_checker is not None:
-            self.invariant_checker.finalize()
-        if self.resilience is not None:
-            self.resilience.finalize(self.sim.now)
+        for subsystem in self.subsystems.values():
+            subsystem.finalize(self.sim.now)
         return StreamJobResult(self, duration)
 
     def run(
@@ -907,41 +914,41 @@ class StreamJobResult:
         else:
             raise ValueError(f"unknown trace format {format!r}")
 
+    # ------------------------------------------------------------------
+    # installed subsystems
+    # ------------------------------------------------------------------
+
+    def windows(self) -> Dict[str, List[tuple]]:
+        """``{channel: [(label, start, end), ...]}`` — every installed
+        subsystem's attribution windows, grouped by the
+        ``SpikeAttribution`` channel they label."""
+        windows: Dict[str, List[tuple]] = {}
+        for subsystem in self.job.subsystems.values():
+            if subsystem.channel is not None:
+                windows.setdefault(subsystem.channel, []).extend(subsystem.windows)
+        return windows
+
+    def reports(self) -> Dict[str, dict]:
+        """``{name: report()}`` of every installed subsystem that
+        reports a digest."""
+        reports = {}
+        for name, subsystem in self.job.subsystems.items():
+            report = subsystem.report()
+            if report is not None:
+                reports[name] = report
+        return reports
+
     @property
     def fault_events(self) -> List[dict]:
         """Injected-fault events (empty on fault-free runs)."""
-        injector = self.job.fault_injector
+        injector = self.job.subsystems.get("faults")
         return [] if injector is None else [dict(e) for e in injector.events]
 
     @property
     def invariant_violations(self) -> List[dict]:
         """Recorded invariant violations (empty when no checker ran)."""
-        checker = self.job.invariant_checker
-        return [] if checker is None else [v.to_dict() for v in checker.violations]
-
-    @property
-    def resilience_report(self) -> Optional[dict]:
-        """The resilience layer's digest, or ``None`` when disabled."""
-        controller = self.job.resilience
-        return None if controller is None else controller.report()
-
-    @property
-    def resilience_windows(self) -> List[tuple]:
-        """``(label, start, end)`` degraded/shedding spans (attribution)."""
-        controller = self.job.resilience
-        return [] if controller is None else list(controller.windows)
-
-    @property
-    def cluster_report(self) -> Optional[dict]:
-        """The cluster layer's digest, or ``None`` when disabled."""
-        manager = self.job.cluster_manager
-        return None if manager is None else manager.report()
-
-    @property
-    def cluster_windows(self) -> List[tuple]:
-        """``(label, start, end)`` rebalance/failover spans (attribution)."""
-        manager = self.job.cluster_manager
-        return [] if manager is None else list(manager.windows)
+        checker = self.job.subsystems.get("invariants")
+        return [] if checker is None else checker.to_dicts()
 
     def millibottleneck_report(self, start: float = 0.0,
                                end: Optional[float] = None, **kwargs):
@@ -986,15 +993,5 @@ class StreamJobResult:
             "backup_pending": self.job.hdfs.pending,
             "mean_cpu_cores": self.cpu_series(None).time_average(start, end),
         }
-        if self.job.fault_injector is not None or self.job.invariant_checker is not None:
-            plan = self.job.fault_plan
-            summary["faults"] = {
-                "plan": None if plan is None else plan.to_dict(),
-                "events": self.fault_events,
-                "invariant_violations": self.invariant_violations,
-            }
-        if self.job.resilience is not None:
-            summary["resilience"] = self.resilience_report
-        if self.job.cluster_manager is not None:
-            summary["cluster"] = self.cluster_report
+        summary.update(self.reports())
         return summary

@@ -137,10 +137,10 @@ def test_report_dict_round_trip():
 
 @pytest.fixture(scope="module")
 def fig8_result():
-    from repro.api import ExperimentSettings, run_traffic
+    from repro.api import ExperimentSettings, run_scenario
 
     settings = ExperimentSettings(duration_s=104.0, warmup_s=32.0, trace=True)
-    return run_traffic(settings=settings)
+    return run_scenario("baseline_traffic", settings=settings)
 
 
 def test_attributes_every_4th_checkpoint_spikes(fig8_result):

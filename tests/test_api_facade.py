@@ -16,7 +16,7 @@ def test_every_declared_export_resolves():
 
 def test_facade_covers_the_advertised_surface():
     expected = {
-        "run_traffic", "run_wordcount", "sweep", "run_grid",
+        "run_scenario", "sweep", "run_grid",
         "ExperimentSettings", "RunSpec", "RunSummary", "MitigationPlan",
         "Tracer", "NullTracer", "build_traffic_job", "build_wordcount_job",
         "analyze_result", "analyze_summary", "analyze_trace",
@@ -27,9 +27,10 @@ def test_facade_covers_the_advertised_surface():
 
 def test_facade_reexports_are_the_implementation_objects():
     from repro.experiments import runner
+    from repro.scenarios import run
     from repro.trace import Tracer
 
-    assert api.run_traffic is runner.run_traffic
+    assert api.run_scenario is run.run_scenario
     assert api.ExperimentSettings is runner.ExperimentSettings
     assert api.Tracer is Tracer
 

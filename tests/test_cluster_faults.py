@@ -61,7 +61,7 @@ def test_node_crash_without_cluster_degrades_to_worker_crash():
     job = small_job()
     inject_faults(job, plan)
     result = job.run(30.0)
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["restores"], "classic in-place checkpoint restore expected"
     assert result.invariant_violations == []
 
@@ -143,7 +143,7 @@ def test_node_flap_cycles_cleanly():
     plan = plan_of(FaultSpec(kind="node_flap", at_s=14.0, duration_s=9.0,
                              node=1, factor=3.0))
     job, manager, result = run_clustered(plan)
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["cycles"] == 3
     assert len(event["flaps"]) == 3
     assert all(sub["end"] is not None for sub in event["flaps"])
@@ -169,7 +169,7 @@ def test_network_partition_without_cluster_is_a_recorded_noop():
     job = small_job()
     inject_faults(job, plan)
     result = job.run(20.0)
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["ignored"] == "no cluster layer installed"
     assert result.invariant_violations == []
 

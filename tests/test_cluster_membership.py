@@ -49,7 +49,7 @@ def hosted_partitions(job):
 def test_install_sets_manager_and_rejects_double_install():
     job = small_job()
     manager = install_cluster(job, cluster_spec())
-    assert job.cluster_manager is manager
+    assert job.subsystems["cluster"] is manager
     assert sorted(manager.live) == ["node0", "node1"]
     with pytest.raises(SimulationError):
         install_cluster(job, cluster_spec())

@@ -64,9 +64,9 @@ def test_headline_structure():
 def test_result_summary_is_json_serializable():
     import json
 
-    from repro.experiments import run_traffic
+    from repro.api import run_scenario
 
-    result = run_traffic(settings=SHORT)
+    result = run_scenario("baseline_traffic", settings=SHORT)
     summary = result.summary(start=SHORT.warmup_s)
     encoded = json.dumps(summary)
     decoded = json.loads(encoded)

@@ -23,7 +23,7 @@ DURATION = 40.0
 
 
 def small_job(seed=3, faults=None, tracer=None):
-    return StreamJob(
+    job = StreamJob(
         stages=[
             StageSpec(name="a", parallelism=2, state_entry_bytes=600.0,
                       distinct_keys=3000, selectivity=0.5),
@@ -34,9 +34,11 @@ def small_job(seed=3, faults=None, tracer=None):
         cluster=ClusterConfig(num_nodes=2, cores_per_node=4),
         checkpoint=CheckpointConfig(interval_s=4.0, first_at_s=4.0),
         seed=seed,
-        faults=faults,
         tracer=tracer,
     )
+    if faults is not None:
+        inject_faults(job, faults)
+    return job
 
 
 def plan_of(*faults) -> FaultPlan:
@@ -48,7 +50,7 @@ def test_worker_crash_restores_from_last_checkpoint():
                              node=0))
     job = small_job(faults=plan)
     result = job.run(DURATION)
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["kind"] == "worker_crash"
     assert event["start"] == pytest.approx(14.0)
     assert event["end"] == pytest.approx(16.0)
@@ -62,7 +64,7 @@ def test_worker_crash_restores_from_last_checkpoint():
     # the source kept producing for 14 - 12 = 2 s since the snapshot
     assert event["replayed_messages"] > 0
     assert job.coordinator.restore_events
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
     assert math.isfinite(result.tail_summary(start=20.0)["p50"])
 
 
@@ -84,7 +86,7 @@ def test_worker_crash_aborts_in_flight_checkpoints():
         record.checkpoint_id > aborted[0].checkpoint_id
         for record in job.coordinator.completed
     )
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_flush_stall_pauses_the_pool_for_the_window():
@@ -98,7 +100,7 @@ def test_flush_stall_pauses_the_pool_for_the_window():
     resumes = tracer.select(cat="pool", name="resume:node0-flush")
     assert [e.ts for e in pauses] == [pytest.approx(10.0)]
     assert [e.ts for e in resumes] == [pytest.approx(16.0)]
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_slow_disk_dips_and_restores_device_capacity():
@@ -109,9 +111,9 @@ def test_slow_disk_dips_and_restores_device_capacity():
     before = device.capacity
     job.run(DURATION)
     assert device.capacity == pytest.approx(before)
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["node"] == "node1"
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_checkpoint_timeout_aborts_slow_checkpoints():
@@ -126,7 +128,7 @@ def test_checkpoint_timeout_aborts_slow_checkpoints():
     assert len(job.coordinator.aborted) >= 1
     assert job.coordinator.timeout_s is None  # restored to the default
     assert job.coordinator.completed  # checkpoints after the window pass
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_kafka_backpressure_throttles_and_restores_the_source():
@@ -134,13 +136,13 @@ def test_kafka_backpressure_throttles_and_restores_the_source():
                              duration_s=8.0, factor=0.4))
     job = small_job(faults=plan)
     job.run(DURATION)
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["end"] == pytest.approx(18.0)
     # after the window the stage-0 flows see the steady rate again
     stage0 = job.stages[0]
     total_rate = sum(flow.arrival_rate for flow in stage0.flows.values())
     assert total_rate == pytest.approx(job.source.steady_rate())
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_fault_windows_and_trace_instants_line_up():
@@ -149,7 +151,7 @@ def test_fault_windows_and_trace_instants_line_up():
     tracer = Tracer()
     job = small_job(faults=plan, tracer=tracer)
     job.run(DURATION)
-    assert job.fault_injector.windows == [
+    assert job.subsystems["faults"].windows == [
         ("flush_stall@node0", pytest.approx(10.0), pytest.approx(12.0))
     ]
     injects = tracer.select(cat="fault", name="fault-inject")
@@ -167,7 +169,7 @@ def test_summary_carries_fault_report():
     assert summary["faults"]["plan"]["name"] == "test"
     assert len(summary["faults"]["events"]) == 1
     assert summary["faults"]["invariant_violations"] == []
-    assert result.fault_events == job.fault_injector.events
+    assert result.fault_events == job.subsystems["faults"].events
     assert result.invariant_violations == []
 
 
@@ -225,7 +227,7 @@ def test_checkpoint_timeout_during_kafka_backpressure():
     )
     job = small_job(faults=plan)
     job.run(DURATION)
-    kinds = sorted(e["kind"] for e in job.fault_injector.events)
+    kinds = sorted(e["kind"] for e in job.subsystems["faults"].events)
     assert kinds == ["checkpoint_timeout", "kafka_backpressure"]
     # checkpoints triggered while throttled *and* timing out aborted...
     assert {r.abort_reason for r in job.coordinator.aborted} == {"timeout"}
@@ -238,7 +240,7 @@ def test_checkpoint_timeout_during_kafka_backpressure():
     assert any(
         record.completed_at > 20.0 for record in job.coordinator.completed
     )
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_crash_inside_flush_stall_window():
@@ -253,7 +255,7 @@ def test_crash_inside_flush_stall_window():
     job = small_job(faults=plan)
     job.run(DURATION)
     crash = next(
-        e for e in job.fault_injector.events if e["kind"] == "worker_crash"
+        e for e in job.subsystems["faults"].events if e["kind"] == "worker_crash"
     )
     assert crash["restores"]
     assert crash["rewound_to_s"] == pytest.approx(12.0)
@@ -263,7 +265,7 @@ def test_crash_inside_flush_stall_window():
     pool = job.nodes[0].flush_pool
     assert not pool.paused
     assert not job.nodes[0].crashed
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_identical_seed_and_plan_reproduce_event_for_event():
@@ -277,7 +279,7 @@ def test_identical_seed_and_plan_reproduce_event_for_event():
     for _ in range(2):
         job = small_job(seed=9, faults=plan)
         result = job.run(DURATION)
-        events.append(job.fault_injector.events)
+        events.append(job.subsystems["faults"].events)
         tails.append(result.tail_summary(start=20.0))
     assert events[0] == events[1]
     assert tails[0] == tails[1]

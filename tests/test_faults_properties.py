@@ -25,7 +25,7 @@ import math
 import pytest
 
 from repro.config import CheckpointConfig, ClusterConfig
-from repro.faults import FaultPlan, shrink_failing
+from repro.faults import FaultPlan, inject_faults, shrink_failing
 from repro.stream.engine import StreamJob
 from repro.stream.sources import ConstantSource
 from repro.stream.stage import StageSpec
@@ -36,7 +36,7 @@ SLOW_SEEDS = tuple(seed for seed in range(40) if seed not in FAST_SEEDS)
 
 
 def build_job(seed, plan):
-    return StreamJob(
+    job = StreamJob(
         stages=[
             StageSpec(name="a", parallelism=2, state_entry_bytes=600.0,
                       distinct_keys=3000, selectivity=0.5),
@@ -47,8 +47,9 @@ def build_job(seed, plan):
         cluster=ClusterConfig(num_nodes=2, cores_per_node=4),
         checkpoint=CheckpointConfig(interval_s=4.0, first_at_s=4.0),
         seed=seed,
-        faults=plan,
     )
+    inject_faults(job, plan)
+    return job
 
 
 def violations_of(seed, plan):
@@ -57,7 +58,7 @@ def violations_of(seed, plan):
     result = job.run(DURATION)
     problems = [
         f"invariant {v.invariant} at t={v.time:.3f}: {v.message}"
-        for v in job.invariant_checker.violations
+        for v in job.subsystems["invariants"].violations
     ]
     if job.sim.aborted:
         problems.append(f"aborted: {job.sim.abort_reason}")

@@ -5,8 +5,8 @@ supervision, and upload retry/circuit-breaking — on a small job."""
 import pytest
 
 from repro.config import CheckpointConfig, ClusterConfig
-from repro.faults import FaultPlan, FaultSpec
-from repro.resilience import ResilienceConfig
+from repro.faults import FaultPlan, FaultSpec, inject_faults
+from repro.resilience import ResilienceConfig, install_resilience
 from repro.resilience.shedding import LoadShedder
 from repro.sim import Simulator
 from repro.stream.engine import StreamJob
@@ -18,7 +18,7 @@ DURATION = 60.0
 
 
 def small_job(seed=3, faults=None, tracer=None, resilience=None):
-    return StreamJob(
+    job = StreamJob(
         stages=[
             StageSpec(name="a", parallelism=2, state_entry_bytes=600.0,
                       distinct_keys=3000, selectivity=0.5),
@@ -29,10 +29,13 @@ def small_job(seed=3, faults=None, tracer=None, resilience=None):
         cluster=ClusterConfig(num_nodes=2, cores_per_node=4),
         checkpoint=CheckpointConfig(interval_s=4.0, first_at_s=4.0),
         seed=seed,
-        faults=faults,
         tracer=tracer,
-        resilience=resilience,
     )
+    if faults is not None:
+        inject_faults(job, faults)
+    if resilience is not None:
+        install_resilience(job, resilience)
+    return job
 
 
 def plan_of(*faults) -> FaultPlan:
@@ -116,12 +119,12 @@ def run_overloaded_job(tracer=None, config=None):
 def test_guard_trips_sheds_and_recovers():
     tracer = Tracer()
     job, _result = run_overloaded_job(tracer=tracer)
-    guard = job.resilience.guard
+    guard = job.subsystems["resilience"].guard
     assert guard.trips == 1
     assert guard.mode == "normal"  # recovered before the end
     (window,) = guard.degraded_windows
     assert 10.0 < window[1] < window[2] < DURATION
-    shedder = job.resilience.shedder
+    shedder = job.subsystems["resilience"].shedder
     assert shedder.shed_messages > 0
     assert shedder.engagements == 1
     trip = tracer.select(cat="resilience", name="slo-trip")
@@ -135,16 +138,16 @@ def test_guard_trips_sheds_and_recovers():
 
 def test_guard_actuators_engage_and_restore():
     job, _result = run_overloaded_job()
-    config = job.resilience.config
+    config = job.subsystems["resilience"].config
     # after recovery everything is back to normal
     for node in job.nodes:
         assert node.compaction_pool.size > config.compaction_threads_degraded
     assert job.coordinator.interval_scale == 1.0
     # the trip actually actuated: the guard log shows both actions
-    actions = [a["action"] for a in job.resilience.guard.actions]
+    actions = [a["action"] for a in job.subsystems["resilience"].guard.actions]
     assert actions == ["slo-trip", "slo-recover"]
     # while degraded the backlog was bounded by shedding
-    assert job.resilience.guard.max_queue_messages < 300_000
+    assert job.subsystems["resilience"].guard.max_queue_messages < 300_000
 
 
 def test_guard_is_inert_when_healthy():
@@ -152,10 +155,10 @@ def test_guard_is_inert_when_healthy():
     guarded_job = small_job(seed=11, resilience=ResilienceConfig())
     guarded = guarded_job.run(DURATION).tail_summary(start=10.0)
     assert guarded == baseline  # byte-identical trajectory
-    guard = guarded_job.resilience.guard
+    guard = guarded_job.subsystems["resilience"].guard
     assert guard.trips == 0
     assert guard.samples_taken > 200
-    assert guarded_job.resilience.shedder.shed_messages == 0.0
+    assert guarded_job.subsystems["resilience"].shedder.shed_messages == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -174,12 +177,12 @@ def test_watchdog_restarts_stuck_flush_pool():
     assert pool.restarts  # the watchdog force-restarted it mid-stall
     assert 13.0 <= pool.restarts[0] <= 16.0
     assert not pool.paused  # the fault's late resume was forgiven
-    restarts = job.resilience.watchdog.pool_restarts
+    restarts = job.subsystems["resilience"].watchdog.pool_restarts
     assert restarts and restarts[0]["target"] == "node0-flush"
     assert restarts[0]["cleared_pauses"] == 1
     instants = tracer.select(cat="resilience", name="watchdog-pool-restart")
     assert [e.ts for e in instants] == [pytest.approx(pool.restarts[0])]
-    assert not job.invariant_checker.violations
+    assert not job.subsystems["invariants"].violations
 
 
 def test_watchdog_restarts_hung_worker_through_restore_path():
@@ -201,7 +204,7 @@ def test_watchdog_restarts_hung_worker_through_restore_path():
         for inst in job.nodes[0].instances
     ))
     result = job.run(DURATION)
-    actions = job.resilience.watchdog.worker_restarts
+    actions = job.subsystems["resilience"].watchdog.worker_restarts
     assert actions
     first = actions[0]
     restarted = next(
@@ -231,7 +234,7 @@ def test_upload_deadline_misses_retry_then_trip_breaker():
                               breaker_reset_s=1000.0)
     job = small_job(tracer=tracer, resilience=config)
     result = job.run(DURATION)
-    uploads = job.resilience.uploader.report()
+    uploads = job.subsystems["resilience"].uploader.report()
     assert uploads["timeouts"] >= 3
     assert uploads["retries"] >= 1
     assert uploads["exhausted"]  # some checkpoint spent every attempt
@@ -259,13 +262,13 @@ def test_result_summary_carries_resilience_digest():
     assert digest["mode"] == "normal"
     assert digest["shed"]["messages"] > 0
     assert digest["config"]["latency_slo_s"] == 1.5
-    assert result.resilience_windows  # degraded + load-shed spans
-    labels = {label for label, _s, _e in result.resilience_windows}
+    windows = result.windows()["resilience"]  # degraded + load-shed spans
+    labels = {label for label, _s, _e in windows}
     assert labels == {"degraded", "load-shed"}
 
 
 def test_unguarded_summary_has_no_resilience_key():
     result = small_job().run(20.0)
     assert "resilience" not in result.summary()
-    assert result.resilience_report is None
-    assert result.resilience_windows == []
+    assert result.reports() == {}
+    assert result.windows() == {}

@@ -123,8 +123,8 @@ def test_detect_labels_spikes_inside_resilience_windows():
     times, values = synthetic_timeline([20.0, 60.0])
     report = detect(
         times, values,
-        resilience_windows=[("degraded", 15.0, 25.0),
-                            ("load-shed", 18.0, 23.0)],
+        windows={"resilience": [("degraded", 15.0, 25.0),
+                                ("load-shed", 18.0, 23.0)]},
     )
     assert report.spike_count == 2
     guarded, bare = report.spikes
@@ -134,8 +134,9 @@ def test_detect_labels_spikes_inside_resilience_windows():
 
 def test_spike_attribution_from_dict_backfills_resilience():
     times, values = synthetic_timeline([20.0])
-    (spike,) = detect(times, values,
-                      resilience_windows=[("degraded", 15.0, 25.0)]).spikes
+    (spike,) = detect(
+        times, values, windows={"resilience": [("degraded", 15.0, 25.0)]}
+    ).spikes
     data = spike.to_dict()
     assert data["resilience"] == ["degraded"]
     revived = SpikeAttribution.from_dict(data)

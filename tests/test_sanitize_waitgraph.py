@@ -121,7 +121,7 @@ def test_detector_labels_spikes_with_sync_edges():
     p999 = [0.1] * 40
     p999[20] = 5.0  # spike at t=10
     windows = [("checkpoint-barrier", 9.5, 10.5), ("pool-stall", 50.0, 51.0)]
-    report = detect(times, p999, sync_windows=windows)
+    report = detect(times, p999, windows={"sync": windows})
     (spike,) = report.spikes
     assert spike.sync == ["checkpoint-barrier"]
     # Old cached dicts without the sync field still load.

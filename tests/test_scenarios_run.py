@@ -1,20 +1,13 @@
 """Behavioural tests for the unified scenario path: job wiring, the new
-arrival sources, tenancy, legacy-wrapper equivalence and the
+arrival sources, tenancy, legacy-kind equivalence and the
 windowed-join exactly-once invariants under a crash-and-restore plan."""
-
-import warnings
 
 import pytest
 
 from repro.apps.join_job import JOIN_STAGES, build_join_job
 from repro.apps.tenancy import tenant_initial_l0, tenantize
 from repro.errors import ConfigurationError
-from repro.experiments.runner import (
-    ExperimentSettings,
-    legacy_scenario,
-    run_traffic,
-    run_wordcount,
-)
+from repro.experiments.runner import ExperimentSettings, legacy_scenario
 from repro.faults import FaultPlan, FaultSpec
 from repro.scenarios import (
     ScenarioSpec,
@@ -185,7 +178,7 @@ def test_scenario_own_faults_apply_and_override_wins():
     ))
     spec = scenario("baseline_traffic").with_faults(crash)
     result = execute_scenario(spec, settings=QUICK)
-    assert [e["kind"] for e in result.job.fault_injector.events] == [
+    assert [e["kind"] for e in result.job.subsystems["faults"].events] == [
         "worker_crash"
     ]
     # an explicit override replaces the scenario's own plan
@@ -193,25 +186,18 @@ def test_scenario_own_faults_apply_and_override_wins():
         FaultSpec(kind="flush_stall", at_s=15.0, duration_s=2.0, node=0),
     ))
     overridden = execute_scenario(spec, settings=QUICK, faults=stall)
-    assert [e["kind"] for e in overridden.job.fault_injector.events] == [
+    assert [e["kind"] for e in overridden.job.subsystems["faults"].events] == [
         "flush_stall"
     ]
 
 
-def test_legacy_wrappers_are_deprecated_but_equivalent():
-    with pytest.deprecated_call():
-        legacy = run_traffic(settings=QUICK)
-    spec = legacy_scenario("traffic")
-    unified = execute_scenario(spec, settings=QUICK)
+def test_legacy_scenario_matches_baseline_traffic():
+    """The ad-hoc spec behind the ``traffic`` RunSpec kind runs exactly
+    like the library's ``baseline_traffic``."""
+    legacy = execute_scenario(legacy_scenario("traffic"), settings=QUICK)
+    library = run_scenario("baseline_traffic", settings=QUICK)
     assert (legacy.tail_summary(start=10.0)
-            == unified.tail_summary(start=10.0))
-
-
-def test_run_wordcount_warns_once_per_call():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_wordcount(settings=QUICK)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+            == library.tail_summary(start=10.0))
 
 
 # ----------------------------------------------------------------------
@@ -230,12 +216,12 @@ def test_windowed_join_exactly_once_under_crash():
     settings = ExperimentSettings(duration_s=60.0, warmup_s=10.0, seed=7)
     result = execute_scenario(spec, settings=settings, faults=crash)
     job = result.job
-    (event,) = job.fault_injector.events
+    (event,) = job.subsystems["faults"].events
     assert event["kind"] == "worker_crash"
     assert event["restores"], "crash must restore from a checkpoint"
     assert all(r["restored"] for r in event["restores"])
     assert event["replayed_messages"] > 0
-    assert job.invariant_checker.violations == []
+    assert job.subsystems["invariants"].violations == []
     # both input branches and the join keep flowing after the restore
     times, latency, _ = result.end_to_end_latency(30.0, 60.0)
     assert len(times) > 0 and float(latency.max()) > 0.0

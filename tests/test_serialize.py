@@ -25,8 +25,6 @@ def test_checkpoint_stats_round_trip():
     stats.compaction_input_mb = 512.5
     revived = from_dict(CheckpointStats, json_round(stats))
     assert revived.to_dict() == stats.to_dict()
-    # the legacy spelling stays available and identical
-    assert stats.as_dict() == stats.to_dict()
 
 
 def test_overlap_report_round_trip():

@@ -167,10 +167,10 @@ def test_golden_trace_schema_stable(tmp_path):
 
 @pytest.fixture(scope="module")
 def traced_traffic():
-    from repro.api import ExperimentSettings, run_traffic
+    from repro.api import ExperimentSettings, run_scenario
 
     settings = ExperimentSettings(duration_s=40.0, warmup_s=16.0, trace=True)
-    return settings, run_traffic(settings=settings)
+    return settings, run_scenario("baseline_traffic", settings=settings)
 
 
 def test_traffic_run_produces_span_categories(traced_traffic):
@@ -185,11 +185,12 @@ def test_traffic_run_produces_span_categories(traced_traffic):
 def test_tracing_does_not_change_results(traced_traffic):
     """The disabled-tracer acceptance criterion, but stronger: the
     traced and untraced runs must be *identical*, not just within 3%."""
-    from repro.api import ExperimentSettings, run_traffic
+    from repro.api import ExperimentSettings, run_scenario
 
     settings, traced = traced_traffic
-    untraced = run_traffic(
-        settings=ExperimentSettings(duration_s=40.0, warmup_s=16.0)
+    untraced = run_scenario(
+        "baseline_traffic",
+        settings=ExperimentSettings(duration_s=40.0, warmup_s=16.0),
     )
     assert untraced.tail_summary(start=16.0) == traced.tail_summary(start=16.0)
 
