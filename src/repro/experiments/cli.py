@@ -42,6 +42,8 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ReproError
+from ..scenarios.library import scenario
+from ..scenarios.spec import ScenarioSpec
 from . import figures
 from .parallel import (
     CACHE_ENV,
@@ -56,21 +58,27 @@ from .runner import ExperimentSettings
 
 __all__ = ["EXPERIMENTS", "main", "build_parser"]
 
-#: ``repro trace`` exemplar run per experiment: the single traced run
-#: that best illustrates what the experiment measures (sweeps trace
-#: their baseline point).  Values are :class:`RunSpec` keyword overrides.
-EXEMPLARS: Dict[str, Dict] = {
-    "fig1": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig3": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "table1": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig6": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig7": {"interval_s": 16.0, "initial_l0": "staggered"},
-    "fig8": {"interval_s": 8.0, "initial_l0": "aligned"},
-    "fig17": {"kind": "wordcount"},
-    "fig18": {"kind": "wordcount"},
-    "fig19": {"storage": "nvme"},
-    "fig20": {"kind": "wordcount", "storage": "nvme"},
+#: The single run that best illustrates what an experiment measures,
+#: where that is not the plain traffic baseline (sweeps use their
+#: baseline point); see :func:`exemplar`.
+EXEMPLARS: Dict[str, ScenarioSpec] = {
+    "fig1": figures.SCHEDULED,
+    "fig3": figures.SCHEDULED,
+    "table1": figures.SCHEDULED,
+    "fig6": figures.SCHEDULED,
+    "fig7": figures.SCHEDULED,
+    "fig17": scenario("baseline_wordcount"),
+    "fig18": scenario("baseline_wordcount"),
+    "fig19": scenario("baseline_traffic", storage="nvme"),
+    "fig20": scenario("baseline_wordcount", storage="nvme"),
 }
+
+
+def exemplar(experiment: str) -> ScenarioSpec:
+    """The scenario ``repro trace``/``profile``/``run --faults`` run for
+    *experiment*."""
+    return EXEMPLARS.get(experiment, scenario("baseline_traffic"))
+
 
 #: CLI name -> experiment function.
 EXPERIMENTS: Dict[str, Callable] = {
@@ -195,8 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="pipeline under chaos: 'library' (default) "
                            "samples one scenario per seed from the soak "
                            "pool, a library scenario name pins that "
-                           "scenario, 'traffic'/'wordcount' keep the "
-                           "legacy ad-hoc pipelines")
+                           "scenario ('traffic'/'wordcount' are aliases "
+                           "of baseline_traffic/baseline_wordcount)")
     soak.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
                       help="one soak run per seed (default: 1 2)")
     soak.add_argument("--duration", type=float, default=130.0,
@@ -470,14 +478,12 @@ def _trace_command(args) -> int:
     from ..analysis.millibottleneck import analyze_summary
     from ..trace import TraceEvent, Tracer
 
-    overrides = dict(EXEMPLARS.get(args.experiment, {}))
-    kind = overrides.pop("kind", "traffic")
     settings = ExperimentSettings(
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
         trace=True,
     )
-    spec = RunSpec(kind=kind, settings=settings,
-                   label=f"trace:{args.experiment}", **overrides)
+    spec = RunSpec(scenario=exemplar(args.experiment), settings=settings,
+                   label=f"trace:{args.experiment}")
     with _cache_override(args.no_cache):
         summary = run_grid([spec])[0]
     if not summary.trace_events:
@@ -498,7 +504,7 @@ def _trace_command(args) -> int:
         tracer.write_chrome(out)
     else:
         tracer.write_jsonl(out)
-    print(f"{len(tracer)} events ({summary.kind} run, schema "
+    print(f"{len(tracer)} events ({summary.scenario} run, schema "
           f"{summary.trace_schema}) -> {out}")
 
     report = analyze_summary(summary)
@@ -516,14 +522,12 @@ def _faults_command(args) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    overrides = dict(EXEMPLARS.get(args.experiment, {}))
-    kind = overrides.pop("kind", "traffic")
     settings = ExperimentSettings(
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
         trace=args.trace,
     )
-    spec = RunSpec(kind=kind, settings=settings, faults=plan,
-                   label=f"faults:{args.experiment}", **overrides)
+    spec = RunSpec(scenario=exemplar(args.experiment).with_faults(plan),
+                   settings=settings, label=f"faults:{args.experiment}")
     with _cache_override(args.no_cache):
         summary = run_grid([spec], jobs=args.jobs)[0]
 
@@ -561,7 +565,7 @@ def _faults_command(args) -> int:
 def _scenarios_command(args) -> int:
     """List the scenario library, or show one spec in full."""
     from ..errors import ConfigurationError
-    from ..scenarios import SOAK_POOL, scenario, scenario_names
+    from ..scenarios import SOAK_POOL, scenario_names
     from .parallel import cache_key_from_dict
 
     if args.action == "list":
@@ -617,11 +621,11 @@ def _run_scenario_command(args) -> int:
     """Run one library scenario through the unified scenario path."""
     from ..errors import ConfigurationError
     from ..faults import load_fault_plan
-    from ..scenarios import scenario
 
     try:
         spec = scenario(args.scenario)
-        plan = load_fault_plan(args.faults) if args.faults else None
+        if args.faults:
+            spec = spec.with_faults(load_fault_plan(args.faults))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -630,8 +634,7 @@ def _run_scenario_command(args) -> int:
         trace=args.trace,
     )
     run_spec = RunSpec(
-        kind="scenario", scenario=spec, settings=settings, faults=plan,
-        label=f"scenario:{spec.name}",
+        scenario=spec, settings=settings, label=f"scenario:{spec.name}"
     )
     with _cache_override(args.no_cache), _shard_override(args.shards):
         summary = run_grid([run_spec], jobs=args.jobs)[0]
@@ -654,7 +657,6 @@ def _run_scenario_command(args) -> int:
 def _cluster_command(args) -> int:
     """Show a scenario's ClusterSpec, or run it and audit the cluster."""
     from ..errors import ConfigurationError
-    from ..scenarios import scenario
 
     try:
         spec = scenario(args.scenario)
@@ -695,8 +697,7 @@ def _cluster_command(args) -> int:
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed
     )
     run_spec = RunSpec(
-        kind="scenario", scenario=spec, settings=settings,
-        label=f"cluster:{spec.name}",
+        scenario=spec, settings=settings, label=f"cluster:{spec.name}"
     )
     with _cache_override(args.no_cache):
         summary = run_grid([run_spec])[0]
@@ -786,10 +787,7 @@ def _soak_command(args) -> int:
           f"{len(args.seeds)} seed(s), {args.duration:.0f}s each ==")
     for run in report.runs:
         verdict = "PASS" if run["ok"] else "FAIL"
-        scenario_note = (
-            f" scenario {run['scenario']}" if run.get("scenario") else ""
-        )
-        print(f"\nseed {run['seed']}{scenario_note} [{verdict}]  "
+        print(f"\nseed {run['seed']} scenario {run['scenario']} [{verdict}]  "
               f"baseline p99.9 {run['baseline_p999_s']:.3f}s  "
               f"trips {run['trips']}  shed {run['shed_messages']:.0f} msg  "
               f"watchdog restarts {run['watchdog_restarts']}  "
@@ -902,17 +900,11 @@ def _profile_command(args) -> int:
     from ..errors import ConfigurationError
     from .profile import profile_run
 
-    overrides = dict(EXEMPLARS.get(args.experiment, {}))
-    kind = overrides.pop("kind", "traffic")
     try:
         report = profile_run(
-            kind=kind,
+            kind=exemplar(args.experiment),
             duration_s=args.duration,
             seed=args.seed,
-            interval_s=overrides.get("interval_s", 8.0),
-            storage=overrides.get("storage", "tmpfs"),
-            initial_l0=overrides.get("initial_l0", "aligned"),
-            mitigation=overrides.get("mitigation"),
             label=f"profile:{args.experiment}",
             with_cprofile=not args.no_cprofile,
             shards=args.shards,
@@ -981,12 +973,12 @@ def _sanitize_command(args) -> int:
     from ..sanitize import sanitize_experiment
 
     report = sanitize_experiment(
-        kind=args.kind,
+        kind=scenario(
+            args.kind, interval_s=args.interval, storage=args.storage
+        ),
         duration_s=args.duration,
         window_s=args.window,
         seed=args.seed,
-        interval_s=args.interval,
-        storage=args.storage,
         perturbations=args.perturbations,
         shards=args.shards,
     )
@@ -1074,7 +1066,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             duration_s=args.duration, warmup_s=args.warmup, seed=args.seed
         )
         specs = [
-            RunSpec(settings=settings, mitigation=plan, label=name)
+            RunSpec(
+                scenario=scenario("baseline_traffic", mitigation=plan),
+                settings=settings,
+                label=name,
+            )
             for name, plan in (("baseline", None),
                                ("solution", MitigationPlan.paper_solution()))
         ]

@@ -21,8 +21,10 @@ from ..core.allocation import (
     recommend_compaction_threads,
 )
 from ..core.mitigation import MitigationPlan
+from ..scenarios.library import scenario
+from ..scenarios.run import run_scenario
 from .parallel import RunSpec, run_grid, sweep
-from .runner import DEFAULT_SETTINGS, ExperimentSettings, legacy_scenario
+from .runner import DEFAULT_SETTINGS, ExperimentSettings
 
 __all__ = [
     "fig1_fig3_baseline_timeline",
@@ -51,22 +53,14 @@ def _timeline(result, settings: ExperimentSettings, window: Optional[float] = No
     return times, p999
 
 
-def _run_traffic(
-    settings: ExperimentSettings,
-    checkpoint_interval_s: float = 8.0,
-    initial_l0: str = "aligned",
-):
-    """One live traffic run through the scenario path."""
-    from ..scenarios.run import execute_scenario
-
-    return execute_scenario(
-        legacy_scenario(
-            "traffic",
-            interval_s=checkpoint_interval_s,
-            initial_l0=initial_l0,
-        ),
-        settings=settings,
-    )
+#: §3.2's scheduled-ShadowSync deployment: 16 s checkpoints with the
+#: stages' L0 counters out of phase (Figures 1, 3, 6, 7 and Table 1).
+SCHEDULED = scenario(
+    "baseline_traffic",
+    name="scheduled_traffic",
+    interval_s=16.0,
+    initial_l0="staggered",
+)
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +77,7 @@ def fig1_fig3_baseline_timeline(
     two stages alternate, so spikes arrive every ~32 s — the LCM
     cadence of Figure 1.
     """
-    result = _run_traffic(
-        settings, checkpoint_interval_s=16.0, initial_l0="staggered"
-    )
+    result = run_scenario(SCHEDULED, settings=settings)
     times, p999 = _timeline(result, settings)
     floor = float(np.median(p999))
     spikes = find_spikes(times, p999, threshold=max(2.5 * floor, 0.8))
@@ -108,9 +100,7 @@ def table1_checkpoint_stats(
     hit alternating stages (s1 at the 1st and 5th, s0 in between),
     matching the staggered scheduled pattern.
     """
-    result = _run_traffic(
-        settings, checkpoint_interval_s=16.0, initial_l0="staggered"
-    )
+    result = run_scenario(SCHEDULED, settings=settings)
     stats = result.checkpoint_stats()
     after_warmup = [s for s in stats if s.time >= settings.warmup_s]
     # Align the 5-checkpoint window on a burst checkpoint, as the paper
@@ -129,9 +119,7 @@ def table1_checkpoint_stats(
 
 def fig6_point_in_time(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     """Figure 6: CPU, queues and activity concurrency around the spikes."""
-    result = _run_traffic(
-        settings, checkpoint_interval_s=16.0, initial_l0="staggered"
-    )
+    result = run_scenario(SCHEDULED, settings=settings)
     start, end = settings.measure_span
     cpu = result.cpu_series("node0")
     cpu_t, cpu_v = cpu.on_grid(start, end, 0.05)
@@ -163,9 +151,7 @@ def fig7_zoom_spans(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     much longer because 64 jobs share 16 compaction threads per node
     while contending with message processing.
     """
-    result = _run_traffic(
-        settings, checkpoint_interval_s=16.0, initial_l0="staggered"
-    )
+    result = run_scenario(SCHEDULED, settings=settings)
     # find a checkpoint with a compaction burst after warmup
     stats = result.checkpoint_stats()
     burst_cp = None
@@ -196,9 +182,7 @@ def fig7_zoom_spans(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
 def fig8_statistical(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     """Figure 8: aligned counters put both stages' bursts in the same
     checkpoint → even higher spikes (> 2 s) in a 32 s cycle."""
-    result = _run_traffic(
-        settings, checkpoint_interval_s=8.0, initial_l0="aligned"
-    )
+    result = run_scenario("baseline_traffic", settings=settings)
     times, p999 = _timeline(result, settings)
     spikes = find_spikes(times, p999, threshold=1.0)
     cps = [
@@ -239,10 +223,13 @@ def fig12_delay_sweep(
     summaries = sweep(
         delays,
         lambda delay: RunSpec(
-            settings=settings,
-            mitigation=MitigationPlan(
-                randomize_compaction_trigger=True, compaction_delay_s=delay
+            scenario=scenario(
+                "baseline_traffic",
+                mitigation=MitigationPlan(
+                    randomize_compaction_trigger=True, compaction_delay_s=delay
+                ),
             ),
+            settings=settings,
             label=f"delay={delay:g}s",
         ),
         jobs=jobs,
@@ -267,12 +254,15 @@ def fig13_flush_thread_sweep(
     summaries = sweep(
         threads,
         lambda n: RunSpec(
-            settings=settings,
-            mitigation=MitigationPlan(
-                randomize_compaction_trigger=True,
-                compaction_delay_s=1.0,
-                flush_threads=n,
+            scenario=scenario(
+                "baseline_traffic",
+                mitigation=MitigationPlan(
+                    randomize_compaction_trigger=True,
+                    compaction_delay_s=1.0,
+                    flush_threads=n,
+                ),
             ),
+            settings=settings,
             label=f"flush_threads={n}",
         ),
         jobs=jobs,
@@ -297,8 +287,11 @@ def fig14_compaction_thread_sweep(
     summaries = sweep(
         threads,
         lambda n: RunSpec(
+            scenario=scenario(
+                "baseline_traffic",
+                mitigation=MitigationPlan(compaction_threads=n),
+            ),
             settings=settings,
-            mitigation=MitigationPlan(compaction_threads=n),
             label=f"compaction_threads={n}",
         ),
         jobs=jobs,
@@ -331,8 +324,11 @@ def fig15_kneedle(
     (summary,) = run_grid(
         [
             RunSpec(
+                scenario=scenario(
+                    "baseline_traffic",
+                    mitigation=MitigationPlan(randomize_compaction_trigger=True),
+                ),
                 settings=long_settings,
-                mitigation=MitigationPlan(randomize_compaction_trigger=True),
                 label="fig15-long-run",
             )
         ],
@@ -357,17 +353,15 @@ def fig15_kneedle(
 # ----------------------------------------------------------------------
 
 def _baseline_vs_solution(
-    kind: str,
+    baseline: str,
     settings: ExperimentSettings,
     storage: str = "tmpfs",
     jobs: Optional[int] = None,
 ) -> Dict:
     specs = [
         RunSpec(
-            kind=kind,
+            scenario=scenario(baseline, mitigation=plan, storage=storage),
             settings=settings,
-            mitigation=plan,
-            storage=storage,
             label=name,
         )
         for name, plan in (
@@ -405,7 +399,7 @@ def fig16_traffic_mitigation(
     """Figure 16: traffic job, baseline vs §4 solution (randomized
     trigger + 1 s delay).  Spikes above 2 s become sub-second; the
     compaction activity spreads across the 4-checkpoint cycle."""
-    return _baseline_vs_solution("traffic", settings, jobs=jobs)
+    return _baseline_vs_solution("baseline_traffic", settings, jobs=jobs)
 
 
 def fig17_wordcount_tails(
@@ -413,7 +407,7 @@ def fig17_wordcount_tails(
     jobs: Optional[int] = None,
 ) -> Dict:
     """Figure 17: WordCount p99.9 — baseline ≈ 1.3 s vs solution ≈ 0.7 s."""
-    return _baseline_vs_solution("wordcount", settings, jobs=jobs)
+    return _baseline_vs_solution("baseline_wordcount", settings, jobs=jobs)
 
 
 def fig18_wordcount_timeline(
@@ -421,7 +415,7 @@ def fig18_wordcount_timeline(
     jobs: Optional[int] = None,
 ) -> Dict:
     """Figure 18: WordCount fine-grained timelines and concurrency."""
-    return _baseline_vs_solution("wordcount", settings, jobs=jobs)
+    return _baseline_vs_solution("baseline_wordcount", settings, jobs=jobs)
 
 
 def fig19_traffic_nvme(
@@ -430,7 +424,7 @@ def fig19_traffic_nvme(
 ) -> Dict:
     """Figure 19: traffic on NVMe — mitigations remain effective when
     flush/compaction pay real I/O costs."""
-    return _baseline_vs_solution("traffic", settings, storage="nvme", jobs=jobs)
+    return _baseline_vs_solution("baseline_traffic", settings, storage="nvme", jobs=jobs)
 
 
 def fig20_wordcount_nvme(
@@ -439,7 +433,7 @@ def fig20_wordcount_nvme(
 ) -> Dict:
     """Figure 20: WordCount on NVMe — baseline degrades vs tmpfs and
     the mitigations still remove the ShadowSync spikes."""
-    return _baseline_vs_solution("wordcount", settings, storage="nvme", jobs=jobs)
+    return _baseline_vs_solution("baseline_wordcount", settings, storage="nvme", jobs=jobs)
 
 
 def headline_reduction(
@@ -450,10 +444,14 @@ def headline_reduction(
     baseline (with all three §4 techniques enabled)."""
     baseline, full = run_grid(
         [
-            RunSpec(settings=settings, label="baseline"),
             RunSpec(
+                scenario="baseline_traffic", settings=settings, label="baseline"
+            ),
+            RunSpec(
+                scenario=scenario(
+                    "baseline_traffic", mitigation=MitigationPlan.full()
+                ),
                 settings=settings,
-                mitigation=MitigationPlan.full(),
                 label="mitigated",
             ),
         ],

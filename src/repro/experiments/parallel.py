@@ -5,9 +5,9 @@ sweep of independent ``(config, seed)`` runs — but the seed executed
 them strictly serially.  This module is the execution layer the sweeps
 go through instead:
 
-* :class:`RunSpec` — a frozen, picklable description of one run
-  (benchmark kind, mitigation plan, checkpoint/commit interval, initial
-  L0 phase, storage profile, :class:`ExperimentSettings`);
+* :class:`RunSpec` — a frozen, picklable description of one run: a
+  :class:`~repro.scenarios.spec.ScenarioSpec` (what runs) plus
+  :class:`ExperimentSettings` (how long, which seed);
 * :func:`run_grid` — fan a list of specs across worker processes
   (``multiprocessing`` *spawn* context, deterministic, results returned
   in submission order) with each worker reducing its run to a
@@ -15,8 +15,9 @@ go through instead:
   process boundary;
 * :func:`sweep` — the one-parameter-sweep convenience wrapper;
 * a content-addressed on-disk cache (``.repro-cache/`` by default)
-  keyed on a SHA-256 of the canonical spec JSON plus the package
-  version, so regenerating a figure twice costs one disk read per run.
+  keyed on a SHA-256 of settings + scenario content + package version
+  — equal content is one address however the spec was spelled — so
+  regenerating a figure twice costs one disk read per run.
 
 Environment toggles::
 
@@ -36,22 +37,15 @@ import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from .. import __version__
 from ..compat import keyword_only
 from ..serialize import canonical_json
-from ..core.mitigation import MitigationPlan
 from ..errors import ConfigurationError
-from ..faults.plan import FaultPlan
-from ..resilience.config import ResilienceConfig
+from ..scenarios.run import execute_scenario, resolve_scenario
 from ..scenarios.spec import ScenarioSpec
-from ..storage.backend import profile_by_name
-from .runner import (
-    DEFAULT_SETTINGS,
-    ExperimentSettings,
-    legacy_scenario,
-)
+from .runner import DEFAULT_SETTINGS, ExperimentSettings
 from .summary import RunSummary, summarize_run
 
 __all__ = [
@@ -59,7 +53,6 @@ __all__ = [
     "run_grid",
     "sweep",
     "execute_spec",
-    "spec_scenario",
     "cache_enabled",
     "cache_dir",
     "spec_cache_key",
@@ -78,138 +71,60 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: cached summaries (simulation or analysis code may have changed).
 _PACKAGE_VERSION = __version__
 
-_KINDS = ("traffic", "wordcount", "scenario")
-
 
 @keyword_only
 @dataclass(frozen=True)
 class RunSpec:
     """One (config, seed) run, fully described by plain data.
 
+    ``scenario`` is everything about *what* runs (a
+    :class:`ScenarioSpec`, or a library name / serialized dict coerced
+    to one); ``settings`` is how long and under which seed.  Vary one
+    axis with ``scenario("baseline_traffic", mitigation=plan)``.
     Everything here pickles cleanly under the *spawn* start method and
     hashes canonically for the result cache.  ``label`` is presentation
     only and excluded from the cache key.
     """
 
-    kind: str = "traffic"
+    scenario: ScenarioSpec = "baseline_traffic"  # type: ignore[assignment]
     settings: ExperimentSettings = DEFAULT_SETTINGS
-    mitigation: Optional[MitigationPlan] = None
-    #: Checkpoint interval (traffic) or commit interval (wordcount).
-    interval_s: float = 8.0
-    #: Initial L0 counter phase ("aligned" / "staggered"); traffic only.
-    initial_l0: Union[str, Dict[str, int]] = "aligned"
-    #: Storage profile name ("tmpfs" / "nvme" / "hdd").
-    storage: str = "tmpfs"
     label: str = ""
-    #: Fault plan injected into the run (``None`` = fault-free).
-    faults: Optional[FaultPlan] = None
-    #: Resilience (overload-protection) config (``None`` = disabled).
-    resilience: Optional[ResilienceConfig] = None
-    #: Declarative scenario to run (kind ``"scenario"``).  When set,
-    #: ``interval_s``/``initial_l0``/``mitigation``/``storage`` are
-    #: carried by the scenario itself; spec-level ``faults``/
-    #: ``resilience`` override the scenario's own when given.
-    scenario: Optional[ScenarioSpec] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.scenario, dict):
-            object.__setattr__(
-                self, "scenario", ScenarioSpec.from_dict(self.scenario)
-            )
-        elif isinstance(self.scenario, str):
-            from ..scenarios.library import scenario as _by_name
-
-            object.__setattr__(self, "scenario", _by_name(self.scenario))
-        if self.scenario is not None:
-            object.__setattr__(self, "kind", "scenario")
-        if self.kind not in _KINDS:
-            raise ConfigurationError(
-                f"unknown run kind {self.kind!r}; expected one of {_KINDS}"
-            )
-        if self.kind == "scenario" and self.scenario is None:
-            raise ConfigurationError(
-                "kind 'scenario' needs a scenario= ScenarioSpec"
-            )
-        profile_by_name(self.storage)  # raises on unknown profiles
-        if isinstance(self.faults, dict):
-            object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
-        if isinstance(self.resilience, dict):
-            object.__setattr__(
-                self, "resilience", ResilienceConfig.from_dict(self.resilience)
-            )
-        elif self.resilience is True:
-            from ..resilience.config import DEFAULT_RESILIENCE
-
-            object.__setattr__(self, "resilience", DEFAULT_RESILIENCE)
+        object.__setattr__(self, "scenario", resolve_scenario(self.scenario))
 
     def with_seed(self, seed: int) -> RunSpec:
         """A copy of this spec running under a different seed."""
         return replace(self, settings=replace(self.settings, seed=seed))
 
-    def key_dict(self) -> dict:
-        """Canonical content for hashing (label excluded).
+    @property
+    def display_label(self) -> str:
+        """What summaries of this run are labelled: the explicit label,
+        else the scenario's name — the same on a cold and a cached run."""
+        return self.label or self.scenario.name
 
-        The ``scenario`` entry appears only on scenario runs, so every
-        legacy spec's key payload — and therefore its cache address —
-        is byte-identical to previous releases.
-        """
-        payload = {
-            "kind": self.kind,
+    def key_dict(self) -> dict:
+        """Canonical content for hashing: settings + scenario content
+        (label and the scenario's name/description excluded)."""
+        return {
             "settings": asdict(self.settings),
-            "mitigation": None if self.mitigation is None else asdict(self.mitigation),
-            "interval_s": self.interval_s,
-            "initial_l0": self.initial_l0,
-            "storage": self.storage,
-            "faults": None if self.faults is None else self.faults.to_dict(),
-            "resilience": (
-                None if self.resilience is None else self.resilience.to_dict()
-            ),
+            "scenario": self.scenario.key_dict(),
         }
-        if self.scenario is not None:
-            payload["scenario"] = self.scenario.key_dict()
-        return payload
 
 
 # ----------------------------------------------------------------------
 # the worker-side step
 # ----------------------------------------------------------------------
 
-def spec_scenario(spec: RunSpec) -> ScenarioSpec:
-    """The scenario a spec runs: its own, or the legacy-kind equivalent."""
-    if spec.scenario is not None:
-        return spec.scenario
-    return legacy_scenario(
-        spec.kind,
-        mitigation=spec.mitigation,
-        interval_s=spec.interval_s,
-        initial_l0=spec.initial_l0,
-        storage=spec.storage,
-    )
-
-
 def execute_spec(spec: RunSpec) -> RunSummary:
-    """Run one spec to completion and reduce it to a summary.
-
-    Every kind — legacy ``traffic``/``wordcount`` and declarative
-    ``scenario`` — funnels through
-    :func:`repro.scenarios.run.execute_scenario`; spec-level
-    ``faults``/``resilience`` override whatever the scenario declares.
-    """
-    from ..scenarios.run import execute_scenario
-
-    scenario = spec_scenario(spec)
-    result = execute_scenario(
-        scenario,
-        settings=spec.settings,
-        faults=spec.faults,
-        resilience=spec.resilience,
-    )
+    """Run one spec to completion and reduce it to a summary."""
+    result = execute_scenario(spec.scenario, settings=spec.settings)
     return summarize_run(
         result,
         spec.settings,
-        kind=spec.kind,
-        label=spec.label or (scenario.name if spec.kind == "scenario" else ""),
-        scenario=scenario.name if spec.kind == "scenario" else "",
+        kind="scenario",
+        label=spec.display_label,
+        scenario=spec.scenario.name,
     )
 
 
@@ -394,13 +309,15 @@ def run_grid(
             else None
         )
         if hit is not None:
-            # The label is excluded from the cache key (presentation
-            # only), so a hit may carry the label of whichever figure
-            # cached it first — restamp with the requesting spec's.
-            label = spec.label
+            # Label and scenario name are excluded from the cache key
+            # (presentation only), so a hit may carry those of whichever
+            # figure cached it first — restamp with the requesting spec's.
+            label = spec.display_label
             if shard_count > 1:
-                label = (label or spec.kind) + f"[shards={shard_count}]"
-            results[index] = dataclasses.replace(hit, label=label)
+                label = (label or hit.kind) + f"[shards={shard_count}]"
+            results[index] = dataclasses.replace(
+                hit, label=label, scenario=spec.scenario.name
+            )
         else:
             missing.append(index)
 
@@ -453,9 +370,12 @@ def sweep(
         summaries = sweep(
             (0.1, 0.5, 1.0),
             lambda delay: RunSpec(
-                mitigation=MitigationPlan(
-                    randomize_compaction_trigger=True,
-                    compaction_delay_s=delay,
+                scenario=scenario(
+                    "baseline_traffic",
+                    mitigation=MitigationPlan(
+                        randomize_compaction_trigger=True,
+                        compaction_delay_s=delay,
+                    ),
                 ),
             ),
             jobs=8,

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from time import perf_counter  # repro: allow[DS101] profiler wall-clock, never model time
 from typing import List, Optional
 
-from ..errors import ConfigurationError
-
 __all__ = ["ProfileReport", "profile_run"]
 
 
@@ -100,61 +98,28 @@ class ProfileReport:
         return "\n".join(lines)
 
 
-def _build_job(
-    kind: str,
-    interval_s: float,
-    storage: str,
-    initial_l0,
-    mitigation,
-    seed: int,
-    scale: int,
-):
-    from ..apps.traffic_job import build_traffic_job
-    from ..apps.wordcount_job import build_wordcount_job
-    from ..storage.backend import profile_by_name
-
-    profile = profile_by_name(storage)
-    if kind == "wordcount":
-        return build_wordcount_job(
-            commit_interval_s=interval_s,
-            mitigation=mitigation,
-            storage=profile,
-            seed=seed,
-            scale=scale,
-        )
-    if kind == "traffic":
-        return build_traffic_job(
-            checkpoint_interval_s=interval_s,
-            mitigation=mitigation,
-            storage=profile,
-            initial_l0=initial_l0,
-            seed=seed,
-            scale=scale,
-        )
-    raise ConfigurationError(f"unknown profile kind {kind!r}")
-
-
 def profile_run(
-    kind: str = "traffic",
+    kind="baseline_traffic",
     duration_s: float = 104.0,
     seed: int = 1,
-    interval_s: float = 8.0,
-    storage: str = "tmpfs",
-    initial_l0="aligned",
-    mitigation=None,
     label: str = "",
     with_cprofile: bool = True,
     shards: int = 1,
     top: int = 50,
 ) -> ProfileReport:
-    """Profile one benchmark run; returns a :class:`ProfileReport`.
+    """Profile one run; returns a :class:`ProfileReport`.
 
-    The run always records the kernel dispatch histogram; *with_cprofile*
+    *kind* is what to run: a library scenario name (or the
+    ``traffic``/``wordcount`` aliases), a
+    :class:`~repro.scenarios.spec.ScenarioSpec` or its dict form.  The
+    run always records the kernel dispatch histogram; *with_cprofile*
     additionally wraps it in a cProfile pass (slower, function-level).
     ``shards = G`` profiles the 1/G slice a sharded worker executes.
     """
-    job = _build_job(kind, interval_s, storage, initial_l0, mitigation,
-                     seed, shards)
+    from ..scenarios.run import build_scenario_job, resolve_scenario
+
+    spec = resolve_scenario(kind)
+    job = build_scenario_job(spec, seed=seed, scale=shards)
     job.sim.enable_dispatch_stats()
     profiler: Optional[cProfile.Profile] = None
     started = perf_counter()  # repro: allow[DS101] profiler wall-clock
@@ -194,8 +159,8 @@ def profile_run(
             })
 
     return ProfileReport(
-        kind=kind,
-        label=label or kind,
+        kind=spec.app,
+        label=label or spec.name,
         duration_s=duration_s,
         seed=seed,
         wall_s=wall,

@@ -9,10 +9,9 @@ through :func:`repro.scenarios.run.run_scenario`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Dict, List, Optional, Union
+from typing import List, Optional
 
 from ..compat import keyword_only
-from ..core.mitigation import MitigationPlan
 from ..serialize import register
 from ..trace import Tracer
 
@@ -64,33 +63,3 @@ class ExperimentSettings:
 
 
 DEFAULT_SETTINGS = ExperimentSettings()
-
-
-def legacy_scenario(
-    kind: str,
-    mitigation: Optional[MitigationPlan] = None,
-    interval_s: float = 8.0,
-    initial_l0: Union[str, Dict[str, int]] = "aligned",
-    storage: str = "tmpfs",
-    faults=None,
-    resilience=None,
-):
-    """The :class:`ScenarioSpec` equivalent of one legacy keyword call.
-
-    Backs the parallel executor's legacy ``traffic``/``wordcount`` run
-    kinds, whose cache keys predate the scenario library.
-    """
-    from ..scenarios.spec import ScenarioSpec, WorkloadSpec
-
-    rate = 60000.0 if kind == "traffic" else 25000.0
-    return ScenarioSpec(
-        name=f"adhoc_{kind}",
-        app=kind,
-        workload=WorkloadSpec(arrival="constant", rate=rate),
-        interval_s=interval_s,
-        initial_l0=initial_l0,
-        storage=storage,
-        mitigation=mitigation,
-        faults=faults,
-        resilience=resilience,
-    )

@@ -60,11 +60,6 @@ __all__ = [
 #: Seed stride between shards: each slice draws from its own stream.
 _SEED_STRIDE = 100003
 
-#: Node (traffic) and per-node core (wordcount) counts of the standard
-#: deployments — what a shard count must divide.
-_TRAFFIC_NODES = 4
-_WORDCOUNT_CORES = 16
-
 
 def shard_seed(seed: int, shard_index: int) -> int:
     """The RNG seed shard *shard_index* of a run seeded *seed* uses."""
@@ -105,31 +100,23 @@ def plan_shards(spec, shards: int, barrier_s: Optional[float] = None) -> ShardPl
     """Validate *shards* against *spec*'s deployment shape.
 
     Raises :class:`~repro.errors.ConfigurationError` when the cluster
-    cannot be sliced evenly: the traffic job's 4 node groups admit
-    shards ∈ {1, 2, 4}; the single-node WordCount job slices its 16
-    cores, so shards must divide 16.  Stage parallelism divisibility is
-    checked by :meth:`repro.stream.stage.StageSpec.scaled` at build
-    time; the checks here fail fast with the same rules.
+    cannot be sliced evenly (what must divide is the scenario's
+    :func:`~repro.scenarios.run.scenario_shard_unit`): the traffic
+    job's 4 node groups admit shards ∈ {1, 2, 4}; the single-node
+    WordCount job slices its 16 cores, so shards must divide 16.  Stage
+    parallelism divisibility is checked by
+    :meth:`repro.stream.stage.StageSpec.scaled` at build time; the
+    checks here fail fast with the same rules.
     """
+    from ..scenarios.run import scenario_shard_unit
+
     plan = ShardPlan(shards=shards, barrier_s=barrier_s)
     if shards == 1:
         return plan
-    if spec.kind == "scenario":
-        from ..scenarios.run import scenario_shard_unit
-
-        whole, what, stages = scenario_shard_unit(spec.scenario)
-    else:
-        if spec.kind == "traffic":
-            whole, what = _TRAFFIC_NODES, "node groups"
-        else:
-            whole, what = _WORDCOUNT_CORES, "cores"
-        from ..apps.traffic_job import TRAFFIC_STAGES
-        from ..apps.wordcount_job import WORDCOUNT_STAGES
-
-        stages = TRAFFIC_STAGES if spec.kind == "traffic" else WORDCOUNT_STAGES
+    whole, what, stages = scenario_shard_unit(spec.scenario)
     if whole % shards != 0:
         raise ConfigurationError(
-            f"{spec.kind} job: {whole} {what} cannot be split into "
+            f"{spec.scenario.app} job: {whole} {what} cannot be split into "
             f"{shards} shards"
         )
     # Fail fast on stage divisibility (scaled() re-checks at build time).
@@ -157,26 +144,18 @@ class ShardedResult:
 def _execute_one_shard(spec, shards: int, index: int, barrier_s: float) -> RunSummary:
     """Run shard *index* of *spec* to completion (worker-side step)."""
     from ..scenarios.run import execute_scenario
-    from .parallel import spec_scenario
     from .summary import summarize_run
 
     settings = replace(spec.settings, seed=shard_seed(spec.settings.seed, index))
-    label = f"{spec.label or spec.kind}[shard {index}/{shards}]"
-    scenario = spec_scenario(spec)
     result = execute_scenario(
-        scenario,
-        settings=settings,
-        faults=spec.faults,
-        resilience=spec.resilience,
-        scale=shards,
-        barrier_s=barrier_s,
+        spec.scenario, settings=settings, scale=shards, barrier_s=barrier_s
     )
     return summarize_run(
         result,
         settings,
-        kind=spec.kind,
-        label=label,
-        scenario=scenario.name if spec.kind == "scenario" else "",
+        kind="scenario",
+        label=f"{spec.display_label}[shard {index}/{shards}]",
+        scenario=spec.scenario.name,
     )
 
 
@@ -214,10 +193,7 @@ def execute_spec_sharded(
     one, ``.parts`` keeps the per-shard summaries for inspection.
     """
     plan = plan_shards(spec, shards, barrier_s=barrier_s)
-    interval = (
-        spec.scenario.interval_s if spec.kind == "scenario" else spec.interval_s
-    )
-    barrier = plan.resolve_barrier(interval)
+    barrier = plan.resolve_barrier(spec.scenario.interval_s)
     duration = spec.settings.duration_s
     barriers = max(1, int(-(-duration // barrier)))  # ceil
     if shards == 1:
@@ -245,7 +221,7 @@ def execute_spec_sharded(
         with context.Pool(workers) as pool:
             for index, data in pool.imap_unordered(_shard_worker, payloads):
                 parts[index] = RunSummary.from_dict(data)
-    merged = merge_summaries(parts, label=spec.label or spec.kind, shards=shards)
+    merged = merge_summaries(parts, label=spec.display_label, shards=shards)
     return ShardedResult(
         merged=merged, parts=parts, shards=shards,
         barrier_s=barrier, barriers=barriers,

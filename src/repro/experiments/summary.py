@@ -37,7 +37,7 @@ class RunSummary:
 
     kind: str = "traffic"
     label: str = ""
-    #: Library/spec scenario name for scenario runs ("" = legacy kind).
+    #: Name of the scenario that ran (library entry or ad-hoc spec).
     scenario: str = ""
     seed: int = 0
     duration_s: float = 0.0

@@ -7,10 +7,9 @@ with the resilience layer enabled, through the ordinary
 cache and parallelize like any sweep).  The pipeline under test comes
 from the scenario library: ``kind="library"`` (the default campaign in
 CI) draws a scenario per seed with the seeded sampler from
-:data:`repro.scenarios.SOAK_POOL`, any library scenario name pins that
-scenario for every seed, and the legacy ``"traffic"``/``"wordcount"``
-kinds keep their original ad-hoc pipelines.  Each run's summary is then
-audited:
+:data:`repro.scenarios.SOAK_POOL`, and any library scenario name (or
+the ``"traffic"``/``"wordcount"`` aliases of the two baselines) pins
+that scenario for every seed.  Each run's summary is then audited:
 
 * **SLO recovery** — after every fault window the windowed p99.9 must
   return to ``recovery_ratio`` × the pre-fault baseline (the p90 of the
@@ -68,8 +67,7 @@ class SoakReport:
     recovery_budget_s: float = 25.0
     recovery_ratio: float = 1.5
     queue_limit_messages: float = 300_000.0
-    #: Scenario names actually exercised, one per seed in ``runs`` order
-    #: (empty strings for the legacy ad-hoc kinds).
+    #: Scenario names actually exercised, one per seed in ``runs`` order.
     scenarios: List[str] = field(default_factory=list)
     #: Per-seed verdict dicts (seed, ok, failures, windows, tails, ...).
     runs: List[dict] = field(default_factory=list)
@@ -254,7 +252,7 @@ def _audit_summary(
 
 
 def run_soak(
-    kind: str = "traffic",
+    kind: str = "baseline_traffic",
     seeds: Sequence[int] = (1, 2),
     duration_s: float = 130.0,
     warmup_s: float = 20.0,
@@ -266,7 +264,6 @@ def run_soak(
     recovery_budget_s: float = 25.0,
     recovery_ratio: float = 1.5,
     queue_limit_messages: float = 300_000.0,
-    interval_s: float = 8.0,
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
 ) -> SoakReport:
@@ -275,10 +272,10 @@ def run_soak(
     *kind* selects the pipeline under chaos: ``"library"`` draws one
     scenario per seed from :data:`repro.scenarios.SOAK_POOL` with the
     seeded sampler (deterministic per seed, diverse across seeds), a
-    library scenario name (``"windowed_join"``, ``"multi_tenant"``, ...)
-    soaks that scenario for every seed, and the legacy ``"traffic"`` /
-    ``"wordcount"`` kinds keep the original ad-hoc pipelines.  The
-    scenario exercised by each run is recorded in the report.
+    library scenario name (``"windowed_join"``, ``"multi_tenant"``, ...,
+    or the ``"traffic"`` / ``"wordcount"`` aliases of the two baselines)
+    soaks that scenario for every seed.  The scenario exercised by each
+    run is recorded in the report.
 
     With ``random_faults=True`` each seed gets its own
     :meth:`FaultPlan.random` schedule (seeded by that seed), otherwise
@@ -299,79 +296,54 @@ def run_soak(
     drains at the *spare* capacity left while shedding — for the default
     pipeline that is roughly 20 s, hence the 25 s default.
     """
+    from dataclasses import replace
+
+    from ..cluster.spec import ClusterSpec
     from ..experiments.parallel import RunSpec, run_grid
     from ..experiments.runner import ExperimentSettings
+    from ..faults.plan import ALL_FAULT_KINDS
     from ..resilience import load_resilience_config
-    from ..scenarios import SCENARIOS, sample_scenario, scenario
+    from ..scenarios import sample_scenario, scenario
 
     config = load_resilience_config(resilience)
     specs = []
-    plans = {}
-    names: List[str] = []
     for seed in seeds:
         if random_faults:
-            kinds = {}
-            if cluster:
-                from ..faults.plan import ALL_FAULT_KINDS
-
-                kinds = {"kinds": ALL_FAULT_KINDS}
             plan = FaultPlan.random(
                 seed=seed, duration_s=duration_s, max_faults=max_faults,
-                **kinds,
+                **({"kinds": ALL_FAULT_KINDS} if cluster else {}),
             )
         else:
             plan = load_fault_plan(faults)
-        plans[seed] = plan
-        if kind == "library":
-            spec = sample_scenario(seed)
-        elif kind in SCENARIOS:
-            spec = scenario(kind)
-        else:
-            spec = None
-        if spec is not None and cluster and spec.cluster is None:
-            from dataclasses import replace
-
-            from ..cluster.spec import ClusterSpec
-
-            spec = replace(spec, cluster=ClusterSpec())
-        if spec is not None:
-            names.append(spec.name)
-            specs.append(
-                RunSpec(
-                    kind="scenario",
-                    scenario=spec,
-                    settings=ExperimentSettings(
-                        duration_s=duration_s, warmup_s=warmup_s, seed=seed
-                    ),
-                    interval_s=spec.interval_s,
-                    faults=plan,
-                    resilience=config,
-                    label=f"soak-{spec.name}-seed{seed}",
-                )
+        spec = sample_scenario(seed) if kind == "library" else scenario(kind)
+        spec = replace(
+            spec,
+            faults=plan,
+            # no config leaves the scenario's own in force
+            resilience=spec.resilience if config is None else config,
+            cluster=(
+                ClusterSpec() if cluster and spec.cluster is None
+                else spec.cluster
+            ),
+        )
+        specs.append(
+            RunSpec(
+                scenario=spec,
+                settings=ExperimentSettings(
+                    duration_s=duration_s, warmup_s=warmup_s, seed=seed
+                ),
+                label=f"soak-{spec.name}-seed{seed}",
             )
-        else:
-            names.append("")
-            specs.append(
-                RunSpec(
-                    kind=kind,
-                    settings=ExperimentSettings(
-                        duration_s=duration_s, warmup_s=warmup_s, seed=seed
-                    ),
-                    interval_s=interval_s,
-                    faults=plan,
-                    resilience=config,
-                    label=f"soak-{kind}-seed{seed}",
-                )
-            )
+        )
     summaries = run_grid(specs, jobs=jobs, cache=cache)
     report = SoakReport(
         kind=kind,
-        plan=plans[seeds[0]].to_dict() if seeds else {},
+        plan=specs[0].scenario.faults.to_dict() if specs else {},
         config={} if config is None else config.to_dict(),
         recovery_budget_s=recovery_budget_s,
         recovery_ratio=recovery_ratio,
         queue_limit_messages=queue_limit_messages,
-        scenarios=names,
+        scenarios=[spec.scenario.name for spec in specs],
         runs=[
             _audit_summary(
                 summary, recovery_budget_s, recovery_ratio, queue_limit_messages

@@ -179,22 +179,21 @@ class SanitizeReport:
 
 
 def sanitize_experiment(
-    kind: str = "wordcount",
+    kind="baseline_wordcount",
     duration_s: float = 24.0,
     window_s: float = 2.0,
     seed: int = 1,
-    interval_s: float = 8.0,
-    storage: str = "tmpfs",
-    mitigation=None,
     perturbations: int = 8,
     shards: int = 1,
 ) -> SanitizeReport:
-    """Run the race detector and ordering checks on one benchmark.
+    """Run the race detector and ordering checks on one scenario.
 
-    Executes the benchmark twice (FIFO vs LIFO tie-breaking) with
-    windowed state digests, then checks the baseline run's summary and
-    spec for insertion-order independence.  Cache-free by construction:
-    both runs execute live, so a poisoned cache cannot mask a race.
+    *kind* is a library scenario name (or the ``traffic``/``wordcount``
+    aliases), a :class:`~repro.scenarios.spec.ScenarioSpec` or its dict
+    form.  Executes it twice (FIFO vs LIFO tie-breaking) with windowed
+    state digests, then checks the baseline run's summary and spec for
+    insertion-order independence.  Cache-free by construction: both
+    runs execute live, so a poisoned cache cannot mask a race.
 
     ``shards = G`` sanitizes the sharded mode: the probed job is the
     1/G cluster slice a sharded worker executes (see
@@ -204,34 +203,31 @@ def sanitize_experiment(
     from ..experiments.parallel import RunSpec
     from ..experiments.runner import ExperimentSettings
     from ..experiments.summary import summarize_run
-    from .racedetect import experiment_factory
-
-    factory = experiment_factory(
-        kind=kind,
-        seed=seed,
-        interval_s=interval_s,
-        storage=storage,
-        mitigation=mitigation,
-        shards=shards,
-    )
-    baseline = run_probe(factory, duration_s, window_s, "fifo")
-    perturbed = run_probe(factory, duration_s, window_s, "lifo")
-    label = kind if shards == 1 else f"{kind}/shards={shards}"
-    race = diff_probes(
-        baseline, perturbed, label=label, duration_s=duration_s
-    )
 
     settings = ExperimentSettings(
         duration_s=duration_s, warmup_s=min(8.0, duration_s / 2), seed=seed
     )
-    spec = RunSpec(kind=kind, settings=settings, interval_s=interval_s,
-                   storage=storage, mitigation=mitigation)
+    spec = RunSpec(scenario=kind, settings=settings)
+    app = spec.scenario.app
+    factory = experiment_factory(spec.scenario, seed=seed, shards=shards)
+    baseline = run_probe(factory, duration_s, window_s, "fifo")
+    perturbed = run_probe(factory, duration_s, window_s, "lifo")
+    race = diff_probes(
+        baseline,
+        perturbed,
+        label=app if shards == 1 else f"{app}/shards={shards}",
+        duration_s=duration_s,
+    )
     summary = summarize_run(
-        baseline.result, settings, kind=kind, label=f"sanitize:{kind}"
+        baseline.result,
+        settings,
+        kind="scenario",
+        label=f"sanitize:{app}",
+        scenario=spec.scenario.name,
     )
     ordering = check_ordering(spec, summary, perturbations=perturbations)
     return SanitizeReport(
-        kind=kind,
+        kind=app,
         duration_s=duration_s,
         window_s=window_s,
         seed=seed,

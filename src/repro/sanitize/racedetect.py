@@ -436,49 +436,30 @@ def job_probe_target(job) -> ProbeTarget:
 
 
 def experiment_factory(
-    kind: str = "wordcount",
+    scenario="baseline_wordcount",
     seed: int = 1,
-    interval_s: float = 8.0,
-    storage: str = "tmpfs",
-    mitigation=None,
-    initial_l0="aligned",
     shards: int = 1,
 ) -> Callable[[str], ProbeTarget]:
-    """A probe factory over the standard benchmark jobs.
+    """A probe factory over one scenario (a library name, a
+    :class:`~repro.scenarios.spec.ScenarioSpec` or its dict form).
 
     ``shards = G`` probes a 1/G cluster slice — the exact topology a
     sharded run (:mod:`repro.experiments.shard`) executes per worker —
     so the race detector covers the sharded mode too.
     """
-    from ..apps.traffic_job import build_traffic_job
-    from ..apps.wordcount_job import build_wordcount_job
-    from ..storage.backend import profile_by_name
+    from ..scenarios.run import build_scenario_job, resolve_scenario
 
-    profile = profile_by_name(storage)
+    spec = resolve_scenario(scenario)
 
     def factory(tie_break: str) -> ProbeTarget:
-        tracer = Tracer(categories={"kernel"})
-        if kind == "wordcount":
-            job = build_wordcount_job(
-                commit_interval_s=interval_s,
-                mitigation=mitigation,
-                storage=profile,
+        return job_probe_target(
+            build_scenario_job(
+                spec,
                 seed=seed,
-                tracer=tracer,
+                tracer=Tracer(categories={"kernel"}),
                 tie_break=tie_break,
                 scale=shards,
             )
-        else:
-            job = build_traffic_job(
-                checkpoint_interval_s=interval_s,
-                mitigation=mitigation,
-                storage=profile,
-                initial_l0=initial_l0,
-                seed=seed,
-                tracer=tracer,
-                tie_break=tie_break,
-                scale=shards,
-            )
-        return job_probe_target(job)
+        )
 
     return factory

@@ -156,18 +156,15 @@ def _traced_events(
     and return its trace events."""
     from ...experiments.parallel import RunSpec, run_grid
     from ...experiments.runner import ExperimentSettings
-    from ...scenarios import scenario as scenario_spec
     from ...trace import TraceEvent, Tracer
 
-    spec = scenario_spec(scenario)
     settings = ExperimentSettings(
         duration_s=duration_s, warmup_s=warmup_s, seed=seed, trace=True
     )
     summary = run_grid(
         [
             RunSpec(
-                kind="scenario",
-                scenario=spec,
+                scenario=scenario,
                 settings=settings,
                 label=f"sync:{scenario}",
             )

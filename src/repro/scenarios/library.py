@@ -16,6 +16,7 @@ instead of hammering one pipeline.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Sequence
 
 from ..cluster.spec import ClusterSpec, MembershipEvent
@@ -162,6 +163,12 @@ def _build_library() -> dict:
 #: Name -> :class:`ScenarioSpec` of every library scenario.
 SCENARIOS = _build_library()
 
+#: Short names for the two paper baselines, accepted wherever a library
+#: name is (``--kind traffic``, ``api.sanitize(kind="wordcount")``);
+#: resolved here and nowhere else, and not listed by
+#: :func:`scenario_names`.
+ALIASES = {"traffic": "baseline_traffic", "wordcount": "baseline_wordcount"}
+
 #: The soak sampler's pool: scenarios with a stationary healthy baseline
 #: so the per-fault-window recovery audit is meaningful.  The diurnal,
 #: closed-loop and hot-key-shift workloads move on their own mid-run and
@@ -176,20 +183,24 @@ SOAK_POOL = (
 )
 
 
-def scenario(name: str) -> ScenarioSpec:
-    """The library scenario registered under *name*.
+def scenario(name: str, /, **overrides) -> ScenarioSpec:
+    """The library scenario registered under *name* (or its alias).
 
-    Unknown names raise :class:`ConfigurationError` with a
+    *overrides* vary single axes of the entry —
+    ``scenario("baseline_traffic", mitigation=plan, storage="nvme")`` —
+    and return a copy; without them the library object itself comes
+    back.  Unknown names raise :class:`ConfigurationError` with a
     did-you-mean suggestion list, so CLI typos exit cleanly instead of
     dumping a ``KeyError`` traceback.
     """
     try:
-        return SCENARIOS[name]
+        entry = SCENARIOS[ALIASES.get(name, name)]
     except KeyError:
         hint = did_you_mean(name, SCENARIOS)
         raise ConfigurationError(
             f"unknown scenario {name!r}{hint}; available: {sorted(SCENARIOS)}"
         ) from None
+    return replace(entry, **overrides) if overrides else entry
 
 
 def scenario_names() -> List[str]:

@@ -2,11 +2,12 @@
 
 :func:`run_scenario` is the canonical way to execute anything in this
 repo: it accepts a :class:`ScenarioSpec` (or a library name, or a
-serialized dict), assembles the job through the same app builders the
-legacy helpers used, injects the scenario's fault plan and resilience
-config, and runs it.  ``repro.api.run_scenario`` re-exports it; the
-parallel executor's run kinds and the sharded path all funnel through
-:func:`execute_scenario`.
+serialized dict), assembles the job, installs the scenario's cluster
+layer, fault plan and resilience config, and runs it.
+:func:`build_scenario_job` is the one place harness code turns a run
+description into a :class:`StreamJob`: the parallel executor, the
+sharded path, the profiler, the race sanitizer and the soak all come
+through here.
 """
 
 from __future__ import annotations
@@ -51,10 +52,7 @@ def build_scenario_job(
 ) -> StreamJob:
     """Assemble the :class:`StreamJob` a scenario describes.
 
-    Goes through the same app builders as the legacy entry points
-    (:func:`~repro.apps.build_traffic_job` and friends), so a scenario
-    with default workload knobs builds a bit-identical job to the old
-    keyword-soup call.
+    ``scale = G`` builds the 1/G cluster slice a sharded worker runs.
     """
     spec = resolve_scenario(spec)
     workload = spec.workload
@@ -98,21 +96,17 @@ def execute_scenario(
     tie_break: str = "fifo",
     scale: int = 1,
     barrier_s: Optional[float] = None,
-    faults=None,
-    resilience=None,
 ) -> StreamJobResult:
     """Run one scenario to completion under *settings*.
 
-    ``faults``/``resilience`` override the scenario's own plan/config
-    when given (the soak harness injects its per-seed schedules this
-    way); ``None`` keeps what the scenario declares.
+    Everything about the run other than measurement conventions —
+    including its fault plan and resilience config — is on *spec*; vary
+    one with ``dataclasses.replace`` (or ``scenario(name, faults=...)``).
     """
     from ..experiments.runner import DEFAULT_SETTINGS
 
     spec = resolve_scenario(spec)
     settings = DEFAULT_SETTINGS if settings is None else settings
-    faults = spec.faults if faults is None else faults
-    resilience = spec.resilience if resilience is None else resilience
     if spec.cluster is not None and scale > 1:
         raise ConfigurationError(
             "cluster scenarios cannot be sharded: membership changes and "
@@ -130,14 +124,14 @@ def execute_scenario(
         from ..cluster import install_cluster
 
         install_cluster(job, spec.cluster)
-    if faults is not None:
+    if spec.faults is not None:
         from ..faults import inject_faults
 
-        inject_faults(job, faults)
-    if resilience is not None:
+        inject_faults(job, spec.faults)
+    if spec.resilience is not None:
         from ..resilience import install_resilience
 
-        install_resilience(job, resilience)
+        install_resilience(job, spec.resilience)
     return job.run(settings.duration_s, barrier_s=barrier_s)
 
 

@@ -7,6 +7,7 @@ import pytest
 from repro import api
 from repro.experiments.parallel import RunSpec
 from repro.experiments.runner import ExperimentSettings
+from repro.scenarios import ScenarioSpec, WorkloadSpec
 
 
 def test_every_declared_export_resolves():
@@ -40,12 +41,17 @@ def test_facade_reexports_are_the_implementation_objects():
 # ----------------------------------------------------------------------
 
 
-def test_settings_positional_args_warn_but_map_in_field_order():
-    with pytest.warns(DeprecationWarning):
-        settings = ExperimentSettings(120.0, 30.0, 5)
-    assert settings.duration_s == 120.0
-    assert settings.warmup_s == 30.0
-    assert settings.seed == 5
+@pytest.mark.parametrize(
+    "cls", [ExperimentSettings, RunSpec, ScenarioSpec, WorkloadSpec],
+    ids=lambda cls: cls.__name__,
+)
+def test_keyword_only_classes_reject_positional_args(cls):
+    """The one-release grace period is over: a positional argument is a
+    TypeError, never a silent mapping onto the (reordered) field list."""
+    with pytest.raises(TypeError, match="positional"):
+        cls("wordcount")
+    with pytest.raises(TypeError, match="positional"):
+        cls(1.0, 2.0, 3)
 
 
 def test_settings_keyword_args_do_not_warn():
@@ -54,21 +60,3 @@ def test_settings_keyword_args_do_not_warn():
         settings = ExperimentSettings(duration_s=120.0, warmup_s=30.0)
         settings.with_seed(9)
         settings.seed_series(3)
-
-
-def test_runspec_positional_args_warn():
-    with pytest.warns(DeprecationWarning):
-        spec = RunSpec("wordcount")
-    assert spec.kind == "wordcount"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        RunSpec(kind="traffic", interval_s=16.0).with_seed(3)
-
-
-def test_positional_duplicate_and_overflow_raise():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError):
-            ExperimentSettings(120.0, duration_s=100.0)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError):
-            ExperimentSettings(*range(10))

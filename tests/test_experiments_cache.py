@@ -18,6 +18,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentSettings
 from repro.faults import FaultPlan, FaultSpec
+from repro.scenarios import scenario
 
 SHORT = ExperimentSettings(duration_s=25.0, warmup_s=8.0, seed=11)
 
@@ -33,6 +34,11 @@ CRASH_PLAN = FaultPlan(
 
 def canonical(summary):
     return json.dumps(summary.to_dict(), sort_keys=True)
+
+
+def faulted_spec(plan=CRASH_PLAN, label=""):
+    return RunSpec(scenario=scenario("baseline_traffic", faults=plan),
+                   settings=SHORT, label=label)
 
 
 @pytest.fixture()
@@ -54,6 +60,26 @@ def test_hit_on_identical_spec(cache_root, monkeypatch):
     assert second[0].to_dict() == first[0].to_dict()
 
 
+def test_cold_and_warm_runs_carry_the_same_label(cache_root):
+    """An unlabelled run is labelled with its scenario's name — on the
+    cache hit too, which used to restamp the empty ``spec.label``."""
+    spec = RunSpec(scenario="baseline_wordcount", settings=SHORT)
+    cold = run_grid([spec], cache_directory=cache_root)[0]
+    warm = run_grid([spec], cache_directory=cache_root)[0]
+    assert cold.label == warm.label == "baseline_wordcount"
+    assert warm.to_dict() == cold.to_dict()
+    # name and label are not part of the address: a renamed copy hits the
+    # same entry and comes back under its own name
+    renamed = RunSpec(
+        scenario=scenario("baseline_wordcount", name="my_wordcount"),
+        settings=SHORT,
+    )
+    assert len(list(cache_root.glob("*.json"))) == 1
+    hit = run_grid([renamed], cache_directory=cache_root)[0]
+    assert len(list(cache_root.glob("*.json"))) == 1
+    assert (hit.label, hit.scenario) == ("my_wordcount", "my_wordcount")
+
+
 def test_miss_on_changed_seed(cache_root):
     spec = RunSpec(settings=SHORT)
     assert spec_cache_key(spec) != spec_cache_key(spec.with_seed(99))
@@ -62,10 +88,10 @@ def test_miss_on_changed_seed(cache_root):
 def test_miss_on_changed_config(cache_root):
     base = RunSpec(settings=SHORT)
     assert spec_cache_key(base) != spec_cache_key(
-        dataclasses.replace(base, interval_s=16.0)
+        RunSpec(scenario=scenario("traffic", interval_s=16.0), settings=SHORT)
     )
     assert spec_cache_key(base) != spec_cache_key(
-        dataclasses.replace(base, storage="nvme")
+        RunSpec(scenario=scenario("traffic", storage="nvme"), settings=SHORT)
     )
     longer = dataclasses.replace(
         base, settings=dataclasses.replace(SHORT, duration_s=50.0)
@@ -131,10 +157,9 @@ def test_clear_cache(cache_root):
 
 def test_fault_plan_changes_the_cache_key():
     clean = RunSpec(settings=SHORT)
-    faulted = dataclasses.replace(clean, faults=CRASH_PLAN)
-    other = dataclasses.replace(
-        clean,
-        faults=FaultPlan(name="other", faults=(
+    faulted = faulted_spec()
+    other = faulted_spec(
+        FaultPlan(name="other", faults=(
             FaultSpec(kind="flush_stall", at_s=12.0, duration_s=2.0, node=0),
         )),
     )
@@ -144,15 +169,13 @@ def test_fault_plan_changes_the_cache_key():
 
 
 def test_fault_spec_accepts_plan_as_dict():
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN.to_dict())
-    assert spec.faults == CRASH_PLAN
-    assert spec_cache_key(spec) == spec_cache_key(
-        RunSpec(settings=SHORT, faults=CRASH_PLAN)
-    )
+    spec = faulted_spec(CRASH_PLAN.to_dict())
+    assert spec.scenario.faults == CRASH_PLAN
+    assert spec_cache_key(spec) == spec_cache_key(faulted_spec())
 
 
 def test_faulted_run_is_byte_identical_across_reruns(cache_root):
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN, label="determinism")
+    spec = faulted_spec(label="determinism")
     first = run_grid([spec], cache=False)[0]
     second = run_grid([spec], cache=False)[0]
     assert canonical(first) == canonical(second)
@@ -161,7 +184,7 @@ def test_faulted_run_is_byte_identical_across_reruns(cache_root):
 
 
 def test_faulted_run_round_trips_through_the_cache(cache_root, monkeypatch):
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN)
+    spec = faulted_spec()
     fresh = run_grid([spec], cache_directory=cache_root)[0]
 
     def boom(_spec):
@@ -174,7 +197,7 @@ def test_faulted_run_round_trips_through_the_cache(cache_root, monkeypatch):
 
 @pytest.mark.slow
 def test_faulted_run_identical_serial_and_parallel(cache_root):
-    spec = RunSpec(settings=SHORT, faults=CRASH_PLAN)
+    spec = faulted_spec()
     serial = run_grid([spec, spec.with_seed(12)], cache=False, jobs=1)
     parallel = run_grid([spec, spec.with_seed(12)], cache=False, jobs=2)
     assert [canonical(s) for s in serial] == [canonical(s) for s in parallel]

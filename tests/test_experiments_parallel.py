@@ -14,6 +14,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import ExperimentSettings
 from repro.experiments.summary import RunSummary
+from repro.scenarios import scenario
 
 SHORT = ExperimentSettings(duration_s=30.0, warmup_s=10.0, seed=3)
 
@@ -34,11 +35,13 @@ def serial_summaries(short_specs):
 class TestRunSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            RunSpec(kind="bogus")
+            RunSpec(scenario="bogus")
+        with pytest.raises(TypeError):
+            RunSpec(kind="traffic")  # the kind= spelling is gone
 
     def test_rejects_unknown_storage(self):
         with pytest.raises(ConfigurationError):
-            RunSpec(storage="floppy")
+            RunSpec(scenario=scenario("baseline_traffic", storage="floppy"))
 
     def test_with_seed_changes_only_seed(self):
         spec = RunSpec(settings=SHORT)

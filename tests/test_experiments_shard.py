@@ -36,7 +36,7 @@ def test_plan_shards_accepts_even_splits():
     spec = RunSpec(settings=SETTINGS)
     for shards in (1, 2, 4):
         assert plan_shards(spec, shards).shards == shards
-    wc = RunSpec(kind="wordcount", settings=SETTINGS)
+    wc = RunSpec(scenario="baseline_wordcount", settings=SETTINGS)
     for shards in (1, 2, 4, 8, 16):
         assert plan_shards(wc, shards).shards == shards
 
@@ -45,7 +45,7 @@ def test_plan_shards_rejects_uneven_splits():
     with pytest.raises(ConfigurationError):
         plan_shards(RunSpec(settings=SETTINGS), 3)
     with pytest.raises(ConfigurationError):
-        plan_shards(RunSpec(kind="wordcount", settings=SETTINGS), 5)
+        plan_shards(RunSpec(scenario="baseline_wordcount", settings=SETTINGS), 5)
 
 
 def test_shard_seeds_are_distinct_per_shard():
@@ -158,12 +158,12 @@ def test_sharded_run_is_deterministic():
         "det[shard 0/2]", "det[shard 1/2]"
     ]
     # Lock-step epochs: duration / checkpoint interval, rounded up.
-    assert first.barrier_s == spec.interval_s
+    assert first.barrier_s == spec.scenario.interval_s
     assert first.barriers == 3  # ceil(20 / 8)
 
 
 def test_sharded_wordcount_runs():
-    spec = RunSpec(kind="wordcount", settings=SETTINGS)
+    spec = RunSpec(scenario="baseline_wordcount", settings=SETTINGS)
     out = execute_spec_sharded(spec, 4)
     assert out.merged.label.endswith("[shards=4]")
     assert out.merged.tails["p999"] == max(

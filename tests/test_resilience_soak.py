@@ -89,12 +89,12 @@ def test_empty_soak_report_is_vacuously_ok():
 def test_cache_key_distinguishes_resilience_configs():
     from repro.experiments.parallel import RunSpec, spec_cache_key
     from repro.experiments.runner import ExperimentSettings
+    from repro.scenarios import scenario
 
     def spec(resilience):
         return RunSpec(
-            kind="traffic",
+            scenario=scenario("baseline_traffic", resilience=resilience),
             settings=ExperimentSettings(duration_s=30.0, warmup_s=5.0, seed=1),
-            resilience=resilience,
         )
 
     unguarded = spec_cache_key(spec(None))
@@ -173,11 +173,12 @@ def test_pinned_scenario_soak_uses_that_scenario():
     assert run["ok"]
 
 
-def test_legacy_kind_soak_keeps_empty_scenario_names():
-    report = short_soak()
-    assert report.scenarios == [""]
+def test_alias_kind_soak_records_the_baseline_scenario_name():
+    report = short_soak()  # kind="traffic", the alias of baseline_traffic
+    assert report.kind == "traffic"
+    assert report.scenarios == ["baseline_traffic"]
     (run,) = report.runs
-    assert run["scenario"] == ""
+    assert run["scenario"] == "baseline_traffic"
 
 
 def test_soak_rejects_unknown_kind():

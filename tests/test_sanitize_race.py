@@ -145,13 +145,13 @@ def test_reorder_preserves_content():
 
 
 def test_cache_key_stability_for_real_spec():
-    spec = RunSpec(kind="wordcount",
+    spec = RunSpec(scenario="baseline_wordcount",
                    settings=ExperimentSettings(duration_s=16.0, seed=3))
     check = check_cache_key_stability(spec, perturbations=6)
     assert check.ok
     assert check.perturbations == 6
     assert spec_cache_key(spec) == spec_cache_key(
-        RunSpec(kind="wordcount",
+        RunSpec(scenario="baseline_wordcount",
                 settings=ExperimentSettings(duration_s=16.0, seed=3)))
 
 
@@ -217,6 +217,7 @@ def test_cli_sanitize_command(capsys):
 
 from repro.core.mitigation import MitigationPlan  # noqa: E402
 from repro.lsm import policy_names  # noqa: E402
+from repro.scenarios import scenario  # noqa: E402
 
 
 @pytest.mark.slow
@@ -224,8 +225,9 @@ from repro.lsm import policy_names  # noqa: E402
 def test_policy_matrix_is_sanitize_clean(policy):
     """Schedule perturbation finds no divergence under any zoo policy."""
     report = sanitize_experiment(
-        kind="wordcount", duration_s=16.0, window_s=2.0, seed=1,
-        mitigation=MitigationPlan(compaction_policy=policy),
+        kind=scenario("baseline_wordcount",
+                      mitigation=MitigationPlan(compaction_policy=policy)),
+        duration_s=16.0, window_s=2.0, seed=1,
     )
     assert report.ok, report.render()
     assert report.race.events_fired[0] == report.race.events_fired[1]

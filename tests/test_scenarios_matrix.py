@@ -23,8 +23,7 @@ pytestmark = pytest.mark.slow
 @pytest.mark.parametrize("name", scenario_names())
 def test_scenario_runs_through_the_executor(name):
     spec = RunSpec(
-        kind="scenario", scenario=scenario(name), settings=SETTINGS,
-        label=f"matrix-{name}",
+        scenario=scenario(name), settings=SETTINGS, label=f"matrix-{name}"
     )
     (summary,) = run_grid([spec], cache=False)
     assert summary.kind == "scenario"
@@ -51,7 +50,6 @@ def test_scenario_runs_through_api_run_scenario(name):
 def test_every_scenario_has_a_distinct_cache_key():
     keys = {}
     for name in scenario_names():
-        spec = RunSpec(kind="scenario", scenario=scenario(name),
-                       settings=SETTINGS)
+        spec = RunSpec(scenario=scenario(name), settings=SETTINGS)
         keys[name] = spec_cache_key(spec)
     assert len(set(keys.values())) == len(keys)

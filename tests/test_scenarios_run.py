@@ -1,5 +1,5 @@
 """Behavioural tests for the unified scenario path: job wiring, the new
-arrival sources, tenancy, legacy-kind equivalence and the
+arrival sources, tenancy and the
 windowed-join exactly-once invariants under a crash-and-restore plan."""
 
 import pytest
@@ -7,7 +7,7 @@ import pytest
 from repro.apps.join_job import JOIN_STAGES, build_join_job
 from repro.apps.tenancy import tenant_initial_l0, tenantize
 from repro.errors import ConfigurationError
-from repro.experiments.runner import ExperimentSettings, legacy_scenario
+from repro.experiments.runner import ExperimentSettings
 from repro.faults import FaultPlan, FaultSpec
 from repro.scenarios import (
     ScenarioSpec,
@@ -181,23 +181,14 @@ def test_scenario_own_faults_apply_and_override_wins():
     assert [e["kind"] for e in result.job.subsystems["faults"].events] == [
         "worker_crash"
     ]
-    # an explicit override replaces the scenario's own plan
+    # replacing the plan on the spec replaces what runs
     stall = FaultPlan(name="stall", faults=(
         FaultSpec(kind="flush_stall", at_s=15.0, duration_s=2.0, node=0),
     ))
-    overridden = execute_scenario(spec, settings=QUICK, faults=stall)
+    overridden = execute_scenario(spec.with_faults(stall), settings=QUICK)
     assert [e["kind"] for e in overridden.job.subsystems["faults"].events] == [
         "flush_stall"
     ]
-
-
-def test_legacy_scenario_matches_baseline_traffic():
-    """The ad-hoc spec behind the ``traffic`` RunSpec kind runs exactly
-    like the library's ``baseline_traffic``."""
-    legacy = execute_scenario(legacy_scenario("traffic"), settings=QUICK)
-    library = run_scenario("baseline_traffic", settings=QUICK)
-    assert (legacy.tail_summary(start=10.0)
-            == library.tail_summary(start=10.0))
 
 
 # ----------------------------------------------------------------------
@@ -212,9 +203,9 @@ def test_windowed_join_exactly_once_under_crash():
     crash = FaultPlan(name="crash-restore", faults=(
         FaultSpec(kind="worker_crash", at_s=20.0, duration_s=2.0, node=0),
     ))
-    spec = scenario("windowed_join")
+    spec = scenario("windowed_join", faults=crash)
     settings = ExperimentSettings(duration_s=60.0, warmup_s=10.0, seed=7)
-    result = execute_scenario(spec, settings=settings, faults=crash)
+    result = execute_scenario(spec, settings=settings)
     job = result.job
     (event,) = job.subsystems["faults"].events
     assert event["kind"] == "worker_crash"

@@ -156,14 +156,12 @@ def test_workload_change_changes_the_key():
 
 def test_runspec_scenario_key_is_stable_and_distinct():
     settings = ExperimentSettings(duration_s=10.0, warmup_s=2.0, seed=1)
-    a = RunSpec(kind="scenario", scenario=scenario("baseline_traffic"),
-                settings=settings)
-    b = RunSpec(kind="scenario", scenario=scenario("windowed_join"),
-                settings=settings)
+    a = RunSpec(scenario=scenario("baseline_traffic"), settings=settings)
+    b = RunSpec(scenario=scenario("windowed_join"), settings=settings)
     assert a.key_dict() != b.key_dict()
-    # legacy specs keep their historical key shape: no scenario entry
-    legacy = RunSpec(kind="traffic", settings=settings)
-    assert "scenario" not in legacy.key_dict()
+    # the whole address is settings + scenario content, nothing else
+    assert set(a.key_dict()) == {"settings", "scenario"}
+    assert a.key_dict()["scenario"] == scenario("baseline_traffic").key_dict()
 
 
 # ----------------------------------------------------------------------

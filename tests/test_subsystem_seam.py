@@ -2,7 +2,6 @@
 faults, resilience and cluster reach the engine, the result and the
 detector — plus the composed-run golden that pins the refactor."""
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -14,7 +13,7 @@ from repro.analysis.millibottleneck import analyze_result, detect
 from repro.cluster import ClusterSpec, MembershipEvent, install_cluster
 from repro.errors import AnalysisError, SimulationError
 from repro.experiments.runner import ExperimentSettings
-from repro.faults import inject_faults
+from repro.faults import inject_faults, preset_plan
 from repro.resilience import install_resilience
 from repro.scenarios import build_scenario_job, scenario
 from repro.scenarios.run import execute_scenario
@@ -30,15 +29,16 @@ def composed_run():
     the preset ``chaos`` plan, resilience on, and the scenario's 4→8→4
     membership plan pulled forward (20 s / 45 s instead of 60 s / 150 s)
     so the cluster layer contributes windows inside the short run."""
-    spec = dataclasses.replace(
-        scenario("elastic_scale"),
+    spec = scenario(
+        "elastic_scale",
         cluster=ClusterSpec(events=(
             MembershipEvent(action="join", at_s=20.0, count=4),
             MembershipEvent(action="leave", at_s=45.0, count=4),
         )),
+        faults=preset_plan("chaos"),
+        resilience=True,
     )
-    return execute_scenario(spec, settings=COMPOSED, faults="chaos",
-                            resilience=True)
+    return execute_scenario(spec, settings=COMPOSED)
 
 
 def composed_digest(result) -> dict:
