@@ -35,7 +35,7 @@ from .sim import Simulator
 from .storage import HDD, NVME_SSD, TMPFS, StorageProfile
 from .stream import ConstantSource, StageSpec, StreamJob, StreamJobResult
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "build_traffic_job",

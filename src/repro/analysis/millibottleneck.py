@@ -179,6 +179,33 @@ class MillibottleneckReport:
             classification=data.get("classification", "none"),
         )
 
+    def render(self) -> str:
+        """Terminal rendering: the verdict line, then one row per spike."""
+        from ..experiments.report import render_table
+
+        lines = [
+            f"millibottleneck report (window {self.window_s * 1000:.0f} ms, "
+            f"spike threshold {self.threshold_s:.2f} s)",
+            f"spikes: {self.spike_count}  attributed: {self.attributed_count} "
+            f"({self.attributed_fraction:.0%})  "
+            f"classification: {self.classification}"
+            + (f"  alignment: {self.alignment:.2f}"
+               if self.alignment is not None else ""),
+        ]
+        if self.saturation_windows:
+            lines.append(f"cpu saturation windows: {len(self.saturation_windows)}")
+        if self.spikes:
+            headers = ["peak t [s]", "p99.9 [s]", "flush", "compaction",
+                       "overlap [s]", "CP", "class"]
+            rows = [
+                [f"{s.peak_time:.1f}", f"{s.peak_s:.2f}", s.flush_spans,
+                 s.compaction_spans, f"{s.overlap_s:.2f}", s.checkpoint_index,
+                 s.classification]
+                for s in self.spikes
+            ]
+            lines.append(render_table(headers, rows))
+        return "\n".join(lines)
+
 
 def default_threshold(p999: Sequence[float]) -> float:
     """The figures' spike rule: ``max(2.5 × median, 0.8 s)``."""

@@ -57,7 +57,6 @@ from .core import (
 from .experiments.parallel import RunSpec, run_grid, sweep
 from .experiments.profile import ProfileReport, profile_run
 from .experiments.shard import (
-    ShardPlan,
     ShardedResult,
     execute_spec_sharded,
     merge_summaries,
@@ -169,7 +168,6 @@ __all__ = [
     "RunSpec",
     "RunSummary",
     # sharded execution
-    "ShardPlan",
     "ShardedResult",
     "plan_shards",
     "execute_spec_sharded",

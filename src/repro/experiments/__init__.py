@@ -31,7 +31,6 @@ from .parallel import (
 from .report import render_series, render_sweep, render_table, render_tails
 from .runner import DEFAULT_SETTINGS, ExperimentSettings
 from .shard import (
-    ShardPlan,
     ShardedResult,
     execute_spec_sharded,
     merge_summaries,
@@ -42,7 +41,6 @@ from .summary import RunSummary, summarize_run
 __all__ = [
     "RunSpec",
     "RunSummary",
-    "ShardPlan",
     "ShardedResult",
     "execute_spec_sharded",
     "merge_summaries",

@@ -1,28 +1,8 @@
 """Command-line interface: regenerate any paper experiment.
 
-Usage::
-
-    python -m repro list
-    python -m repro run fig8 [--duration 200] [--seed 1]
-    python -m repro run fig12 --jobs 8     # fan the sweep across cores
-    python -m repro run table1
-    python -m repro run headline --trace   # record traces alongside
-    python -m repro scenarios list         # the named scenario library
-    python -m repro scenarios show windowed_join
-    python -m repro run --scenario diurnal_flash [--faults crash]
-    python -m repro trace fig8             # trace + millibottleneck report
-    python -m repro trace fig8 --chrome    # Perfetto-loadable trace file
-    python -m repro soak                   # chaos-soak over the library
-    python -m repro soak --kind windowed_join --seeds 1 2 3 --random
-    python -m repro soak --random --cluster  # node crash/flap/partition mix
-    python -m repro cluster show           # elastic_scale's ClusterSpec
-    python -m repro cluster run            # elastic run + ownership audit
-    python -m repro compare                # baseline vs solution summary
-    python -m repro cache info             # inspect the result cache
-    python -m repro cache clear
-    python -m repro profile fig8           # dispatch histogram + cProfile
-    python -m repro lint src/repro         # determinism lint (exit 1 on findings)
-    python -m repro sanitize --duration 24 # race + ordering sanitizers
+``python -m repro --help`` lists the commands and ``python -m repro
+COMMAND --help`` their flags; each is one row of :data:`COMMANDS` (see
+DESIGN.md §9).
 
 The output is plain text (tables and ASCII timelines); experiment
 functions are resolved from :mod:`repro.experiments.figures`.  Sweep
@@ -35,13 +15,16 @@ result cache under ``.repro-cache/`` (disable with ``--no-cache`` or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..errors import ReproError
+from ..errors import ConfigurationError, ReproError
 from ..scenarios.library import scenario
 from ..scenarios.spec import ScenarioSpec
 from . import figures
@@ -55,8 +38,9 @@ from .parallel import (
 )
 from .report import render_series, render_sweep, render_table, render_tails
 from .runner import ExperimentSettings
+from .summary import RunSummary
 
-__all__ = ["EXPERIMENTS", "main", "build_parser"]
+__all__ = ["COMMANDS", "EXPERIMENTS", "main", "build_parser"]
 
 #: The single run that best illustrates what an experiment measures,
 #: where that is not the plain traffic baseline (sweeps use their
@@ -101,301 +85,179 @@ EXPERIMENTS: Dict[str, Callable] = {
 }
 
 
+# ----------------------------------------------------------------------
+# the command table
+# ----------------------------------------------------------------------
+
+#: One ``add_argument`` call as data: ``(names, options)``.
+Flag = Tuple[tuple, dict]
+
+
+@dataclass(frozen=True)
+class Command:
+    """One row of the table: everything ``repro NAME`` is."""
+
+    name: str
+    help: str
+    flags: Tuple[Flag, ...]
+    #: ``args -> exit code`` (0 ok, 1 audit failed, 2 bad input); may
+    #: raise :class:`~repro.errors.ReproError`, which :func:`main` turns
+    #: into ``error: ...`` and exit 2.
+    run: Callable[[argparse.Namespace], int]
+
+
+#: name -> row, in ``--help`` order.  Adding a subcommand is one
+#: ``@command`` function; the parser and the dispatcher read this.
+COMMANDS: Dict[str, Command] = {}
+
+
+def flag(*names: str, **options) -> Flag:
+    return names, options
+
+
+def command(name: str, help: str, *flags: Flag):
+    """Register the decorated handler as the ``repro NAME`` row."""
+
+    def register(run: Callable[[argparse.Namespace], int]):
+        COMMANDS[name] = Command(name, help, flags, run)
+        return run
+
+    return register
+
+
+# Flags several commands share; each command keeps its own default and
+# help text.
+
+def _experiment(**options) -> Flag:
+    return flag("experiment", nargs="?", choices=sorted(EXPERIMENTS), **options)
+
+
+def _duration(default: Optional[float], help: Optional[str] = None) -> Flag:
+    return flag("--duration", type=float, default=default, help=help)
+
+
+def _warmup(default: Optional[float], help: Optional[str] = None) -> Flag:
+    return flag("--warmup", type=float, default=default, help=help)
+
+
+_SEED = flag("--seed", type=int, default=1)
+
+
+def _jobs(help: str, **options) -> Flag:
+    return flag("--jobs", type=int, default=None, help=help, **options)
+
+
+def _shards(default: Optional[int], help: str) -> Flag:
+    return flag("--shards", type=int, default=default, metavar="G", help=help)
+
+
+def _no_cache(help: str = "bypass the on-disk result cache") -> Flag:
+    return flag("--no-cache", action="store_true", help=help)
+
+
+def _json(help: str) -> Flag:
+    return flag("--json", action="store_true", help=help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ShadowSync reproduction: regenerate the paper's experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", help="list available experiments")
-
-    run = sub.add_parser(
-        "run",
-        help="run one experiment (or one library scenario) and print its "
-             "report",
-    )
-    run.add_argument("experiment", nargs="?", choices=sorted(EXPERIMENTS),
-                     help="paper experiment to regenerate (omit when using "
-                          "--scenario)")
-    run.add_argument("--scenario", default=None, metavar="NAME",
-                     help="run one library scenario through the unified "
-                          "run_scenario path instead of a paper "
-                          "experiment ('repro scenarios list' for names)")
-    run.add_argument("--duration", type=float, default=200.0,
-                     help="simulated seconds (default 200)")
-    run.add_argument("--warmup", type=float, default=40.0,
-                     help="seconds excluded from measurement (default 40)")
-    run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--jobs", type=int, default=None,
-                     help="worker processes for sweep experiments "
-                          "(default serial; 0 = one per core)")
-    run.add_argument("--shards", type=int, default=None, metavar="G",
-                     help="run each simulation as G independent cluster "
-                          "slices advancing in lock-step checkpoint "
-                          "epochs and merge their summaries (must divide "
-                          "the deployment: traffic 4 nodes, wordcount 16 "
-                          "cores); --jobs fans the slices over processes")
-    run.add_argument("--no-cache", action="store_true",
-                     help="bypass the on-disk result cache")
-    run.add_argument("--json", action="store_true",
-                     help="dump the raw experiment dict as JSON")
-    run.add_argument("--trace", action="store_true",
-                     help="record structured traces; they ride the cached "
-                          "summaries (export with 'repro trace')")
-    run.add_argument("--faults", default=None, metavar="PLAN",
-                     help="inject a fault plan into the experiment's exemplar "
-                          "run: a preset name (crash, flush-stall, "
-                          "compaction-stall, slow-disk, checkpoint-timeout, "
-                          "backpressure, chaos), a JSON file path, or inline "
-                          "JSON")
-
-    scenarios = sub.add_parser(
-        "scenarios",
-        help="list the named scenario library or show one spec "
-             "(serialized form + cache-key payload)",
-    )
-    scenarios.add_argument("action", choices=("list", "show"))
-    scenarios.add_argument("name", nargs="?", default=None,
-                           help="scenario name (required for 'show')")
-    scenarios.add_argument("--json", action="store_true",
-                           help="emit machine-readable JSON")
-
-    trace = sub.add_parser(
-        "trace",
-        help="record one traced exemplar run of an experiment, write the "
-             "trace and print its millibottleneck attribution",
-    )
-    trace.add_argument("experiment", nargs="?", default="fig8",
-                       choices=sorted(EXPERIMENTS))
-    trace.add_argument("--duration", type=float, default=104.0,
-                       help="simulated seconds (default 104)")
-    trace.add_argument("--warmup", type=float, default=32.0,
-                       help="seconds excluded from analysis (default 32)")
-    trace.add_argument("--seed", type=int, default=1)
-    trace.add_argument("--out", default=None,
-                       help="trace file path "
-                            "(default <experiment>.trace.jsonl/.json)")
-    trace.add_argument("--chrome", action="store_true",
-                       help="write Chrome trace-event JSON (load in Perfetto "
-                            "or chrome://tracing) instead of JSONL")
-    trace.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk result cache")
-
-    compare = sub.add_parser(
-        "compare", help="run traffic baseline vs solution and print tails"
-    )
-    compare.add_argument("--duration", type=float, default=200.0)
-    compare.add_argument("--warmup", type=float, default=40.0)
-    compare.add_argument("--seed", type=int, default=1)
-    compare.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default serial)")
-    compare.add_argument("--no-cache", action="store_true",
-                         help="bypass the on-disk result cache")
-
-    soak = sub.add_parser(
-        "soak",
-        help="chaos-soak: run seeded fault schedules against the guarded "
-             "pipeline and audit SLO recovery, exactly-once invariants and "
-             "queue bounds (exit 1 on any failure)",
-    )
-    soak.add_argument("--kind", default="library",
-                      help="pipeline under chaos: 'library' (default) "
-                           "samples one scenario per seed from the soak "
-                           "pool, a library scenario name pins that "
-                           "scenario ('traffic'/'wordcount' are aliases "
-                           "of baseline_traffic/baseline_wordcount)")
-    soak.add_argument("--seeds", type=int, nargs="+", default=[1, 2],
-                      help="one soak run per seed (default: 1 2)")
-    soak.add_argument("--duration", type=float, default=130.0,
-                      help="simulated seconds per run (default 130)")
-    soak.add_argument("--warmup", type=float, default=20.0,
-                      help="seconds before the baseline window (default 20)")
-    soak.add_argument("--faults", default="combined", metavar="PLAN",
-                      help="fault plan: preset name, JSON file or inline "
-                           "JSON (default: the 'combined' preset)")
-    soak.add_argument("--random", action="store_true",
-                      help="ignore --faults; generate a random FaultPlan "
-                           "per seed (FaultPlan.random)")
-    soak.add_argument("--cluster", action="store_true",
-                      help="install the elastic cluster layer on every "
-                           "scenario run and let --random draw node-crash/"
-                           "flap/partition faults; the audit additionally "
-                           "requires resolved migrations and full "
-                           "partition ownership")
-    soak.add_argument("--budget", type=float, default=25.0,
-                      help="recovery budget after each fault window, "
-                           "seconds (default 25)")
-    soak.add_argument("--ratio", type=float, default=1.5,
-                      help="recovered = p99.9 <= ratio x pre-fault "
-                           "baseline (default 1.5)")
-    soak.add_argument("--queue-limit", type=float, default=300_000.0,
-                      help="max sampled backlog before the run counts as "
-                           "a queue blow-up (default 300000 messages)")
-    soak.add_argument("--jobs", type=int, default=None,
-                      help="worker processes (default serial; 0 = one "
-                           "per core)")
-    soak.add_argument("--no-cache", action="store_true",
-                      help="bypass the on-disk result cache")
-    soak.add_argument("--json", action="store_true",
-                      help="dump the full SoakReport as JSON")
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="elastic cluster layer: show a scenario's ClusterSpec or run "
-             "an elastic scenario and audit membership, migrations and "
-             "ownership (exit 1 on violations or unowned partitions)",
-    )
-    cluster.add_argument("action", choices=("show", "run"))
-    cluster.add_argument("scenario", nargs="?", default="elastic_scale",
-                         help="library scenario with a cluster layer "
-                              "(default elastic_scale)")
-    cluster.add_argument("--duration", type=float, default=200.0,
-                         help="simulated seconds (default 200)")
-    cluster.add_argument("--warmup", type=float, default=40.0,
-                         help="seconds excluded from measurement "
-                              "(default 40)")
-    cluster.add_argument("--seed", type=int, default=1)
-    cluster.add_argument("--no-cache", action="store_true",
-                         help="bypass the on-disk result cache")
-    cluster.add_argument("--json", action="store_true",
-                         help="dump the cluster report (show: the spec) "
-                              "as JSON")
-
-    cache = sub.add_parser("cache", help="inspect or clear the result cache")
-    cache.add_argument("action", choices=("info", "clear"))
-
-    lint = sub.add_parser(
-        "lint",
-        help="static determinism lint: flag wall-clock reads, unseeded "
-             "RNG, unordered iteration, mutable defaults and module "
-             "singletons (exit 1 on findings)",
-    )
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files or directories to lint (default: the "
-                           "installed repro package)")
-    lint.add_argument("--json", action="store_true",
-                      help="emit findings as a JSON report (same as "
-                           "--format json)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"),
-                      default=None,
-                      help="output format: terminal text (default), the "
-                           "findings_json report, or SARIF 2.1.0 for code "
-                           "scanning")
-    lint.add_argument("--rules", metavar="RULE", nargs="+", default=None,
-                      help="restrict to these rules: IDs (DS201), slugs "
-                           "(hidden-blocking-call) or families (DS2xx)")
-
-    sync = sub.add_parser(
-        "sync",
-        help="hidden-synchronization audit: DS2xx static catalog check "
-             "plus a trace-grounded wait-for graph diffed against the "
-             "declared sync catalog (exit 1 on shadow edges or findings)",
-    )
-    sync.add_argument("--scenario", default="baseline_traffic",
-                      help="traced scenario for the dynamic half "
-                           "(default baseline_traffic)")
-    sync.add_argument("--duration", type=float, default=120.0,
-                      help="simulated seconds (default 120)")
-    sync.add_argument("--warmup", type=float, default=10.0)
-    sync.add_argument("--seed", type=int, default=1)
-    sync.add_argument("--trace-file", metavar="PATH", default=None,
-                      help="audit a pre-recorded JSONL trace instead of "
-                           "running the scenario")
-    sync.add_argument("--static-only", action="store_true",
-                      help="skip the traced run; DS2xx catalog check only")
-    sync.add_argument("--dynamic-only", action="store_true",
-                      help="skip the static half; wait-for graph only")
-    sync.add_argument("paths", nargs="*", metavar="PATH",
-                      help="source tree for the static half (default: the "
-                           "installed repro package)")
-    sync.add_argument("--no-cache", action="store_true",
-                      help="bypass the on-disk result cache")
-    sync.add_argument("--json", action="store_true",
-                      help="dump the audit report as JSON")
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile one exemplar run: kernel dispatch histogram "
-             "(per-callback event counts and self time) plus an optional "
-             "cProfile pass — the starting point for hot-spot hunts",
-    )
-    profile.add_argument("experiment", nargs="?", default="fig8",
-                         choices=sorted(EXPERIMENTS))
-    profile.add_argument("--duration", type=float, default=104.0,
-                         help="simulated seconds (default 104)")
-    profile.add_argument("--seed", type=int, default=1)
-    profile.add_argument("--top", type=int, default=20,
-                         help="rows per section (default 20)")
-    profile.add_argument("--shards", type=int, default=1, metavar="G",
-                         help="profile the 1/G cluster slice a sharded "
-                              "worker executes")
-    profile.add_argument("--no-cprofile", action="store_true",
-                         help="skip the cProfile pass; dispatch histogram "
-                              "only (faster, uninflated wall time)")
-    profile.add_argument("--json", action="store_true",
-                         help="dump the ProfileReport as JSON")
-
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="runtime determinism sanitizers: run a benchmark twice with "
-             "perturbed same-timestamp tie-breaking and diff state "
-             "digests, then check cache-key/summary order independence "
-             "(exit 1 on divergence)",
-    )
-    sanitize.add_argument("--kind", choices=("traffic", "wordcount"),
-                          default="wordcount")
-    sanitize.add_argument("--duration", type=float, default=24.0,
-                          help="simulated seconds per probe run (default 24)")
-    sanitize.add_argument("--window", type=float, default=2.0,
-                          help="digest window, seconds (default 2)")
-    sanitize.add_argument("--seed", type=int, default=1)
-    sanitize.add_argument("--interval", type=float, default=8.0,
-                          help="checkpoint interval, seconds (default 8)")
-    sanitize.add_argument("--storage", choices=("tmpfs", "nvme"),
-                          default="tmpfs")
-    sanitize.add_argument("--shards", type=int, default=1, metavar="G",
-                          help="sanitize the sharded mode: probe the 1/G "
-                               "cluster slice a sharded worker executes")
-    sanitize.add_argument("--perturbations", type=int, default=8,
-                          help="dict-order shuffles for the ordering "
-                               "checks (default 8)")
-    sanitize.add_argument("--json", action="store_true",
-                          help="dump the SanitizeReport as JSON")
-
-    tune = sub.add_parser(
-        "tune",
-        help="search the joint mitigation space (policy zoo × threshold "
-             "spread × delay × pool sizes) on a library scenario and "
-             "emit the tuned-config artifact + headline table",
-    )
-    tune.add_argument("--scenario", default="baseline_traffic",
-                      help="library scenario to tune (default "
-                           "baseline_traffic)")
-    tune.add_argument("--smoke", action="store_true",
-                      help="tiny grid + short runs (CI smoke)")
-    tune.add_argument("--duration", type=float, default=None,
-                      help="simulated seconds per run (default 200, "
-                           "smoke 60)")
-    tune.add_argument("--warmup", type=float, default=None,
-                      help="measurement warmup, seconds (default 40, "
-                           "smoke 20)")
-    tune.add_argument("--seed", type=int, default=1)
-    tune.add_argument("--policies", default=None,
-                      help="comma-separated policy subset (default: the "
-                           "whole registry)")
-    tune.add_argument("--jobs", type=int, default=None, metavar="N",
-                      help="worker processes (default serial; 0 = one "
-                           "per core)")
-    tune.add_argument("--shards", type=int, default=None, metavar="G",
-                      help="run every config as G cluster slices")
-    tune.add_argument("--no-cache", action="store_true",
-                      help="bypass the result cache")
-    tune.add_argument("--out", default=None, metavar="PATH",
-                      help="write the TunedConfig artifact JSON here")
-    tune.add_argument("--json", action="store_true",
-                      help="dump the full TuneReport as JSON")
+    for row in COMMANDS.values():
+        subparser = sub.add_parser(row.name, help=row.help)
+        for names, options in row.flags:
+            subparser.add_argument(*names, **options)
     return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return COMMANDS[args.command].run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+# ----------------------------------------------------------------------
+# what the handlers share
+# ----------------------------------------------------------------------
+
+@contextlib.contextmanager
+def _harness_env(no_cache: bool, shards: Optional[int] = None):
+    """``--no-cache`` / ``--shards G`` as ``REPRO_CACHE=off`` /
+    ``REPRO_SHARDS=G`` for the duration of one command.
+
+    Every experiment executes its runs through
+    :func:`~repro.experiments.parallel.run_grid`, which reads both —
+    so neither is threaded through each figure function.
+    """
+    wanted = {}
+    if no_cache:
+        wanted[CACHE_ENV] = "off"
+    if shards is not None:
+        wanted[SHARDS_ENV] = str(shards)
+    saved = {name: os.environ.get(name) for name in wanted}
+    os.environ.update(wanted)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _settings(args, trace: Optional[bool] = None) -> ExperimentSettings:
+    """The measurement conventions a command's flags ask for (*trace*
+    defaults to the command's ``--trace`` flag, off where it has none)."""
+    if trace is None:
+        trace = getattr(args, "trace", False)
+    return ExperimentSettings(
+        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
+        trace=trace,
+    )
+
+
+def _run_one(
+    args, spec: ScenarioSpec, label: str, trace: Optional[bool] = None
+) -> RunSummary:
+    """One scenario through the executor, under the command's flags."""
+    run_spec = RunSpec(
+        scenario=spec, settings=_settings(args, trace), label=label
+    )
+    with _harness_env(args.no_cache, getattr(args, "shards", None)):
+        return run_grid([run_spec], jobs=getattr(args, "jobs", None))[0]
+
+
+def _emit_json(payload) -> None:
+    json.dump(payload, sys.stdout, indent=2, default=str)
+    print()
+
+
+def _finish(args, report, **render_options) -> int:
+    """The report protocol's epilogue: ``to_dict()`` as JSON or
+    ``render()`` as text; exit 1 when the report has an ``ok`` that is
+    false."""
+    if args.json:
+        _emit_json(report.to_dict())
+    else:
+        print(report.render(**render_options))
+    return 0 if getattr(report, "ok", True) else 1
+
+
+def _print_violations(violations, file=None) -> None:
+    print(f"INVARIANT VIOLATIONS: {len(violations)}", file=file)
+    for v in violations[:10]:
+        print(f"  [{v['time']:.1f}s] {v['invariant']}: {v['message']}", file=file)
+
+
+def _takes_jobs(experiment: Callable) -> bool:
+    """Whether *experiment* runs through the sweep executor."""
+    return "jobs" in inspect.signature(experiment).parameters
 
 
 def _summarize(name: str, out: dict) -> str:
@@ -447,45 +309,212 @@ def _summarize(name: str, out: dict) -> str:
     return "\n".join(lines)
 
 
-def _render_millibottleneck(report) -> str:
-    """Terminal rendering of a millibottleneck attribution report."""
-    lines = [
-        f"millibottleneck report (window {report.window_s * 1000:.0f} ms, "
-        f"spike threshold {report.threshold_s:.2f} s)",
-        f"spikes: {report.spike_count}  attributed: {report.attributed_count} "
-        f"({report.attributed_fraction:.0%})  "
-        f"classification: {report.classification}"
-        + (f"  alignment: {report.alignment:.2f}"
-           if report.alignment is not None else ""),
-    ]
-    if report.saturation_windows:
-        lines.append(f"cpu saturation windows: {len(report.saturation_windows)}")
-    if report.spikes:
-        headers = ["peak t [s]", "p99.9 [s]", "flush", "compaction",
-                   "overlap [s]", "CP", "class"]
+# ----------------------------------------------------------------------
+# the commands
+# ----------------------------------------------------------------------
+
+@command("list", "list available experiments")
+def _list_command(args) -> int:
+    for name in sorted(EXPERIMENTS):
+        doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
+        print(f"{name:10s} {doc}")
+    return 0
+
+
+@command(
+    "run",
+    "run one experiment (or one library scenario) and print its report",
+    _experiment(help="paper experiment to regenerate (omit when using "
+                     "--scenario)"),
+    flag("--scenario", default=None, metavar="NAME",
+         help="run one library scenario through the unified run_scenario "
+              "path instead of a paper experiment ('repro scenarios list' "
+              "for names)"),
+    _duration(200.0, "simulated seconds (default 200)"),
+    _warmup(40.0, "seconds excluded from measurement (default 40)"),
+    _SEED,
+    _jobs("worker processes for sweep experiments (default serial; 0 = one "
+          "per core)"),
+    _shards(None, "run each simulation as G independent cluster slices and "
+                  "merge their summaries (must divide the deployment: "
+                  "traffic 4 nodes, wordcount 16 cores); --jobs fans the "
+                  "slices over processes"),
+    _no_cache(),
+    _json("dump the raw experiment dict as JSON"),
+    flag("--trace", action="store_true",
+         help="record structured traces; they ride the cached summaries "
+              "(export with 'repro trace')"),
+    flag("--faults", default=None, metavar="PLAN",
+         help="inject a fault plan into the experiment's exemplar run: a "
+              "preset name (crash, flush-stall, compaction-stall, slow-disk, "
+              "checkpoint-timeout, backpressure, chaos), a JSON file path, "
+              "or inline JSON"),
+)
+def _run_command(args) -> int:
+    if args.scenario is not None and args.experiment is not None:
+        raise ConfigurationError(
+            "give either an experiment or --scenario, not both"
+        )
+    if args.scenario is not None:
+        return _run_scenario(args)
+    if args.experiment is None:
+        raise ConfigurationError(
+            "'repro run' needs an experiment name or --scenario NAME"
+        )
+    experiment = EXPERIMENTS[args.experiment]
+    sweeps = _takes_jobs(experiment)
+    if args.shards is not None and not sweeps:
+        accepting = [n for n in sorted(EXPERIMENTS) if _takes_jobs(EXPERIMENTS[n])]
+        raise ConfigurationError(
+            f"{args.experiment} reports on one live simulation and cannot "
+            f"be sharded; --shards applies to {', '.join(accepting)} and "
+            "to --scenario runs"
+        )
+    if args.faults:
+        return _run_faulted(args)
+    kwargs = {"settings": _settings(args)}
+    if sweeps:
+        kwargs["jobs"] = args.jobs
+    with _harness_env(args.no_cache, args.shards):
+        out = experiment(**kwargs)
+    if args.json:
+        _emit_json(out)
+    else:
+        print(_summarize(args.experiment, out))
+    return 0
+
+
+def _run_scenario(args) -> int:
+    """Run one library scenario through the unified scenario path."""
+    from ..faults import load_fault_plan
+
+    spec = scenario(args.scenario)
+    if args.faults:
+        spec = spec.with_faults(load_fault_plan(args.faults))
+    summary = _run_one(args, spec, f"scenario:{spec.name}")
+    if args.json:
+        _emit_json(summary.to_dict())
+        return 0
+    print(f"== scenario {spec.name} ==")
+    print(spec.description)
+    print(render_tails({spec.name: summary.tails}))
+    if summary.coarse_times:
+        print(render_series(summary.coarse_times, summary.coarse_p999,
+                            label="p99.9 latency [s]"))
+    if summary.invariant_violations:
+        print(f"INVARIANT VIOLATIONS: {len(summary.invariant_violations)}")
+        return 1
+    return 0
+
+
+def _run_faulted(args) -> int:
+    """Run the experiment's exemplar under a fault plan; report recovery."""
+    from ..faults import load_fault_plan
+
+    plan = load_fault_plan(args.faults)
+    summary = _run_one(args, exemplar(args.experiment).with_faults(plan),
+                       f"faults:{args.experiment}")
+    if args.json:
+        _emit_json(summary.to_dict())
+        return 0
+
+    print(f"== {args.experiment} under fault plan {plan.name!r} ==")
+    print(render_tails({summary.label: summary.tails}))
+    if summary.fault_events:
+        headers = ["fault", "node", "start [s]", "end [s]", "factor"]
         rows = [
-            [f"{s.peak_time:.1f}", f"{s.peak_s:.2f}", s.flush_spans,
-             s.compaction_spans, f"{s.overlap_s:.2f}", s.checkpoint_index,
-             s.classification]
-            for s in report.spikes
+            [e["kind"], e["node"], f"{e['start']:.1f}",
+             "-" if e.get("end") is None else f"{e['end']:.1f}",
+             f"{e['factor']:.2f}"]
+            for e in summary.fault_events
         ]
-        lines.append(render_table(headers, rows))
-    return "\n".join(lines)
+        print(render_table(headers, rows))
+    restored = sum(
+        len(e.get("restores", ())) for e in summary.fault_events
+    )
+    if restored:
+        print(f"instances restored from checkpoint: {restored}")
+    if summary.invariant_violations:
+        _print_violations(summary.invariant_violations)
+        return 1
+    print("invariant violations: 0")
+    return 0
 
 
+@command(
+    "scenarios",
+    "list the named scenario library or show one spec (serialized form + "
+    "cache-key payload)",
+    flag("action", choices=("list", "show")),
+    flag("name", nargs="?", default=None,
+         help="scenario name (required for 'show')"),
+    _json("emit machine-readable JSON"),
+)
+def _scenarios_command(args) -> int:
+    from ..scenarios import SCENARIOS, SOAK_POOL, scenario_names
+    from .parallel import cache_key_from_dict
+
+    if args.action == "list":
+        if args.json:
+            _emit_json(
+                {name: SCENARIOS[name].to_dict() for name in scenario_names()}
+            )
+            return 0
+        headers = ["scenario", "app", "arrival", "tenants", "soak pool"]
+        rows = []
+        for name in scenario_names():
+            spec = scenario(name)
+            rows.append([
+                name, spec.app, spec.workload.arrival, spec.tenants,
+                "yes" if name in SOAK_POOL else "-",
+            ])
+        print(render_table(headers, rows))
+        print("\nrun one with: repro run --scenario NAME  "
+              "(details: repro scenarios show NAME)")
+        return 0
+
+    if not args.name:
+        raise ConfigurationError(
+            "'repro scenarios show' needs a scenario name"
+        )
+    spec = scenario(args.name)
+    payload = {
+        "spec": spec.to_dict(),
+        "cache_key": cache_key_from_dict(
+            {"scenario": spec.key_dict()}, version="scenario"
+        ),
+    }
+    if args.json:
+        _emit_json(payload)
+        return 0
+    print(f"== {spec.name} ==")
+    print(spec.description)
+    print(f"\ncache key (spec content hash): {payload['cache_key']}")
+    print(json.dumps(payload["spec"], indent=2))
+    return 0
+
+
+@command(
+    "trace",
+    "record one traced exemplar run of an experiment, write the trace and "
+    "print its millibottleneck attribution",
+    _experiment(default="fig8"),
+    _duration(104.0, "simulated seconds (default 104)"),
+    _warmup(32.0, "seconds excluded from analysis (default 32)"),
+    _SEED,
+    flag("--out", default=None,
+         help="trace file path (default <experiment>.trace.jsonl/.json)"),
+    flag("--chrome", action="store_true",
+         help="write Chrome trace-event JSON (load in Perfetto or "
+              "chrome://tracing) instead of JSONL"),
+    _no_cache(),
+)
 def _trace_command(args) -> int:
-    """Run one traced exemplar run; write the trace, print attribution."""
     from ..analysis.millibottleneck import analyze_summary
     from ..trace import TraceEvent, Tracer
 
-    settings = ExperimentSettings(
-        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
-        trace=True,
-    )
-    spec = RunSpec(scenario=exemplar(args.experiment), settings=settings,
-                   label=f"trace:{args.experiment}")
-    with _cache_override(args.no_cache):
-        summary = run_grid([spec])[0]
+    summary = _run_one(args, exemplar(args.experiment),
+                       f"trace:{args.experiment}", trace=True)
     if not summary.trace_events:
         print("run produced no trace events", file=sys.stderr)
         return 1
@@ -506,174 +535,130 @@ def _trace_command(args) -> int:
         tracer.write_jsonl(out)
     print(f"{len(tracer)} events ({summary.scenario} run, schema "
           f"{summary.trace_schema}) -> {out}")
-
-    report = analyze_summary(summary)
-    print(_render_millibottleneck(report))
+    print(analyze_summary(summary).render())
     return 0
 
 
-def _faults_command(args) -> int:
-    """Run the experiment's exemplar under a fault plan; report recovery."""
-    from ..errors import ConfigurationError
-    from ..faults import load_fault_plan
+@command(
+    "compare",
+    "run traffic baseline vs solution and print tails",
+    _duration(200.0),
+    _warmup(40.0),
+    _SEED,
+    _jobs("worker processes (default serial)"),
+    _no_cache(),
+)
+def _compare_command(args) -> int:
+    from ..core.mitigation import MitigationPlan
 
-    try:
-        plan = load_fault_plan(args.faults)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    settings = ExperimentSettings(
-        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
-        trace=args.trace,
-    )
-    spec = RunSpec(scenario=exemplar(args.experiment).with_faults(plan),
-                   settings=settings, label=f"faults:{args.experiment}")
-    with _cache_override(args.no_cache):
-        summary = run_grid([spec], jobs=args.jobs)[0]
-
-    if args.json:
-        json.dump(summary.to_dict(), sys.stdout, indent=2, default=str)
-        print()
-        return 0
-
-    print(f"== {args.experiment} under fault plan {plan.name!r} ==")
-    print(render_tails({summary.label: summary.tails}))
-    if summary.fault_events:
-        headers = ["fault", "node", "start [s]", "end [s]", "factor"]
-        rows = [
-            [e["kind"], e["node"], f"{e['start']:.1f}",
-             "-" if e.get("end") is None else f"{e['end']:.1f}",
-             f"{e['factor']:.2f}"]
-            for e in summary.fault_events
-        ]
-        print(render_table(headers, rows))
-    restored = sum(
-        len(e.get("restores", ())) for e in summary.fault_events
-    )
-    if restored:
-        print(f"instances restored from checkpoint: {restored}")
-    violations = summary.invariant_violations
-    if violations:
-        print(f"INVARIANT VIOLATIONS: {len(violations)}")
-        for v in violations[:10]:
-            print(f"  [{v['time']:.1f}s] {v['invariant']}: {v['message']}")
-        return 1
-    print("invariant violations: 0")
+    settings = _settings(args)
+    specs = [
+        RunSpec(
+            scenario=scenario("baseline_traffic", mitigation=plan),
+            settings=settings,
+            label=name,
+        )
+        for name, plan in (("baseline", None),
+                           ("solution", MitigationPlan.paper_solution()))
+    ]
+    with _harness_env(args.no_cache):
+        summaries = run_grid(specs, jobs=args.jobs)
+    tails = {s.label: s.tails for s in summaries}
+    print(render_tails(tails))
+    ratio = tails["solution"]["p999"] / tails["baseline"]["p999"]
+    print(f"p99.9 reduced to {ratio:.0%} of baseline")
     return 0
 
 
-def _scenarios_command(args) -> int:
-    """List the scenario library, or show one spec in full."""
-    from ..errors import ConfigurationError
-    from ..scenarios import SOAK_POOL, scenario_names
-    from .parallel import cache_key_from_dict
+@command(
+    "soak",
+    "chaos-soak: run seeded fault schedules against the guarded pipeline "
+    "and audit SLO recovery, exactly-once invariants and queue bounds "
+    "(exit 1 on any failure)",
+    flag("--kind", default="library",
+         help="pipeline under chaos: 'library' (default) samples one "
+              "scenario per seed from the soak pool, a library scenario "
+              "name pins that scenario ('traffic'/'wordcount' are aliases "
+              "of baseline_traffic/baseline_wordcount)"),
+    flag("--seeds", type=int, nargs="+", default=[1, 2],
+         help="one soak run per seed (default: 1 2)"),
+    _duration(130.0, "simulated seconds per run (default 130)"),
+    _warmup(20.0, "seconds before the baseline window (default 20)"),
+    flag("--faults", default="combined", metavar="PLAN",
+         help="fault plan: preset name, JSON file or inline JSON (default: "
+              "the 'combined' preset)"),
+    flag("--random", action="store_true",
+         help="ignore --faults; generate a random FaultPlan per seed "
+              "(FaultPlan.random)"),
+    flag("--cluster", action="store_true",
+         help="install the elastic cluster layer on every scenario run and "
+              "let --random draw node-crash/flap/partition faults; the "
+              "audit additionally requires resolved migrations and full "
+              "partition ownership"),
+    flag("--budget", type=float, default=25.0,
+         help="recovery budget after each fault window, seconds (default "
+              "25)"),
+    flag("--ratio", type=float, default=1.5,
+         help="recovered = p99.9 <= ratio x pre-fault baseline (default "
+              "1.5)"),
+    flag("--queue-limit", type=float, default=300_000.0,
+         help="max sampled backlog before the run counts as a queue "
+              "blow-up (default 300000 messages)"),
+    _jobs("worker processes (default serial; 0 = one per core)"),
+    _no_cache(),
+    _json("dump the full SoakReport as JSON"),
+)
+def _soak_command(args) -> int:
+    from ..resilience.soak import run_soak
 
-    if args.action == "list":
-        if args.json:
-            from ..scenarios import SCENARIOS
-
-            json.dump(
-                {name: SCENARIOS[name].to_dict() for name in scenario_names()},
-                sys.stdout, indent=2,
-            )
-            print()
-            return 0
-        headers = ["scenario", "app", "arrival", "tenants", "soak pool"]
-        rows = []
-        for name in scenario_names():
-            spec = scenario(name)
-            rows.append([
-                name, spec.app, spec.workload.arrival, spec.tenants,
-                "yes" if name in SOAK_POOL else "-",
-            ])
-        print(render_table(headers, rows))
-        print("\nrun one with: repro run --scenario NAME  "
-              "(details: repro scenarios show NAME)")
-        return 0
-
-    if not args.name:
-        print("error: 'repro scenarios show' needs a scenario name",
-              file=sys.stderr)
-        return 2
-    try:
-        spec = scenario(args.name)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    payload = {
-        "spec": spec.to_dict(),
-        "cache_key": cache_key_from_dict(
-            {"scenario": spec.key_dict()}, version="scenario"
-        ),
-    }
-    if args.json:
-        json.dump(payload, sys.stdout, indent=2)
-        print()
-        return 0
-    print(f"== {spec.name} ==")
-    print(spec.description)
-    print(f"\ncache key (spec content hash): {payload['cache_key']}")
-    print(json.dumps(payload["spec"], indent=2))
-    return 0
-
-
-def _run_scenario_command(args) -> int:
-    """Run one library scenario through the unified scenario path."""
-    from ..errors import ConfigurationError
-    from ..faults import load_fault_plan
-
-    try:
-        spec = scenario(args.scenario)
-        if args.faults:
-            spec = spec.with_faults(load_fault_plan(args.faults))
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    settings = ExperimentSettings(
-        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
-        trace=args.trace,
-    )
-    run_spec = RunSpec(
-        scenario=spec, settings=settings, label=f"scenario:{spec.name}"
-    )
-    with _cache_override(args.no_cache), _shard_override(args.shards):
-        summary = run_grid([run_spec], jobs=args.jobs)[0]
-    if args.json:
-        json.dump(summary.to_dict(), sys.stdout, indent=2, default=str)
-        print()
-        return 0
-    print(f"== scenario {spec.name} ==")
-    print(spec.description)
-    print(render_tails({spec.name: summary.tails}))
-    if summary.coarse_times:
-        print(render_series(summary.coarse_times, summary.coarse_p999,
-                            label="p99.9 latency [s]"))
-    if summary.invariant_violations:
-        print(f"INVARIANT VIOLATIONS: {len(summary.invariant_violations)}")
-        return 1
-    return 0
+    with _harness_env(args.no_cache):
+        report = run_soak(
+            kind=args.kind,
+            seeds=tuple(args.seeds),
+            duration_s=args.duration,
+            warmup_s=args.warmup,
+            faults=args.faults,
+            random_faults=args.random,
+            cluster=args.cluster,
+            recovery_budget_s=args.budget,
+            recovery_ratio=args.ratio,
+            queue_limit_messages=args.queue_limit,
+            jobs=args.jobs,
+        )
+    if not args.json:
+        plan_name = "random per seed" if args.random else args.faults
+        print(f"== chaos soak: {args.kind}, plan {plan_name!r}, "
+              f"{len(args.seeds)} seed(s), {args.duration:.0f}s each ==")
+    return _finish(args, report)
 
 
+@command(
+    "cluster",
+    "elastic cluster layer: show a scenario's ClusterSpec or run an elastic "
+    "scenario and audit membership, migrations and ownership (exit 1 on "
+    "violations or unowned partitions)",
+    flag("action", choices=("show", "run")),
+    flag("scenario", nargs="?", default="elastic_scale",
+         help="library scenario with a cluster layer (default "
+              "elastic_scale)"),
+    _duration(200.0, "simulated seconds (default 200)"),
+    _warmup(40.0, "seconds excluded from measurement (default 40)"),
+    _SEED,
+    _no_cache(),
+    _json("dump the cluster report (show: the spec) as JSON"),
+)
 def _cluster_command(args) -> int:
-    """Show a scenario's ClusterSpec, or run it and audit the cluster."""
-    from ..errors import ConfigurationError
-
-    try:
-        spec = scenario(args.scenario)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = scenario(args.scenario)
     if spec.cluster is None:
-        print(f"error: scenario {spec.name!r} has no cluster layer "
-              "(pick one with a 'cluster' section, e.g. elastic_scale)",
-              file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"scenario {spec.name!r} has no cluster layer "
+            "(pick one with a 'cluster' section, e.g. elastic_scale)"
+        )
 
     if args.action == "show":
         payload = spec.cluster.to_dict()
         if args.json:
-            json.dump(payload, sys.stdout, indent=2)
-            print()
+            _emit_json(payload)
             return 0
         print(f"== cluster spec of {spec.name} ==")
         print(f"heartbeat {payload['heartbeat_interval_s']}s, "
@@ -693,23 +678,14 @@ def _cluster_command(args) -> int:
             print("membership schedule: none (static unless faulted)")
         return 0
 
-    settings = ExperimentSettings(
-        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed
-    )
-    run_spec = RunSpec(
-        scenario=spec, settings=settings, label=f"cluster:{spec.name}"
-    )
-    with _cache_override(args.no_cache):
-        summary = run_grid([run_spec])[0]
+    summary = _run_one(args, spec, f"cluster:{spec.name}")
     report = summary.cluster or {}
     if args.json:
-        json.dump(
+        _emit_json(
             {"scenario": spec.name, "tails": summary.tails,
              "cluster": report,
-             "invariant_violations": summary.invariant_violations},
-            sys.stdout, indent=2, default=str,
+             "invariant_violations": summary.invariant_violations}
         )
-        print()
     else:
         print(f"== cluster run: {spec.name} ==")
         nodes = report.get("nodes", {})
@@ -739,11 +715,7 @@ def _cluster_command(args) -> int:
         print(f"UNRESOLVED MIGRATIONS: {in_flight}", file=sys.stderr)
         failed = True
     if summary.invariant_violations:
-        print(f"INVARIANT VIOLATIONS: {len(summary.invariant_violations)}",
-              file=sys.stderr)
-        for v in summary.invariant_violations[:10]:
-            print(f"  [{v['time']:.1f}s] {v['invariant']}: {v['message']}",
-                  file=sys.stderr)
+        _print_violations(summary.invariant_violations, file=sys.stderr)
         failed = True
     if failed:
         return 1
@@ -753,72 +725,41 @@ def _cluster_command(args) -> int:
     return 0
 
 
-def _soak_command(args) -> int:
-    """Run the chaos-soak campaign; print verdicts; exit 1 on failure."""
-    from ..errors import ConfigurationError
-    from ..resilience.soak import run_soak
-
-    try:
-        with _cache_override(args.no_cache):
-            report = run_soak(
-                kind=args.kind,
-                seeds=tuple(args.seeds),
-                duration_s=args.duration,
-                warmup_s=args.warmup,
-                faults=args.faults,
-                random_faults=args.random,
-                cluster=args.cluster,
-                recovery_budget_s=args.budget,
-                recovery_ratio=args.ratio,
-                queue_limit_messages=args.queue_limit,
-                jobs=args.jobs,
-            )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2, default=str)
-        print()
-        return 0 if report.ok else 1
-
-    plan_name = "random per seed" if args.random else args.faults
-    print(f"== chaos soak: {args.kind}, plan {plan_name!r}, "
-          f"{len(args.seeds)} seed(s), {args.duration:.0f}s each ==")
-    for run in report.runs:
-        verdict = "PASS" if run["ok"] else "FAIL"
-        print(f"\nseed {run['seed']} scenario {run['scenario']} [{verdict}]  "
-              f"baseline p99.9 {run['baseline_p999_s']:.3f}s  "
-              f"trips {run['trips']}  shed {run['shed_messages']:.0f} msg  "
-              f"watchdog restarts {run['watchdog_restarts']}  "
-              f"violations {run['invariant_violations']}")
-        if run["windows"]:
-            headers = ["fault window", "start [s]", "end [s]",
-                       "recovered [s]", "deadline [s]"]
-            rows = [
-                [w["label"], f"{w['start']:.1f}", f"{w['end']:.1f}",
-                 "-" if w["recovered_at"] is None
-                 else f"{w['recovered_at']:.1f}",
-                 f"{w['budget_until']:.1f}"]
-                for w in run["windows"]
-            ]
-            print(render_table(headers, rows))
-        for failure in run["failures"]:
-            print(f"  FAIL: {failure}")
-    print()
-    if report.ok:
-        print("soak: PASS (all windows recovered, zero invariant "
-              "violations, queues bounded)")
-        return 0
-    print(f"soak: FAIL ({len(report.failures)} failure(s))")
-    return 1
+@command(
+    "cache",
+    "inspect or clear the result cache",
+    flag("action", choices=("info", "clear")),
+)
+def _cache_command(args) -> int:
+    root = cache_dir()
+    if args.action == "clear":
+        removed = clear_cache()
+        print(f"removed {removed} cached run(s) from {root}")
+    else:
+        entries = sorted(root.glob("*.json")) if root.is_dir() else []
+        total = sum(entry.stat().st_size for entry in entries)
+        print(f"cache directory: {root}")
+        print(f"entries: {len(entries)}  ({total / 1e6:.1f} MB)")
+    return 0
 
 
+@command(
+    "lint",
+    "static determinism lint: flag wall-clock reads, unseeded RNG, "
+    "unordered iteration, mutable defaults and module singletons (exit 1 "
+    "on findings)",
+    flag("paths", nargs="*", metavar="PATH",
+         help="files or directories to lint (default: the installed repro "
+              "package)"),
+    _json("emit findings as a JSON report (same as --format json)"),
+    flag("--format", choices=("text", "json", "sarif"), default=None,
+         help="output format: terminal text (default), the findings_json "
+              "report, or SARIF 2.1.0 for code scanning"),
+    flag("--rules", metavar="RULE", nargs="+", default=None,
+         help="restrict to these rules: IDs (DS201), slugs "
+              "(hidden-blocking-call) or families (DS2xx)"),
+)
 def _lint_command(args) -> int:
-    """Lint the given paths (default: this installed package)."""
-    from pathlib import Path
-
-    from ..errors import ConfigurationError
     from ..sanitize import (
         findings_json,
         findings_sarif,
@@ -835,35 +776,48 @@ def _lint_command(args) -> int:
         for path in missing:
             print(f"error: no such path: {path}", file=sys.stderr)
         return 2
-    try:
-        findings = lint_paths(paths, rules=args.rules)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    findings = lint_paths(paths, rules=args.rules)
     if fmt == "json":
-        json.dump(findings_json(findings), sys.stdout, indent=2)
-        print()
+        _emit_json(findings_json(findings))
     elif fmt == "sarif":
-        json.dump(findings_sarif(findings), sys.stdout, indent=2)
-        print()
+        _emit_json(findings_sarif(findings))
     else:
         print(render_findings(findings))
     return 1 if findings else 0
 
 
+@command(
+    "sync",
+    "hidden-synchronization audit: DS2xx static catalog check plus a "
+    "trace-grounded wait-for graph diffed against the declared sync "
+    "catalog (exit 1 on shadow edges or findings)",
+    flag("--scenario", default="baseline_traffic",
+         help="traced scenario for the dynamic half (default "
+              "baseline_traffic)"),
+    _duration(120.0, "simulated seconds (default 120)"),
+    _warmup(10.0),
+    _SEED,
+    flag("--trace-file", metavar="PATH", default=None,
+         help="audit a pre-recorded JSONL trace instead of running the "
+              "scenario"),
+    flag("--static-only", action="store_true",
+         help="skip the traced run; DS2xx catalog check only"),
+    flag("--dynamic-only", action="store_true",
+         help="skip the static half; wait-for graph only"),
+    flag("paths", nargs="*", metavar="PATH",
+         help="source tree for the static half (default: the installed "
+              "repro package)"),
+    _no_cache(),
+    _json("dump the audit report as JSON"),
+)
 def _sync_command(args) -> int:
-    """Run the hidden-synchronization audit; print the report."""
-    from pathlib import Path
-
-    from ..errors import AnalysisError, ConfigurationError
     from ..sanitize import analyze_sync
 
     if args.static_only and args.dynamic_only:
-        print("error: --static-only and --dynamic-only are mutually "
-              "exclusive", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            "--static-only and --dynamic-only are mutually exclusive"
+        )
     events = None
-    scenario = None if args.static_only else args.scenario
     if args.trace_file is not None:
         from ..trace import read_jsonl
 
@@ -872,104 +826,69 @@ def _sync_command(args) -> int:
         except OSError as exc:
             print(f"error: cannot read trace: {exc}", file=sys.stderr)
             return 2
-    paths = [Path(p) for p in args.paths] or None
-    try:
-        with _cache_override(args.no_cache):
-            report = analyze_sync(
-                scenario=scenario,
-                duration_s=args.duration,
-                warmup_s=args.warmup,
-                seed=args.seed,
-                paths=paths,
-                events=events,
-                static=not args.dynamic_only,
-            )
-    except (AnalysisError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        print()
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    with _harness_env(args.no_cache):
+        report = analyze_sync(
+            scenario=None if args.static_only else args.scenario,
+            duration_s=args.duration,
+            warmup_s=args.warmup,
+            seed=args.seed,
+            paths=[Path(p) for p in args.paths] or None,
+            events=events,
+            static=not args.dynamic_only,
+        )
+    return _finish(args, report)
 
 
+@command(
+    "profile",
+    "profile one exemplar run: kernel dispatch histogram (per-callback "
+    "event counts and self time) plus an optional cProfile pass — the "
+    "starting point for hot-spot hunts",
+    _experiment(default="fig8"),
+    _duration(104.0, "simulated seconds (default 104)"),
+    _SEED,
+    flag("--top", type=int, default=20, help="rows per section (default 20)"),
+    _shards(1, "profile the 1/G cluster slice a sharded worker executes"),
+    flag("--no-cprofile", action="store_true",
+         help="skip the cProfile pass; dispatch histogram only (faster, "
+              "uninflated wall time)"),
+    _json("dump the ProfileReport as JSON"),
+)
 def _profile_command(args) -> int:
-    """Profile the experiment's exemplar run; print the report."""
-    from ..errors import ConfigurationError
     from .profile import profile_run
 
-    try:
-        report = profile_run(
-            kind=exemplar(args.experiment),
-            duration_s=args.duration,
-            seed=args.seed,
-            label=f"profile:{args.experiment}",
-            with_cprofile=not args.no_cprofile,
-            shards=args.shards,
-            top=max(args.top, 50),
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2)
-        print()
-    else:
-        print(report.render(top=args.top))
-    return 0
-
-
-def _tune_command(args) -> int:
-    """Joint mitigation-space search; writes the artifact on request."""
-    from ..core.autotuner import tune
-
-    policies = (
-        [p.strip() for p in args.policies.split(",") if p.strip()]
-        if args.policies
-        else None
+    report = profile_run(
+        kind=exemplar(args.experiment),
+        duration_s=args.duration,
+        seed=args.seed,
+        label=f"profile:{args.experiment}",
+        with_cprofile=not args.no_cprofile,
+        shards=args.shards,
+        top=max(args.top, 50),
     )
-    try:
-        with _cache_override(args.no_cache):
-            report = tune(
-                scenario=args.scenario,
-                duration_s=args.duration,
-                warmup_s=args.warmup,
-                seed=args.seed,
-                policies=policies,
-                smoke=args.smoke,
-                jobs=args.jobs,
-                shards=args.shards,
-            )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report.best.to_dict(), handle, indent=2)
-            handle.write("\n")
-    if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2, default=str)
-        print()
-    else:
-        print(report.render())
-        if args.out:
-            print(f"tuned-config artifact written to {args.out}")
-    if os.environ.get("REPRO_PERF_GATE") == "1":
-        # CI regression gate: the tuned winner must beat the paper plan.
-        if report.best.p999 >= report.best.paper_p999:
-            print(
-                f"perf gate: tuned p99.9 {report.best.p999 * 1e3:.2f} ms did "
-                f"not beat paper {report.best.paper_p999 * 1e3:.2f} ms",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
+    return _finish(args, report, top=args.top)
 
 
+@command(
+    "sanitize",
+    "runtime determinism sanitizers: run a benchmark twice with perturbed "
+    "same-timestamp tie-breaking and diff state digests, then check "
+    "cache-key/summary order independence (exit 1 on divergence)",
+    flag("--kind", choices=("traffic", "wordcount"), default="wordcount"),
+    _duration(24.0, "simulated seconds per probe run (default 24)"),
+    flag("--window", type=float, default=2.0,
+         help="digest window, seconds (default 2)"),
+    _SEED,
+    flag("--interval", type=float, default=8.0,
+         help="checkpoint interval, seconds (default 8)"),
+    flag("--storage", choices=("tmpfs", "nvme"), default="tmpfs"),
+    _shards(1, "sanitize the sharded mode: probe the 1/G cluster slice a "
+               "sharded worker executes"),
+    flag("--perturbations", type=int, default=8,
+         help="dict-order shuffles for the ordering checks (default 8)"),
+    _json("dump the SanitizeReport as JSON"),
+)
 def _sanitize_command(args) -> int:
-    """Run the runtime sanitizers on one benchmark; exit 1 on FAIL."""
     from ..sanitize import sanitize_experiment
 
     report = sanitize_experiment(
@@ -982,161 +901,63 @@ def _sanitize_command(args) -> int:
         perturbations=args.perturbations,
         shards=args.shards,
     )
-    if args.json:
-        json.dump(report.to_dict(), sys.stdout, indent=2, default=str)
-        print()
-    else:
-        print(report.render())
-    return 0 if report.ok else 1
+    return _finish(args, report)
 
 
-class _cache_override:
-    """Temporarily force ``REPRO_CACHE=off`` for ``--no-cache`` runs."""
+@command(
+    "tune",
+    "search the joint mitigation space (policy zoo × threshold spread × "
+    "delay × pool sizes) on a library scenario and emit the tuned-config "
+    "artifact + headline table",
+    flag("--scenario", default="baseline_traffic",
+         help="library scenario to tune (default baseline_traffic)"),
+    flag("--smoke", action="store_true",
+         help="tiny grid + short runs (CI smoke)"),
+    _duration(None, "simulated seconds per run (default 200, smoke 60)"),
+    _warmup(None, "measurement warmup, seconds (default 40, smoke 20)"),
+    _SEED,
+    flag("--policies", default=None,
+         help="comma-separated policy subset (default: the whole registry)"),
+    _jobs("worker processes (default serial; 0 = one per core)", metavar="N"),
+    _shards(None, "run every config as G cluster slices"),
+    _no_cache("bypass the result cache"),
+    flag("--out", default=None, metavar="PATH",
+         help="write the TunedConfig artifact JSON here"),
+    _json("dump the full TuneReport as JSON"),
+)
+def _tune_command(args) -> int:
+    from ..core.autotuner import tune
 
-    def __init__(self, disable: bool) -> None:
-        self.disable = disable
-        self._saved: Optional[str] = None
-
-    def __enter__(self) -> _cache_override:
-        if self.disable:
-            self._saved = os.environ.get(CACHE_ENV)
-            os.environ[CACHE_ENV] = "off"
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.disable:
-            if self._saved is None:
-                os.environ.pop(CACHE_ENV, None)
-            else:
-                os.environ[CACHE_ENV] = self._saved
-
-
-class _shard_override:
-    """Temporarily set ``REPRO_SHARDS`` for ``--shards G`` runs.
-
-    Every experiment executes its runs through
-    :func:`~repro.experiments.parallel.run_grid`, which reads the env
-    var — so sharding applies uniformly without threading a parameter
-    through each figure function.
-    """
-
-    def __init__(self, shards: Optional[int]) -> None:
-        self.shards = shards
-        self._saved: Optional[str] = None
-
-    def __enter__(self) -> "_shard_override":
-        if self.shards is not None:
-            self._saved = os.environ.get(SHARDS_ENV)
-            os.environ[SHARDS_ENV] = str(self.shards)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.shards is not None:
-            if self._saved is None:
-                os.environ.pop(SHARDS_ENV, None)
-            else:
-                os.environ[SHARDS_ENV] = self._saved
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-
-    if args.command == "list":
-        for name in sorted(EXPERIMENTS):
-            doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
-            print(f"{name:10s} {doc}")
-        return 0
-
-    if args.command == "cache":
-        root = cache_dir()
-        if args.action == "clear":
-            removed = clear_cache()
-            print(f"removed {removed} cached run(s) from {root}")
-        else:
-            entries = sorted(root.glob("*.json")) if root.is_dir() else []
-            total = sum(entry.stat().st_size for entry in entries)
-            print(f"cache directory: {root}")
-            print(f"entries: {len(entries)}  ({total / 1e6:.1f} MB)")
-        return 0
-
-    if args.command == "compare":
-        from ..core.mitigation import MitigationPlan
-
-        settings = ExperimentSettings(
-            duration_s=args.duration, warmup_s=args.warmup, seed=args.seed
-        )
-        specs = [
-            RunSpec(
-                scenario=scenario("baseline_traffic", mitigation=plan),
-                settings=settings,
-                label=name,
-            )
-            for name, plan in (("baseline", None),
-                               ("solution", MitigationPlan.paper_solution()))
-        ]
-        with _cache_override(args.no_cache):
-            summaries = run_grid(specs, jobs=args.jobs)
-        tails = {s.label: s.tails for s in summaries}
-        print(render_tails(tails))
-        ratio = tails["solution"]["p999"] / tails["baseline"]["p999"]
-        print(f"p99.9 reduced to {ratio:.0%} of baseline")
-        return 0
-
-    if args.command == "scenarios":
-        return _scenarios_command(args)
-
-    if args.command == "trace":
-        return _trace_command(args)
-
-    if args.command == "soak":
-        return _soak_command(args)
-
-    if args.command == "cluster":
-        return _cluster_command(args)
-
-    if args.command == "lint":
-        return _lint_command(args)
-    if args.command == "sync":
-        return _sync_command(args)
-
-    if args.command == "profile":
-        return _profile_command(args)
-
-    if args.command == "sanitize":
-        return _sanitize_command(args)
-
-    if args.command == "tune":
-        return _tune_command(args)
-
-    if args.command == "run":
-        if args.scenario is not None and args.experiment is not None:
-            print("error: give either an experiment or --scenario, not both",
-                  file=sys.stderr)
-            return 2
-        if args.scenario is not None:
-            return _run_scenario_command(args)
-        if args.experiment is None:
-            print("error: 'repro run' needs an experiment name or "
-                  "--scenario NAME", file=sys.stderr)
-            return 2
-        if getattr(args, "faults", None):
-            return _faults_command(args)
-
-    settings = ExperimentSettings(
-        duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
-        trace=args.trace,
+    policies = (
+        [p.strip() for p in args.policies.split(",") if p.strip()]
+        if args.policies
+        else None
     )
-    experiment = EXPERIMENTS[args.experiment]
-    kwargs = {"settings": settings}
-    if "jobs" in inspect.signature(experiment).parameters:
-        kwargs["jobs"] = args.jobs
-    with _cache_override(args.no_cache), _shard_override(
-        getattr(args, "shards", None)
-    ):
-        out = experiment(**kwargs)
-    if args.json:
-        json.dump(out, sys.stdout, indent=2, default=str)
-        print()
-    else:
-        print(_summarize(args.experiment, out))
+    with _harness_env(args.no_cache):
+        report = tune(
+            scenario=args.scenario,
+            duration_s=args.duration,
+            warmup_s=args.warmup,
+            seed=args.seed,
+            policies=policies,
+            smoke=args.smoke,
+            jobs=args.jobs,
+            shards=args.shards,
+        )
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            json.dump(report.best.to_dict(), handle, indent=2)
+            handle.write("\n")
+    _finish(args, report)
+    if args.out and not args.json:
+        print(f"tuned-config artifact written to {args.out}")
+    if os.environ.get("REPRO_PERF_GATE") == "1":
+        # CI regression gate: the tuned winner must beat the paper plan.
+        if report.best.p999 >= report.best.paper_p999:
+            print(
+                f"perf gate: tuned p99.9 {report.best.p999 * 1e3:.2f} ms did "
+                f"not beat paper {report.best.paper_p999 * 1e3:.2f} ms",
+                file=sys.stderr,
+            )
+            return 1
     return 0

@@ -43,7 +43,7 @@ from .. import __version__
 from ..compat import keyword_only
 from ..serialize import canonical_json
 from ..errors import ConfigurationError
-from ..scenarios.run import execute_scenario, resolve_scenario
+from ..scenarios.run import resolve_scenario, run_scenario
 from ..scenarios.spec import ScenarioSpec
 from .runner import DEFAULT_SETTINGS, ExperimentSettings
 from .summary import RunSummary, summarize_run
@@ -118,7 +118,7 @@ class RunSpec:
 
 def execute_spec(spec: RunSpec) -> RunSummary:
     """Run one spec to completion and reduce it to a summary."""
-    result = execute_scenario(spec.scenario, settings=spec.settings)
+    result = run_scenario(spec.scenario, settings=spec.settings)
     return summarize_run(
         result,
         spec.settings,

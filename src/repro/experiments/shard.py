@@ -10,16 +10,14 @@ per-instance load match the full run's.  Sharded mode runs G such
 slices as G *independent* simulations, optionally fanned over worker
 processes, and merges their summaries.
 
-Conservative time synchronization
+No synchronization between shards
 ---------------------------------
-Each shard advances its virtual clock in lock-step epochs of one
-checkpoint interval (``job.run(duration, barrier_s=interval)``), the
-classic conservative-PDES window with the checkpoint interval as
-lookahead: no shard's clock moves more than one barrier ahead of the
-epoch boundary.  Because the slices genuinely share no events, the
-window never forces a rollback — which is exactly why the partitioning
-is by *node group* and not by stage (stages on one node share its CPU
-and its flush/compaction pools).
+The slices share no events, so there is nothing to synchronize: each
+shard is a separately seeded simulation that runs to completion on its
+own clock, and only the finished summaries meet (see Merging).  That
+independence is why the partitioning is by *node group* and not by
+stage — stages on one node share its CPU and its flush/compaction
+pools, so a per-stage split would couple the parts.
 
 Determinism
 -----------
@@ -49,7 +47,6 @@ from .runner import ExperimentSettings  # noqa: F401  (re-exported for callers)
 from .summary import RunSummary
 
 __all__ = [
-    "ShardPlan",
     "ShardedResult",
     "plan_shards",
     "execute_spec_sharded",
@@ -66,38 +63,8 @@ def shard_seed(seed: int, shard_index: int) -> int:
     return seed + _SEED_STRIDE * shard_index
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """A validated sharding of one run.
-
-    Parameters
-    ----------
-    shards:
-        Number of independent cluster slices.
-    barrier_s:
-        Conservative-sync epoch length; ``None`` uses the run's
-        checkpoint/commit interval (the natural lookahead — all
-        cross-instance coupling inside a shard happens at checkpoint
-        boundaries).
-    """
-
-    shards: int
-    barrier_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.barrier_s is not None and self.barrier_s <= 0:
-            raise ConfigurationError(
-                f"barrier_s must be > 0, got {self.barrier_s}"
-            )
-
-    def resolve_barrier(self, interval_s: float) -> float:
-        return self.barrier_s if self.barrier_s is not None else interval_s
-
-
-def plan_shards(spec, shards: int, barrier_s: Optional[float] = None) -> ShardPlan:
-    """Validate *shards* against *spec*'s deployment shape.
+def plan_shards(spec, shards: int) -> int:
+    """Validate *shards* against *spec*'s deployment shape; returns it.
 
     Raises :class:`~repro.errors.ConfigurationError` when the cluster
     cannot be sliced evenly (what must divide is the scenario's
@@ -110,9 +77,10 @@ def plan_shards(spec, shards: int, barrier_s: Optional[float] = None) -> ShardPl
     """
     from ..scenarios.run import scenario_shard_unit
 
-    plan = ShardPlan(shards=shards, barrier_s=barrier_s)
+    if shards < 1:
+        raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if shards == 1:
-        return plan
+        return shards
     whole, what, stages = scenario_shard_unit(spec.scenario)
     if whole % shards != 0:
         raise ConfigurationError(
@@ -122,7 +90,7 @@ def plan_shards(spec, shards: int, barrier_s: Optional[float] = None) -> ShardPl
     # Fail fast on stage divisibility (scaled() re-checks at build time).
     for stage in stages:
         stage.scaled(shards)
-    return plan
+    return shards
 
 
 @dataclass
@@ -132,24 +100,19 @@ class ShardedResult:
     merged: RunSummary
     parts: List[RunSummary]
     shards: int
-    barrier_s: float
-    #: Lock-step epochs each shard advanced through.
-    barriers: int
 
 
 # ----------------------------------------------------------------------
 # per-shard execution
 # ----------------------------------------------------------------------
 
-def _execute_one_shard(spec, shards: int, index: int, barrier_s: float) -> RunSummary:
+def _execute_one_shard(spec, shards: int, index: int) -> RunSummary:
     """Run shard *index* of *spec* to completion (worker-side step)."""
-    from ..scenarios.run import execute_scenario
+    from ..scenarios.run import run_scenario
     from .summary import summarize_run
 
     settings = replace(spec.settings, seed=shard_seed(spec.settings.seed, index))
-    result = execute_scenario(
-        spec.scenario, settings=settings, scale=shards, barrier_s=barrier_s
-    )
+    result = run_scenario(spec.scenario, settings=settings, scale=shards)
     return summarize_run(
         result,
         settings,
@@ -161,15 +124,12 @@ def _execute_one_shard(spec, shards: int, index: int, barrier_s: float) -> RunSu
 
 def _shard_worker(payload):
     """Process-pool entry point: ``(index, summary_dict)``."""
-    spec, shards, index, barrier_s = payload
-    return index, _execute_one_shard(spec, shards, index, barrier_s).to_dict()
+    spec, shards, index = payload
+    return index, _execute_one_shard(spec, shards, index).to_dict()
 
 
 def execute_spec_sharded(
-    spec,
-    shards: int,
-    jobs: Optional[int] = None,
-    barrier_s: Optional[float] = None,
+    spec, shards: int, jobs: Optional[int] = None
 ) -> ShardedResult:
     """Run *spec* as *shards* independent slices and merge the results.
 
@@ -184,26 +144,17 @@ def execute_spec_sharded(
         Worker processes for the shard fan-out: ``None``/``1`` runs the
         shards serially in-process, ``0`` uses one process per shard.
         Serial and process execution produce identical merged summaries.
-    barrier_s:
-        Conservative-sync epoch; default is the spec's checkpoint
-        interval.
 
     Returns a :class:`ShardedResult`; ``.merged`` is the
     :class:`RunSummary` a caller would use in place of the unsharded
     one, ``.parts`` keeps the per-shard summaries for inspection.
     """
-    plan = plan_shards(spec, shards, barrier_s=barrier_s)
-    barrier = plan.resolve_barrier(spec.scenario.interval_s)
-    duration = spec.settings.duration_s
-    barriers = max(1, int(-(-duration // barrier)))  # ceil
+    plan_shards(spec, shards)
     if shards == 1:
         from .parallel import execute_spec
 
         summary = execute_spec(spec)
-        return ShardedResult(
-            merged=summary, parts=[summary], shards=1,
-            barrier_s=barrier, barriers=barriers,
-        )
+        return ShardedResult(merged=summary, parts=[summary], shards=1)
 
     workers = shards if jobs is not None and jobs <= 0 else (jobs or 1)
     workers = min(workers, shards)
@@ -213,19 +164,16 @@ def execute_spec_sharded(
             # Round-trip through the dict form so in-process results are
             # bit-identical to what a worker process would ship back.
             parts[index] = RunSummary.from_dict(
-                _execute_one_shard(spec, shards, index, barrier).to_dict()
+                _execute_one_shard(spec, shards, index).to_dict()
             )
     else:
         context = multiprocessing.get_context("spawn")
-        payloads = [(spec, shards, index, barrier) for index in range(shards)]
+        payloads = [(spec, shards, index) for index in range(shards)]
         with context.Pool(workers) as pool:
             for index, data in pool.imap_unordered(_shard_worker, payloads):
                 parts[index] = RunSummary.from_dict(data)
     merged = merge_summaries(parts, label=spec.display_label, shards=shards)
-    return ShardedResult(
-        merged=merged, parts=parts, shards=shards,
-        barrier_s=barrier, barriers=barriers,
-    )
+    return ShardedResult(merged=merged, parts=parts, shards=shards)
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,42 @@ class SoakReport:
 
         return asdict(self)
 
+    def render(self) -> str:
+        """Per-seed verdicts with their fault-window tables, then the
+        campaign verdict."""
+        from ..experiments.report import render_table
+
+        lines = []
+        for run in self.runs:
+            verdict = "PASS" if run["ok"] else "FAIL"
+            lines.append(
+                f"\nseed {run['seed']} scenario {run['scenario']} [{verdict}]  "
+                f"baseline p99.9 {run['baseline_p999_s']:.3f}s  "
+                f"trips {run['trips']}  shed {run['shed_messages']:.0f} msg  "
+                f"watchdog restarts {run['watchdog_restarts']}  "
+                f"violations {run['invariant_violations']}"
+            )
+            if run["windows"]:
+                headers = ["fault window", "start [s]", "end [s]",
+                           "recovered [s]", "deadline [s]"]
+                rows = [
+                    [w["label"], f"{w['start']:.1f}", f"{w['end']:.1f}",
+                     "-" if w["recovered_at"] is None
+                     else f"{w['recovered_at']:.1f}",
+                     f"{w['budget_until']:.1f}"]
+                    for w in run["windows"]
+                ]
+                lines.append(render_table(headers, rows))
+            for failure in run["failures"]:
+                lines.append(f"  FAIL: {failure}")
+        lines.append("")
+        if self.ok:
+            lines.append("soak: PASS (all windows recovered, zero invariant "
+                         "violations, queues bounded)")
+        else:
+            lines.append(f"soak: FAIL ({len(self.failures)} failure(s))")
+        return "\n".join(lines)
+
 
 def _merge_windows(events) -> List[dict]:
     """Collapse per-node events of one fault into single windows.

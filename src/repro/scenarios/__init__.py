@@ -16,7 +16,6 @@ from .library import (
 )
 from .run import (
     build_scenario_job,
-    execute_scenario,
     resolve_scenario,
     run_scenario,
     scenario_shard_unit,
@@ -31,7 +30,6 @@ __all__ = [
     "ScenarioSpec",
     "WorkloadSpec",
     "build_scenario_job",
-    "execute_scenario",
     "resolve_scenario",
     "run_scenario",
     "sample_scenario",

@@ -24,7 +24,6 @@ from .spec import ScenarioSpec
 __all__ = [
     "resolve_scenario",
     "build_scenario_job",
-    "execute_scenario",
     "run_scenario",
     "scenario_shard_unit",
 ]
@@ -89,19 +88,24 @@ def build_scenario_job(
     )
 
 
-def execute_scenario(
+def run_scenario(
     spec: Union[ScenarioSpec, str, dict],
     settings=None,
     tracer: Optional[Tracer] = None,
     tie_break: str = "fifo",
     scale: int = 1,
-    barrier_s: Optional[float] = None,
 ) -> StreamJobResult:
-    """Run one scenario to completion under *settings*.
+    """The single public entry point: run a scenario, return its result.
 
-    Everything about the run other than measurement conventions —
-    including its fault plan and resilience config — is on *spec*; vary
-    one with ``dataclasses.replace`` (or ``scenario(name, faults=...)``).
+    *spec* may be a :class:`ScenarioSpec`, a library name
+    (``"diurnal_flash"``), or a serialized dict.  Everything about the
+    run other than measurement conventions — including its fault plan
+    and resilience config — is on *spec*; vary one with
+    ``dataclasses.replace`` (or ``scenario(name, faults=...)``).
+    Measurement conventions come from *settings*
+    (:class:`~repro.experiments.runner.ExperimentSettings`; the shared
+    defaults when omitted).  ``scale = G`` runs the 1/G cluster slice a
+    sharded worker executes.
     """
     from ..experiments.runner import DEFAULT_SETTINGS
 
@@ -132,34 +136,7 @@ def execute_scenario(
         from ..resilience import install_resilience
 
         install_resilience(job, spec.resilience)
-    return job.run(settings.duration_s, barrier_s=barrier_s)
-
-
-def run_scenario(
-    spec: Union[ScenarioSpec, str, dict],
-    settings=None,
-    tracer: Optional[Tracer] = None,
-    tie_break: str = "fifo",
-    scale: int = 1,
-    barrier_s: Optional[float] = None,
-) -> StreamJobResult:
-    """The single public entry point: run a scenario, return its result.
-
-    *spec* may be a :class:`ScenarioSpec`, a library name
-    (``"diurnal_flash"``), or a serialized dict.  Measurement
-    conventions come from *settings*
-    (:class:`~repro.experiments.runner.ExperimentSettings`; the shared
-    defaults when omitted).  ``scale``/``barrier_s`` are the sharded
-    execution knobs, as everywhere else.
-    """
-    return execute_scenario(
-        spec,
-        settings=settings,
-        tracer=tracer,
-        tie_break=tie_break,
-        scale=scale,
-        barrier_s=barrier_s,
-    )
+    return job.run(settings.duration_s)
 
 
 def scenario_shard_unit(spec: Union[ScenarioSpec, str, dict]):

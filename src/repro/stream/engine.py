@@ -682,13 +682,12 @@ class StreamJob:
                     # repro: allow[DS201] declared write-path backpressure
                     backend_flush(instance, reason="memtable-full")
 
-    def start_run(self) -> None:
-        """Arm the job: source, checkpoints and accounting loops.
+    def run(self, duration: float) -> StreamJobResult:
+        """Run for *duration* simulated seconds and collect results.
 
-        Part of the stepped-execution API used by sharded mode
-        (:mod:`repro.experiments.shard`): ``start_run()`` once, then
-        :meth:`advance_to` in increasing time steps, then
-        :meth:`finish_run`.  :meth:`run` composes the three.
+        Arms the source, checkpoints and accounting loops, dispatches
+        events up to *duration*, then closes out flow histories and
+        finalizes every subsystem.  A job runs once.
         """
         if self._started:
             raise SimulationError("a StreamJob can only be run once")
@@ -715,50 +714,13 @@ class StreamJob:
                         self._account_loop(instance, stage),
                         name=f"account-{instance.name}",
                     )
-
-    def advance_to(self, time: float) -> None:
-        """Advance the armed job's clock exactly to *time*.
-
-        Events are dispatched in the same global order as one
-        uninterrupted run — ``sim.run(until=t)`` leaves the clock at
-        ``t`` and resumes cleanly, so splitting a run into steps is
-        state-identical to running it in one call.
-        """
-        if not self._started:
-            raise SimulationError("advance_to() before start_run()")
-        self.sim.run(until=time)
-
-    def finish_run(self, duration: float) -> StreamJobResult:
-        """Close out flow histories and collect the run's results."""
+        self.sim.run(until=duration)
         for stage in self.stages:
             for flow in stage.flows.values():
                 flow.finalize(self.sim.now)
         for subsystem in self.subsystems.values():
             subsystem.finalize(self.sim.now)
         return StreamJobResult(self, duration)
-
-    def run(
-        self, duration: float, barrier_s: Optional[float] = None
-    ) -> StreamJobResult:
-        """Run for *duration* simulated seconds and collect results.
-
-        *barrier_s* advances the clock in lock-step epochs of that many
-        seconds instead of one continuous run — the conservative
-        synchronization window of sharded mode.  The event sequence is
-        identical either way; the epochs only bound how far the clock
-        advances per :meth:`advance_to` call.
-        """
-        self.start_run()
-        if barrier_s is None:
-            self.sim.run(until=duration)
-        else:
-            if barrier_s <= 0:
-                raise ConfigurationError(f"barrier_s must be > 0, got {barrier_s}")
-            now = 0.0
-            while now < duration - 1e-12:
-                now = min(now + barrier_s, duration)
-                self.sim.run(until=now)
-        return self.finish_run(duration)
 
 
 class StreamJobResult:

@@ -186,7 +186,7 @@ class ClosedLoopSource:
         self.rate_history: List[Tuple[float, float]] = []
 
     def bind(self, job) -> None:
-        """Called by :meth:`StreamJob.start_run` so the control loop can
+        """Called by :meth:`StreamJob.run` so the control loop can
         observe the ingest stages' backlog."""
         self._job = job
 

@@ -1,10 +1,63 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.cli import EXPERIMENTS, build_parser, main
+
+DATA = Path(__file__).parent / "data"
+#: Both recorded by tests/make_cli_parser_golden.py at the commit before
+#: the CLI became a command table (one deliberate edit since: the
+#: ``run --shards`` help lost its "lock-step checkpoint epochs" claim
+#: together with the barrier it described).
+PARSER_GOLDEN = DATA / "cli_parser_golden.json"
+STDOUT_GOLDEN = DATA / "cli_stdout_golden.json"
+
+#: Cheap commands whose exit code and stdout are pinned byte for byte.
+STDOUT_COMMANDS = [
+    "list",
+    "scenarios list",
+    "scenarios show windowed_join",
+    "cluster show",
+    "run fig8 --duration 48 --warmup 16",
+    "run fig8 --faults crash --duration 48 --warmup 16",
+    "compare --duration 48 --warmup 16",
+    "soak --kind baseline_traffic --seeds 1 --duration 100 --warmup 20",
+]
+
+
+def parser_structure(parser) -> dict:
+    """Every subcommand's help and actions as plain data — what argparse
+    was told, not how it formats ``--help``."""
+    sub = next(
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {
+        name: {
+            "help": helps.get(name),
+            "actions": [
+                {
+                    "flags": list(a.option_strings) or a.dest,
+                    "default": a.default,
+                    "nargs": a.nargs,
+                    "choices": None if a.choices is None else list(a.choices),
+                    "type": getattr(a.type, "__name__", None),
+                    "required": a.required,
+                    "metavar": a.metavar,
+                    "help": a.help,
+                }
+                for a in command._actions
+                if not isinstance(a, argparse._HelpAction)
+            ],
+        }
+        for name, command in sub.choices.items()
+    }
 
 
 def test_every_figure_has_a_cli_name():
@@ -280,3 +333,69 @@ def test_cluster_run_json(capsys):
     assert payload["scenario"] == "elastic_scale"
     assert payload["invariant_violations"] == []
     assert payload["cluster"]["unowned_partitions"] == []
+
+
+# ----------------------------------------------------------------------
+# the front door: command table, goldens, one error boundary
+# ----------------------------------------------------------------------
+
+
+def test_parser_structure_matches_golden():
+    """Every flag, default, choice and help string the if-chain parser
+    declared, the command table declares."""
+    golden = json.loads(PARSER_GOLDEN.read_text())
+    structure = json.loads(json.dumps(parser_structure(build_parser())))
+    assert sorted(structure) == sorted(golden)
+    for name in golden:
+        assert structure[name] == golden[name], name
+
+
+@pytest.mark.parametrize("command", STDOUT_COMMANDS)
+def test_stdout_matches_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    golden = json.loads(STDOUT_GOLDEN.read_text())[command]
+    assert main(command.split()) == golden["exit"]
+    assert capsys.readouterr().out == golden["stdout"]
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["sanitize", "--shards", "3", "--duration", "4"], {}),
+    (["run", "fig12", "--shards", "3", "--duration", "10", "--warmup", "2"], {}),
+    (["compare"], {"REPRO_SHARDS": "x"}),
+    (["run", "fig1", "--shards", "2"], {}),
+])
+def test_bad_input_is_an_error_line_not_a_traceback(argv, env, capsys, monkeypatch):
+    """One ``except ReproError`` boundary: every entry path reports a
+    configuration mistake as ``error: ...`` with exit 2."""
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_shards_rejection_names_the_experiments_that_accept_it(capsys):
+    assert main(["run", "fig8", "--shards", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "fig12" in err and "headline" in err
+    assert "fig1," not in err
+
+
+def test_command_table_is_the_parser():
+    import repro.experiments.cli as cli
+
+    structure = parser_structure(build_parser())
+    assert list(structure) == list(cli.COMMANDS)
+    for name, row in cli.COMMANDS.items():
+        assert row.name == name
+        assert row.help.strip()
+        assert structure[name]["help"] == row.help
+    # no usage text names a command the table lacks
+    root = Path(__file__).parent.parent
+    usage = cli.__doc__ + "".join(
+        (root / name).read_text()
+        for name in ("README.md", ".github/workflows/ci.yml")
+    )
+    named = set(re.findall(r"python -m repro ([a-z]+)", usage))
+    assert named and named <= set(cli.COMMANDS)

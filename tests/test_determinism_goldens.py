@@ -50,26 +50,6 @@ def test_vectorized_reallocation_matches_scalar(monkeypatch):
     assert _digest(vectorized) == _digest(scalar)
 
 
-def test_barriered_run_matches_single_call():
-    """Lock-step epochs (sharded mode's conservative sync) replay the
-    exact event sequence of one uninterrupted run."""
-    plain = build_traffic_job(seed=9)
-    plain.run(DURATION)
-
-    barriered = build_traffic_job(seed=9)
-    barriered.run(DURATION, barrier_s=8.0)
-
-    assert _digest(plain) == _digest(barriered)
-
-
-def test_barrier_not_dividing_duration_matches_too():
-    plain = build_traffic_job(seed=11)
-    plain.run(30.0)
-    barriered = build_traffic_job(seed=11)
-    barriered.run(30.0, barrier_s=7.0)  # last epoch is short
-    assert _digest(plain) == _digest(barriered)
-
-
 def test_max_events_stops_after_exactly_n_dispatches():
     sim = Simulator(seed=1)
     fired = []

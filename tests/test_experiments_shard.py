@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.experiments import ExperimentSettings
 from repro.experiments.parallel import RunSpec
 from repro.experiments.shard import (
-    ShardPlan,
     execute_spec_sharded,
     merge_summaries,
     plan_shards,
@@ -24,21 +23,16 @@ SETTINGS = ExperimentSettings(duration_s=20.0, warmup_s=6.0, seed=3)
 
 def test_shard_plan_validates_counts():
     with pytest.raises(ConfigurationError):
-        ShardPlan(shards=0)
-    with pytest.raises(ConfigurationError):
-        ShardPlan(shards=2, barrier_s=0.0)
-    plan = ShardPlan(shards=2, barrier_s=4.0)
-    assert plan.resolve_barrier(8.0) == 4.0
-    assert ShardPlan(shards=2).resolve_barrier(8.0) == 8.0
+        plan_shards(RunSpec(settings=SETTINGS), 0)
 
 
 def test_plan_shards_accepts_even_splits():
     spec = RunSpec(settings=SETTINGS)
     for shards in (1, 2, 4):
-        assert plan_shards(spec, shards).shards == shards
+        assert plan_shards(spec, shards) == shards
     wc = RunSpec(scenario="baseline_wordcount", settings=SETTINGS)
     for shards in (1, 2, 4, 8, 16):
-        assert plan_shards(wc, shards).shards == shards
+        assert plan_shards(wc, shards) == shards
 
 
 def test_plan_shards_rejects_uneven_splits():
@@ -157,9 +151,6 @@ def test_sharded_run_is_deterministic():
     assert [p.label for p in first.parts] == [
         "det[shard 0/2]", "det[shard 1/2]"
     ]
-    # Lock-step epochs: duration / checkpoint interval, rounded up.
-    assert first.barrier_s == spec.scenario.interval_s
-    assert first.barriers == 3  # ceil(20 / 8)
 
 
 def test_sharded_wordcount_runs():

@@ -24,7 +24,7 @@ from repro.experiments.runner import ExperimentSettings
 from repro.experiments.shard import execute_spec_sharded
 from repro.resilience.soak import run_soak
 from repro.sanitize import experiment_factory, state_digest
-from repro.scenarios import build_scenario_job, execute_scenario, scenario
+from repro.scenarios import build_scenario_job, run_scenario, scenario
 from repro.serialize import canonical_json
 
 GOLDEN = Path(__file__).parent / "data" / "run_description_golden.json"
@@ -133,7 +133,7 @@ def test_removed_keywords_raise_type_error():
     with pytest.raises(TypeError):
         RunSpec(settings=SETTINGS, mitigation=MitigationPlan.paper_solution())
     with pytest.raises(TypeError):
-        execute_scenario("baseline_traffic", settings=SETTINGS, faults="crash")
+        run_scenario("baseline_traffic", settings=SETTINGS, faults="crash")
     with pytest.raises(TypeError):
         run_soak(kind="traffic", interval_s=8.0)
 

@@ -18,7 +18,6 @@ from repro.scenarios import (
     scenario,
     scenario_shard_unit,
 )
-from repro.scenarios.run import execute_scenario
 from repro.stream.sources import (
     ClosedLoopSource,
     ConstantSource,
@@ -161,7 +160,7 @@ def test_closed_loop_source_backs_off_under_backlog():
 
 
 # ----------------------------------------------------------------------
-# execute_scenario semantics
+# run_scenario semantics
 # ----------------------------------------------------------------------
 
 
@@ -177,7 +176,7 @@ def test_scenario_own_faults_apply_and_override_wins():
         FaultSpec(kind="worker_crash", at_s=15.0, duration_s=1.0, node=0),
     ))
     spec = scenario("baseline_traffic").with_faults(crash)
-    result = execute_scenario(spec, settings=QUICK)
+    result = run_scenario(spec, settings=QUICK)
     assert [e["kind"] for e in result.job.subsystems["faults"].events] == [
         "worker_crash"
     ]
@@ -185,7 +184,7 @@ def test_scenario_own_faults_apply_and_override_wins():
     stall = FaultPlan(name="stall", faults=(
         FaultSpec(kind="flush_stall", at_s=15.0, duration_s=2.0, node=0),
     ))
-    overridden = execute_scenario(spec.with_faults(stall), settings=QUICK)
+    overridden = run_scenario(spec.with_faults(stall), settings=QUICK)
     assert [e["kind"] for e in overridden.job.subsystems["faults"].events] == [
         "flush_stall"
     ]
@@ -205,7 +204,7 @@ def test_windowed_join_exactly_once_under_crash():
     ))
     spec = scenario("windowed_join", faults=crash)
     settings = ExperimentSettings(duration_s=60.0, warmup_s=10.0, seed=7)
-    result = execute_scenario(spec, settings=settings)
+    result = run_scenario(spec, settings=settings)
     job = result.job
     (event,) = job.subsystems["faults"].events
     assert event["kind"] == "worker_crash"

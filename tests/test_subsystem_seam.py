@@ -16,7 +16,7 @@ from repro.experiments.runner import ExperimentSettings
 from repro.faults import inject_faults, preset_plan
 from repro.resilience import install_resilience
 from repro.scenarios import build_scenario_job, scenario
-from repro.scenarios.run import execute_scenario
+from repro.scenarios.run import run_scenario
 from repro.serialize import canonical_json
 from repro.stream.engine import Subsystem
 
@@ -38,7 +38,7 @@ def composed_run():
         faults=preset_plan("chaos"),
         resilience=True,
     )
-    return execute_scenario(spec, settings=COMPOSED)
+    return run_scenario(spec, settings=COMPOSED)
 
 
 def composed_digest(result) -> dict:
