@@ -21,7 +21,6 @@ from .apps import build_traffic_job, build_wordcount_job
 from .config import CheckpointConfig, ClusterConfig, CostModel
 from .core import (
     MitigationPlan,
-    OnlineAutoTuner,
     SilkPolicy,
     RandomizedL0Trigger,
     ShadowSyncDetector,
@@ -35,7 +34,7 @@ from .sim import Simulator
 from .storage import HDD, NVME_SSD, TMPFS, StorageProfile
 from .stream import ConstantSource, StageSpec, StreamJob, StreamJobResult
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "build_traffic_job",
@@ -44,7 +43,6 @@ __all__ = [
     "ClusterConfig",
     "CostModel",
     "MitigationPlan",
-    "OnlineAutoTuner",
     "SilkPolicy",
     "RandomizedL0Trigger",
     "ShadowSyncDetector",

@@ -45,7 +45,6 @@ from .cluster import (
 from .config import CheckpointConfig, ClusterConfig, CostModel
 from .core import (
     MitigationPlan,
-    OnlineAutoTuner,
     ShadowSyncDetector,
     TunedConfig,
     TuneReport,
@@ -202,7 +201,6 @@ __all__ = [
     "register_policy",
     # diagnosis & tuning
     "ShadowSyncDetector",
-    "OnlineAutoTuner",
     "estimate_drain_time",
     "recommend_flush_threads",
     "recommend_compaction_threads",

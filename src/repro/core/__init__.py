@@ -5,7 +5,7 @@ from .allocation import (
     recommend_compaction_threads,
     recommend_flush_threads,
 )
-from .autotuner import OnlineAutoTuner, TunedConfig, TuneReport, tune
+from .autotuner import TunedConfig, TuneReport, tune
 from .delay import DelayedCompactionPolicy, estimate_drain_time
 from .detector import ShadowSyncDetector, ShadowSyncFinding
 from .mitigation import MitigationPlan
@@ -16,7 +16,6 @@ __all__ = [
     "concurrency_latency_curve",
     "recommend_compaction_threads",
     "recommend_flush_threads",
-    "OnlineAutoTuner",
     "TunedConfig",
     "TuneReport",
     "tune",

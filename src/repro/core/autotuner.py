@@ -1,29 +1,11 @@
-"""Auto-tuning: online mitigation, and offline joint-space search.
+"""Auto-tuning: offline joint-space search.
 
-The paper's mitigations are static configuration.  A production
-deployment wants them applied *without a restart*: watch the running
-job, and when the ShadowSync signature appears (periodic compaction
-bursts synchronized with checkpoints), switch the stores to the
-randomized trigger and install the drain-time delay on the fly.
-:class:`OnlineAutoTuner` does exactly that.
-
-Both interventions are safe mid-run because the engine reads them
-dynamically: the L0 trigger policy is consulted at every compaction
-pick, and the delay policy at every flush completion.
-
->>> job = build_traffic_job(...)
->>> tuner = OnlineAutoTuner()
->>> tuner.attach(job)            # before run(); acts during the run
->>> result = job.run(300.0)
->>> tuner.activated_at           # simulated time the mitigations went live
-
-:func:`tune` is the *offline* half: it searches the joint mitigation
-space — randomized-threshold spread α × compaction delay T × pool
-sizes × compaction/scheduling policy (the mitigation zoo of
-:mod:`repro.lsm.policies`) — through the parallel executor and result
-cache, runs Kneedle knee detection on the p99.9-vs-threads curve, and
-emits a serializable :class:`TunedConfig` artifact plus the headline
-table (``repro tune`` on the command line).
+:func:`tune` searches the joint mitigation space — randomized-threshold
+spread α × compaction delay T × pool sizes × compaction/scheduling
+policy (the mitigation zoo of :mod:`repro.lsm.policies`) — through the
+parallel executor and result cache, runs Kneedle knee detection on the
+p99.9-vs-threads curve, and emits a serializable :class:`TunedConfig`
+artifact plus the headline table (``repro tune`` on the command line).
 """
 
 from __future__ import annotations
@@ -31,134 +13,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..errors import ConfigurationError
 from ..serialize import register
-from .delay import estimate_drain_time
 from .mitigation import MitigationPlan
-from .thresholds import RandomizedL0Trigger
 
-__all__ = ["OnlineAutoTuner", "TunedConfig", "TuneReport", "tune"]
-
-
-class OnlineAutoTuner:
-    """Watches checkpoints; activates §4.1 mitigations when ShadowSync
-    is observed.
-
-    Detection rule (evaluated after every checkpoint, once at least
-    ``observe_checkpoints`` have passed): if any single checkpoint
-    period carried at least ``burst_threshold`` compactions, the
-    triggers are synchronized — randomize them and add the estimated
-    drain-time delay.
-
-    ``burst_threshold`` must sit above the well-spread steady rate
-    (instances / cycle length, ≈32 for the paper's 129 instances) and
-    below a synchronized per-stage burst (64); the default of 56 does.
-    """
-
-    def __init__(
-        self,
-        observe_checkpoints: int = 5,
-        burst_threshold: int = 56,
-        trigger_spread: int = 4,
-        min_delay_s: float = 0.25,
-        max_delay_s: float = 3.0,
-    ) -> None:
-        if observe_checkpoints < 1:
-            raise ConfigurationError("observe_checkpoints must be >= 1")
-        if burst_threshold < 1:
-            raise ConfigurationError("burst_threshold must be >= 1")
-        self.observe_checkpoints = observe_checkpoints
-        self.burst_threshold = burst_threshold
-        self.trigger_spread = trigger_spread
-        self.min_delay_s = min_delay_s
-        self.max_delay_s = max_delay_s
-
-        self.activated_at: Optional[float] = None
-        self.chosen_delay_s: Optional[float] = None
-        self._job = None
-        self._seen_checkpoints: List[float] = []
-
-    # ------------------------------------------------------------------
-
-    def attach(self, job) -> None:
-        """Hook into *job* (before ``job.run``)."""
-        if self._job is not None:
-            raise ConfigurationError("tuner already attached")
-        self._job = job
-        job.coordinator.on_trigger.append(self._on_checkpoint)
-
-    @property
-    def active(self) -> bool:
-        return self.activated_at is not None
-
-    # ------------------------------------------------------------------
-
-    def _on_checkpoint(self, time: float) -> None:
-        self._seen_checkpoints.append(time)
-        if self.active or len(self._seen_checkpoints) < self.observe_checkpoints:
-            return
-        if self._shadowsync_observed():
-            self._activate(time)
-
-    def _shadowsync_observed(self) -> bool:
-        counts = self._job.collector.spans.per_cycle_counts(
-            self._seen_checkpoints, kind="compaction", by="submit"
-        )
-        return any(c >= self.burst_threshold for c in counts.values())
-
-    def _activate(self, now: float) -> None:
-        job = self._job
-        self.activated_at = now
-
-        # 1. randomize every store's L0 trigger (§4.1, technique 1)
-        for stage in job.stages:
-            for instance in stage.instances:
-                store = instance.store
-                if store is None:
-                    continue
-                rng = job.sim.rng.stream(f"autotune-trigger/{instance.name}")
-                store.options.l0_trigger_policy = RandomizedL0Trigger(
-                    store.options.l0_compaction_trigger,
-                    self.trigger_spread,
-                    rng,
-                )
-
-        # 2. install the drain-time delay (§4.1, technique 2), estimated
-        # from the flush phase of the most recent checkpoint (Eq. 2)
-        delay = self._estimate_delay()
-        self.chosen_delay_s = delay
-        policy = job.backend.delay_policy
-        policy.delay_s = delay
-        policy.auto = False
-
-    def _estimate_delay(self) -> float:
-        job = self._job
-        last_cp = self._seen_checkpoints[-2]
-        flushes = [
-            s
-            for s in job.collector.spans.spans(kind="flush")
-            if s.submit is not None and last_cp <= s.submit < last_cp + 2.0
-        ]
-        if not flushes:
-            return self.min_delay_s
-        phase = max(f.end for f in flushes) - min(f.start for f in flushes)
-        node = job.nodes[0]
-        arrival = sum(
-            flow.arrival_rate
-            for stage in job.stages
-            for name, flow in stage.flows.items()
-            if name == node.name
-        )
-        capacity_msgs = node.cores / job.cost.cpu_seconds_per_message
-        drain = max(capacity_msgs - arrival, arrival * 0.1)
-        estimate = estimate_drain_time(arrival, phase, drain,
-                                       blocked_fraction=0.5)
-        return min(max(estimate, self.min_delay_s), self.max_delay_s)
-
-
-# ----------------------------------------------------------------------
-# offline joint-space tuning
-# ----------------------------------------------------------------------
+__all__ = ["TunedConfig", "TuneReport", "tune"]
 
 
 @register

@@ -19,8 +19,9 @@ so the claim is testable:
   scheduling), here approximated with a small fixed pool.
 
 Used via :meth:`SilkPolicy.as_mitigation_plan` plus
-:func:`install_silk_pauses` on a built job; see the ablation benchmark
-``benchmarks/test_ablation_silk_baseline.py``.
+:func:`install_silk_pauses` on a built job; see
+:func:`repro.experiments.figures.ablation_silk` (``repro paper
+ablation_silk``).
 """
 
 from __future__ import annotations

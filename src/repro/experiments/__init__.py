@@ -1,23 +1,7 @@
-"""Experiment definitions: one function per paper table/figure, plus
-the parallel executor and serializable run summaries they share."""
+"""Experiment definitions: one function per paper table/figure
+(:mod:`.figures`), the claims table that checks them (:mod:`.claims`),
+plus the parallel executor and serializable run summaries they share."""
 
-from .figures import (
-    fig1_fig3_baseline_timeline,
-    fig6_point_in_time,
-    fig7_zoom_spans,
-    fig8_statistical,
-    fig12_delay_sweep,
-    fig13_flush_thread_sweep,
-    fig14_compaction_thread_sweep,
-    fig15_kneedle,
-    fig16_traffic_mitigation,
-    fig17_wordcount_tails,
-    fig18_wordcount_timeline,
-    fig19_traffic_nvme,
-    fig20_wordcount_nvme,
-    headline_reduction,
-    table1_checkpoint_stats,
-)
 from .parallel import (
     RunSpec,
     cache_dir,
@@ -54,21 +38,6 @@ __all__ = [
     "summarize_run",
     "sweep",
     "DEFAULT_SETTINGS",
-    "fig1_fig3_baseline_timeline",
-    "fig6_point_in_time",
-    "fig7_zoom_spans",
-    "fig8_statistical",
-    "fig12_delay_sweep",
-    "fig13_flush_thread_sweep",
-    "fig14_compaction_thread_sweep",
-    "fig15_kneedle",
-    "fig16_traffic_mitigation",
-    "fig17_wordcount_tails",
-    "fig18_wordcount_timeline",
-    "fig19_traffic_nvme",
-    "fig20_wordcount_nvme",
-    "headline_reduction",
-    "table1_checkpoint_stats",
     "render_series",
     "render_sweep",
     "render_table",

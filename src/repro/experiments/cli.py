@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import os
 import sys
@@ -27,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import ConfigurationError, ReproError
 from ..scenarios.library import scenario
 from ..scenarios.spec import ScenarioSpec
-from . import figures
+from .claims import FIGURES, evaluate
+from .figures import EXPERIMENTS, SCHEDULED, takes_jobs
 from .parallel import (
     CACHE_ENV,
     SHARDS_ENV,
@@ -46,11 +46,11 @@ __all__ = ["COMMANDS", "EXPERIMENTS", "main", "build_parser"]
 #: where that is not the plain traffic baseline (sweeps use their
 #: baseline point); see :func:`exemplar`.
 EXEMPLARS: Dict[str, ScenarioSpec] = {
-    "fig1": figures.SCHEDULED,
-    "fig3": figures.SCHEDULED,
-    "table1": figures.SCHEDULED,
-    "fig6": figures.SCHEDULED,
-    "fig7": figures.SCHEDULED,
+    "fig1": SCHEDULED,
+    "fig3": SCHEDULED,
+    "table1": SCHEDULED,
+    "fig6": SCHEDULED,
+    "fig7": SCHEDULED,
     "fig17": scenario("baseline_wordcount"),
     "fig18": scenario("baseline_wordcount"),
     "fig19": scenario("baseline_traffic", storage="nvme"),
@@ -62,27 +62,6 @@ def exemplar(experiment: str) -> ScenarioSpec:
     """The scenario ``repro trace``/``profile``/``run --faults`` run for
     *experiment*."""
     return EXEMPLARS.get(experiment, scenario("baseline_traffic"))
-
-
-#: CLI name -> experiment function.
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1": figures.fig1_fig3_baseline_timeline,
-    "fig3": figures.fig1_fig3_baseline_timeline,
-    "table1": figures.table1_checkpoint_stats,
-    "fig6": figures.fig6_point_in_time,
-    "fig7": figures.fig7_zoom_spans,
-    "fig8": figures.fig8_statistical,
-    "fig12": figures.fig12_delay_sweep,
-    "fig13": figures.fig13_flush_thread_sweep,
-    "fig14": figures.fig14_compaction_thread_sweep,
-    "fig15": figures.fig15_kneedle,
-    "fig16": figures.fig16_traffic_mitigation,
-    "fig17": figures.fig17_wordcount_tails,
-    "fig18": figures.fig18_wordcount_timeline,
-    "fig19": figures.fig19_traffic_nvme,
-    "fig20": figures.fig20_wordcount_nvme,
-    "headline": figures.headline_reduction,
-}
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +234,6 @@ def _print_violations(violations, file=None) -> None:
         print(f"  [{v['time']:.1f}s] {v['invariant']}: {v['message']}", file=file)
 
 
-def _takes_jobs(experiment: Callable) -> bool:
-    """Whether *experiment* runs through the sweep executor."""
-    return "jobs" in inspect.signature(experiment).parameters
-
-
 def _summarize(name: str, out: dict) -> str:
     """Render the parts of an experiment dict a terminal reader wants."""
     lines: List[str] = [f"== {name} =="]
@@ -362,9 +336,9 @@ def _run_command(args) -> int:
             "'repro run' needs an experiment name or --scenario NAME"
         )
     experiment = EXPERIMENTS[args.experiment]
-    sweeps = _takes_jobs(experiment)
+    sweeps = takes_jobs(experiment)
     if args.shards is not None and not sweeps:
-        accepting = [n for n in sorted(EXPERIMENTS) if _takes_jobs(EXPERIMENTS[n])]
+        accepting = [n for n in sorted(EXPERIMENTS) if takes_jobs(EXPERIMENTS[n])]
         raise ConfigurationError(
             f"{args.experiment} reports on one live simulation and cannot "
             f"be sharded; --shards applies to {', '.join(accepting)} and "
@@ -439,6 +413,34 @@ def _run_faulted(args) -> int:
         return 1
     print("invariant violations: 0")
     return 0
+
+
+def _figure(name: str) -> str:
+    """``choices`` for a ``nargs="*"`` positional: argparse's own
+    ``choices`` rejects the empty list before Python 3.12."""
+    if name not in FIGURES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(FIGURES)})"
+        )
+    return name
+
+
+@command(
+    "paper",
+    "check the paper's claims: run each figure at the standard settings and "
+    "print the paper-vs-measured table (exit 1 if a claim fails)",
+    flag("figures", nargs="*", metavar="figure", type=_figure,
+         help="check only these figures' rows (default: the whole table); "
+              f"one of {', '.join(FIGURES)}"),
+    _jobs("worker processes for sweep figures (default serial; 0 = one per "
+          "core)"),
+    _no_cache(),
+    _json("dump the ClaimsReport as JSON"),
+)
+def _paper_command(args) -> int:
+    with _harness_env(args.no_cache):
+        report = evaluate(args.figures, jobs=args.jobs)
+    return _finish(args, report)
 
 
 @command(

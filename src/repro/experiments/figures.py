@@ -3,26 +3,34 @@
 Each function runs the relevant experiment(s) with the standard
 settings and returns a plain dict of the series/rows the paper plots,
 plus the derived quantities the reproduction is judged on (spike
-period, knee position, reduction ratios).  The benchmark suite under
-``benchmarks/`` calls these and asserts the *shape* criteria from
-DESIGN.md §4.
+period, knee position, reduction ratios).  The claims table
+(:mod:`repro.experiments.claims`, ``repro paper``) calls these and
+checks the *shape* criteria of DESIGN.md §4 and §6.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import inspect
+from dataclasses import replace
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..analysis.longtail import find_spikes, reduction_ratio, spike_period
 from ..analysis.overlap import burst_alignment
+from ..apps.traffic_job import build_traffic_job
+from ..config import CheckpointConfig, ClusterConfig, CostModel
 from ..core.allocation import (
     concurrency_latency_curve,
     recommend_compaction_threads,
 )
 from ..core.mitigation import MitigationPlan
+from ..core.silk import SilkPolicy, install_silk_pauses
+from ..faults.capacity import capacity_dip
 from ..scenarios.library import scenario
 from ..scenarios.run import run_scenario
+from ..sim.process import spawn
+from ..stream import ConstantSource, StageSpec, StreamJob
 from .parallel import RunSpec, run_grid, sweep
 from .runner import DEFAULT_SETTINGS, ExperimentSettings
 
@@ -42,15 +50,21 @@ __all__ = [
     "fig19_traffic_nvme",
     "fig20_wordcount_nvme",
     "headline_reduction",
+    "ablation_mitigations",
+    "ablation_gc_pauses",
+    "ablation_silk",
+    "ablation_checkpoint_mode",
+    "EXPERIMENTS",
+    "ABLATIONS",
+    "takes_jobs",
 ]
 
 
-def _timeline(result, settings: ExperimentSettings, window: Optional[float] = None):
+def _timeline(result, settings: ExperimentSettings):
     start, end = settings.measure_span
-    times, p999 = result.latency_timeline(
-        0.999, window=window or settings.coarse_window_s, start=start, end=end
+    return result.latency_timeline(
+        0.999, window=settings.coarse_window_s, start=start, end=end
     )
-    return times, p999
 
 
 #: §3.2's scheduled-ShadowSync deployment: 16 s checkpoints with the
@@ -316,10 +330,8 @@ def fig15_kneedle(
     Kneedle finds the knee of the latency-vs-concurrency curve.  The
     knee falls at the CPU headroom (16 cores − 12 steady ≈ 4), matching
     Figure 14's brute-force best allocation."""
-    long_settings = ExperimentSettings(
-        duration_s=max(settings.duration_s, 280.0),
-        warmup_s=settings.warmup_s,
-        seed=settings.seed,
+    long_settings = replace(
+        settings, duration_s=max(settings.duration_s, 280.0)
     )
     (summary,) = run_grid(
         [
@@ -433,7 +445,11 @@ def fig20_wordcount_nvme(
 ) -> Dict:
     """Figure 20: WordCount on NVMe — baseline degrades vs tmpfs and
     the mitigations still remove the ShadowSync spikes."""
-    return _baseline_vs_solution("baseline_wordcount", settings, storage="nvme", jobs=jobs)
+    out = _baseline_vs_solution("baseline_wordcount", settings, storage="nvme", jobs=jobs)
+    # the figure's claim is a comparison against Figure 17's baseline
+    tmpfs = fig17_wordcount_tails(settings, jobs)
+    out["tmpfs_baseline_p999"] = tmpfs["baseline"]["tails"]["p999"]
+    return out
 
 
 def headline_reduction(
@@ -464,3 +480,211 @@ def headline_reduction(
         "reduction_p999": reduction_ratio(b["p999"], f["p999"]),
         "reduction_p95": reduction_ratio(b["p95"], f["p95"]),
     }
+
+
+# ----------------------------------------------------------------------
+# ablations (DESIGN.md §6) — not in the paper; claim-only ids
+# ----------------------------------------------------------------------
+
+def _traffic_p999(plans: Dict, settings: ExperimentSettings, jobs) -> Dict:
+    """Whole-run p99.9 of ``baseline_traffic`` under each plan of *plans*."""
+    summaries = sweep(
+        list(plans),
+        lambda name: RunSpec(
+            scenario=scenario("baseline_traffic", mitigation=plans[name]),
+            settings=settings,
+            label=str(name),
+        ),
+        jobs=jobs,
+    )
+    return {name: summary.tails["p999"] for name, summary in zip(plans, summaries)}
+
+
+def ablation_mitigations(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    jobs: Optional[int] = None,
+) -> Dict:
+    """Ablations A and B: decompose the §4.1 solution into its two
+    techniques (the paper only evaluates the combination), and vary the
+    randomized trigger's α spread around the paper's choice of the
+    4-checkpoint cycle length."""
+    techniques = {
+        "baseline": MitigationPlan.baseline(),
+        "random-only": MitigationPlan(randomize_compaction_trigger=True),
+        "delay-only": MitigationPlan(compaction_delay_s=1.0),
+        "both": MitigationPlan.paper_solution(),
+    }
+    spreads = {
+        spread: MitigationPlan(
+            randomize_compaction_trigger=True,
+            trigger_spread=spread,
+            compaction_delay_s=1.0,
+        )
+        for spread in (1, 2, 4, 8)
+    }
+    return {
+        "p999": _traffic_p999(techniques, settings, jobs),
+        "spread_p999": _traffic_p999(spreads, settings, jobs),
+    }
+
+
+def _live_traffic(settings: ExperimentSettings, plan=None, cost=None, prepare=None):
+    """One live ``baseline_traffic`` deployment; *prepare* hooks the
+    built job before it runs."""
+    job = build_traffic_job(
+        checkpoint_interval_s=8.0, initial_l0="aligned", seed=settings.seed,
+        mitigation=plan, cost=cost,
+    )
+    if prepare is not None:
+        prepare(job)
+    return job.run(settings.duration_s)
+
+
+def _gc_pauses(job, interval_s=17.3, pause_s=0.35, jitter=0.3, first_at_s=5.0):
+    """Periodic stop-the-world GC pauses on every node of *job*."""
+    sim = job.sim
+
+    def loop(node):
+        rng = sim.rng.stream(f"gc/{node.name}")
+        yield first_at_s
+        while True:
+            spawn(sim, capacity_dip(sim, node.cpu, 0.0, pause_s))
+            wait = interval_s * (1.0 + jitter * (2.0 * rng.random() - 1.0))
+            yield max(wait, pause_s)
+
+    for node in job.nodes:
+        spawn(sim, loop(node), name=f"gc-injector-{node.name}")
+
+
+def ablation_gc_pauses(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
+    """Ablation C: other ShadowSync sources (§6, the paper's future
+    work).  Periodic stop-the-world pauses injected into the *mitigated*
+    traffic job create a tail the LSM mitigations do not address."""
+    plan = MitigationPlan.paper_solution()
+    quiet = _live_traffic(settings, plan)
+    paused = _live_traffic(settings, plan, prepare=_gc_pauses)
+    return {
+        "quiet": quiet.tail_summary(start=settings.warmup_s),
+        "with_gc": paused.tail_summary(start=settings.warmup_s),
+    }
+
+
+def _submit_concentration(result) -> float:
+    """Largest share of compactions *scheduled* in a single checkpoint.
+
+    Bucketed by submission time: SILK's small pool queues the jobs, so
+    execution smears — but the trigger synchronization (ShadowSync's
+    root) is visible in when they were scheduled."""
+    counts = result.spans.per_cycle_counts(
+        result.coordinator.checkpoint_times(), kind="compaction", by="submit"
+    )
+    total = sum(counts.values())
+    return max(counts.values()) / total if total else 0.0
+
+
+def ablation_silk(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
+    """Ablation D: a SILK-style I/O scheduler vs the paper's
+    desynchronization (§7).  SILK (flush priority + throttled compaction
+    pool) reduces burst *intensity*, but the bursts stay synchronized on
+    every 4th checkpoint, and under a compaction-heavier cost model the
+    throttled pool falls behind while the full-pool solution does not."""
+    silk = SilkPolicy()
+    heavy = CostModel(compaction_cpu_seconds_per_mb=0.7)
+
+    def pauses(job):
+        install_silk_pauses(job, silk)
+
+    def p999(result):
+        return result.tail_summary(start=settings.warmup_s)["p999"]
+
+    base = _live_traffic(settings)
+    throttled = _live_traffic(settings, silk.as_mitigation_plan(), prepare=pauses)
+    solution = _live_traffic(settings, MitigationPlan.paper_solution())
+    heavy_silk = _live_traffic(
+        settings, silk.as_mitigation_plan(), cost=heavy, prepare=pauses
+    )
+    heavy_solution = _live_traffic(
+        settings, MitigationPlan.paper_solution(), cost=heavy
+    )
+    return {
+        "p999": {
+            "baseline": p999(base),
+            "silk": p999(throttled),
+            "solution": p999(solution),
+        },
+        "concentration": {
+            "silk": _submit_concentration(throttled),
+            "solution": _submit_concentration(solution),
+        },
+        "heavy_p999": {"silk": p999(heavy_silk), "solution": p999(heavy_solution)},
+        "heavy_write_stalls": {
+            "silk": heavy_silk.job.backend.write_stall_events,
+            "solution": heavy_solution.job.backend.write_stall_events,
+        },
+    }
+
+
+def ablation_checkpoint_mode(
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+) -> Dict:
+    """Ablation E: incremental vs full-snapshot checkpoints.  A
+    full-snapshot backend serializes the whole keyed state every
+    checkpoint — the cost incremental backup (§1, [8]) exists to avoid —
+    yet ShadowSync exists even with incremental checkpoints."""
+    out: Dict = {"p999": {}, "checkpoint_gb": {}}
+    for mode, incremental in (("incremental", True), ("full", False)):
+        result = StreamJob(
+            stages=[
+                StageSpec("s0", parallelism=64, state_entry_bytes=1000.0,
+                          distinct_keys=60000, selectivity=1.0),
+                StageSpec("s1", parallelism=64, state_entry_bytes=2500.0,
+                          distinct_keys=10000, selectivity=0.01),
+            ],
+            source=ConstantSource(60000.0),
+            cluster=ClusterConfig(num_nodes=4, cores_per_node=16),
+            checkpoint=CheckpointConfig(interval_s=8.0, first_at_s=8.0,
+                                        incremental=incremental),
+            seed=settings.seed,
+        ).run(settings.duration_s)
+        out["p999"][mode] = result.tail_summary(start=settings.warmup_s)["p999"]
+        out["checkpoint_gb"][mode] = (
+            sum(record.bytes for record in result.coordinator.completed) / 1e9
+        )
+    return out
+
+
+#: CLI name -> experiment function: the ids ``repro run`` / ``trace`` /
+#: ``profile`` accept and the claims table resolves its rows through.
+EXPERIMENTS: Dict[str, Callable] = {
+    "fig1": fig1_fig3_baseline_timeline,
+    "fig3": fig1_fig3_baseline_timeline,
+    "table1": table1_checkpoint_stats,
+    "fig6": fig6_point_in_time,
+    "fig7": fig7_zoom_spans,
+    "fig8": fig8_statistical,
+    "fig12": fig12_delay_sweep,
+    "fig13": fig13_flush_thread_sweep,
+    "fig14": fig14_compaction_thread_sweep,
+    "fig15": fig15_kneedle,
+    "fig16": fig16_traffic_mitigation,
+    "fig17": fig17_wordcount_tails,
+    "fig18": fig18_wordcount_timeline,
+    "fig19": fig19_traffic_nvme,
+    "fig20": fig20_wordcount_nvme,
+    "headline": headline_reduction,
+}
+
+
+def takes_jobs(experiment: Callable) -> bool:
+    """Whether *experiment* runs through the sweep executor."""
+    return "jobs" in inspect.signature(experiment).parameters
+
+
+#: Claim-only ids: ``repro paper`` evaluates them, ``repro run`` does
+#: not offer them.
+ABLATIONS: Dict[str, Callable] = {
+    "ablation_mitigations": ablation_mitigations,
+    "ablation_gc": ablation_gc_pauses,
+    "ablation_silk": ablation_silk,
+    "ablation_checkpoint": ablation_checkpoint_mode,
+}

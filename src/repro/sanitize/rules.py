@@ -15,7 +15,7 @@ The built-in rules:
 ``DS101 wall-clock``
     Wall-clock reads (``time.time``, ``time.monotonic``,
     ``perf_counter``, ``datetime.now`` ...).  Simulation code must use
-    ``sim.now``; only the benchmark harness (``benchmarks/``, outside
+    ``sim.now``; only the benchmark harness (``perfbench/``, outside
     the linted tree) may time real execution.
 ``DS102 unseeded-rng``
     Module-level ``random`` / ``numpy.random`` draws and unseeded RNG

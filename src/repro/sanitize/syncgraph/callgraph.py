@@ -52,8 +52,8 @@ CALLBACK_REGISTRARS = frozenset({
 #: Keyword arguments that register completion callbacks on jobs/tasks.
 CALLBACK_KEYWORDS = frozenset({"on_complete", "on_done", "callback"})
 
-#: ``X.observers.append(fn)`` / ``X.on_trigger.append(fn)`` style sinks.
-CALLBACK_SINKS = frozenset({"observers", "on_trigger", "callbacks"})
+#: ``X.observers.append(fn)`` / ``X.callbacks.append(fn)`` style sinks.
+CALLBACK_SINKS = frozenset({"observers", "callbacks"})
 
 
 def module_name_for(path: Path) -> str:

@@ -234,10 +234,6 @@ OWNERSHIP_TRANSFERS: Dict[str, str] = {
               "bookkeeping sets/clears event._queue when an event is "
               "scheduled, cancelled or drained — the queue owns the "
               "event while it is enqueued",
-    "l0_trigger_policy": "the online autotuner retunes store options "
-                         "between checkpoints; the backend re-reads "
-                         "them at the next flush decision (declared "
-                         "tuning handoff)",
     "compaction_input_mb": "MetricsCollector aggregates compaction "
                            "input into the per-checkpoint stats row it "
                            "owns until the row is published read-only",

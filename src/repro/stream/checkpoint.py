@@ -113,8 +113,6 @@ class CheckpointCoordinator:
         self._latest_snapshot: Dict[str, Tuple[int, float, dict]] = {}
         #: Restore operations performed, for summaries and tests.
         self.restore_events: List[dict] = []
-        #: Callbacks invoked with the trigger time of every checkpoint.
-        self.on_trigger: List = []
 
     def start(self) -> None:
         # A trigger time t is the *boundary* of the interval it closes:
@@ -171,8 +169,6 @@ class CheckpointCoordinator:
             )
         if self.collector is not None:
             self.collector.note_checkpoint(self.sim.now)
-        for callback in self.on_trigger:
-            callback(self.sim.now)
 
         pending = [0]  # boxed counter shared by the ack closures
         self._in_flight += 1
