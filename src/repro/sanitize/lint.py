@@ -24,7 +24,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import ConfigurationError, did_you_mean
 from .rules import RULES, Rule, RuleContext
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
+
+#: Rule-ID prefix of the project-aware family, the only rules that read
+#: the project call graph.
+_PROJECT_FAMILY = "DS2"
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,19 @@ def _select_rules(rules: Optional[Iterable[str]]) -> List[Rule]:
     return selected
 
 
+def _syntax_finding(path: str, exc: SyntaxError) -> Finding:
+    """DS000 diagnostic for a file that does not parse."""
+    return Finding(
+        path=path,
+        line=exc.lineno or 1,
+        col=(exc.offset or 1) - 1,
+        rule_id="DS000",
+        rule_name="syntax-error",
+        message=f"file does not parse: {exc.msg}",
+        hint="fix the syntax error; nothing else was checked",
+    )
+
+
 def lint_source(
     source: str,
     path: str = "<string>",
@@ -157,21 +174,23 @@ def lint_source(
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule_id="DS000",
-                rule_name="syntax-error",
-                message=f"file does not parse: {exc.msg}",
-                hint="fix the syntax error; nothing else was checked",
-            )
-        ]
+        return [_syntax_finding(path, exc)]
+    return _lint_tree(path, tree, source, _select_rules(rules), project)
+
+
+def _lint_tree(
+    path: str,
+    tree: Optional[ast.Module],
+    source: str,
+    selected: List[Rule],
+    project,
+) -> List[Finding]:
+    """Run the *selected* rules over one parsed file (*tree* is ``None``
+    when only project rules run against a finished *project*)."""
     ctx = RuleContext(path, tree, source, project=project)
     allowed = _allowed_rules(source)
     findings: List[Finding] = []
-    for rule in _select_rules(rules):
+    for rule in selected:
         for node, message in rule.check(ctx):
             line = getattr(node, "lineno", 1)
             if _is_suppressed(line, rule, allowed):
@@ -246,34 +265,48 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint every ``.py`` file under *paths* (files or directories).
 
-    The whole file set is indexed into one project call graph first, so
-    the project-aware DS2xx rules see cross-module call chains.
-    Unreadable and non-UTF-8 files produce a ``DS000`` diagnostic
-    instead of aborting the run.
+    Each file is parsed once and its per-file rules run on that tree.
+    When a project-aware DS2xx rule is selected, every tree is also
+    indexed into one project call graph, so those rules see
+    cross-module call chains; they run once the graph is complete and
+    read the graph, not the trees, so no tree outlives its own file.
+    Unreadable, non-UTF-8 and unparsable files produce a ``DS000``
+    diagnostic instead of aborting the run.
     """
     from .syncgraph.callgraph import build_project
 
-    _select_rules(rules)  # validate labels before any file IO
+    selected = _select_rules(rules)  # validate labels before any file IO
+    project_rules = [r for r in selected if r.id.startswith(_PROJECT_FAMILY)]
+    file_rules = [r for r in selected if r not in project_rules]
     findings: List[Finding] = []
-    sources: List[tuple] = []
-    for path in iter_python_files(paths):
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(_unreadable_finding(path, exc))
-            continue
-        sources.append((path, text))
-    parsed = []
-    for path, text in sources:
-        try:
-            parsed.append((str(path), ast.parse(text, filename=str(path))))
-        except SyntaxError:
-            continue  # lint_source re-parses and reports DS000
-    project = build_project(parsed)
-    for path, text in sources:
-        findings.extend(
-            lint_source(text, path=str(path), rules=rules, project=project)
-        )
+    linted: List[Tuple[str, str]] = []
+
+    def lint_each() -> Iterator[Tuple[str, ast.Module]]:
+        """Parse and lint one file at a time, yielding each tree for
+        indexing."""
+        for path in iter_python_files(paths):
+            name = str(path)
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                findings.append(_unreadable_finding(path, exc))
+                continue
+            try:
+                tree = ast.parse(text, filename=name)
+            except SyntaxError as exc:
+                findings.append(_syntax_finding(name, exc))
+                continue
+            findings.extend(_lint_tree(name, tree, text, file_rules, None))
+            linted.append((name, text))
+            yield name, tree
+
+    if project_rules:
+        project = build_project(lint_each())
+        for path, text in linted:
+            findings.extend(_lint_tree(path, None, text, project_rules, project))
+    else:
+        for _ in lint_each():
+            pass
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 

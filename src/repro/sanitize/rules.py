@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Rule", "RuleContext", "RULES", "rule", "qualified_name"]
@@ -71,35 +72,47 @@ def rule(id: str, name: str, summary: str, hint: str):
 
 
 class RuleContext:
-    """Per-file state shared by every rule: the tree plus import aliases.
+    """Per-file state shared by every rule: the tree, its nodes and its
+    import aliases.
 
     *project* is the shared :class:`~repro.sanitize.syncgraph.callgraph.
     ProjectGraph` when linting a whole tree; the project-aware DS2xx
     rules build a single-file graph on demand when it is ``None``.
+    *tree* is ``None`` only beside a *project*, for those rules alone.
     """
 
     def __init__(
-        self, path: str, tree: ast.Module, source: str, project=None
+        self, path: str, tree: Optional[ast.Module], source: str, project=None
     ) -> None:
         self.path = path
         self.tree = tree
         self.source = source
         self.project = project
-        #: Local name -> dotted origin ("np" -> "numpy",
-        #: "perf_counter" -> "time.perf_counter").
-        self.aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
+
+    @cached_property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of the tree in ``ast.walk`` order: the one walk
+        the per-node rules share."""
+        return list(ast.walk(self.tree))
+
+    @cached_property
+    def aliases(self) -> Dict[str, str]:
+        """Local name -> dotted origin ("np" -> "numpy",
+        "perf_counter" -> "time.perf_counter")."""
+        aliases: Dict[str, str] = {}
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     local = item.asname or item.name.split(".")[0]
                     target = item.name if item.asname else item.name.split(".")[0]
-                    self.aliases[local] = target
+                    aliases[local] = target
             elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
                 for item in node.names:
                     if item.name == "*":
                         continue
                     local = item.asname or item.name
-                    self.aliases[local] = f"{node.module}.{item.name}"
+                    aliases[local] = f"{node.module}.{item.name}"
+        return aliases
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted origin of a Name/Attribute chain, or ``None``."""
@@ -149,7 +162,7 @@ WALL_CLOCK_CALLS = frozenset({
 )
 def check_wall_clock(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     seen = set()
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, (ast.Attribute, ast.Name)):
             continue
         resolved = ctx.resolve(node)
@@ -189,7 +202,7 @@ _NP_SEEDED_CTORS = frozenset({
     "seeded random.Random(seed)",
 )
 def check_unseeded_rng(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, ast.Call):
             continue
         resolved = ctx.resolve(node.func)
@@ -262,7 +275,7 @@ def _unordered_reason(node: ast.AST, ctx: RuleContext) -> Optional[str]:
 )
 def check_unordered_iter(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     iterables: List[ast.AST] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, (ast.For, ast.AsyncFor)):
             iterables.append(node.iter)
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -309,7 +322,7 @@ def _is_mutable_value(node: ast.AST, ctx: RuleContext) -> bool:
     "default to None and build the object inside the function body",
 )
 def check_mutable_default(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         args = node.args

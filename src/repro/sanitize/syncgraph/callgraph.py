@@ -2,8 +2,8 @@
 
 The DS2xx rules need more context than one file's AST: whether a
 blocking call is *reachable from the event-dispatch layer* is a
-property of the whole call graph.  :func:`build_project` parses every
-file once and produces a :class:`ProjectGraph` — functions indexed by
+property of the whole call graph.  :func:`build_project` indexes every
+parsed file once into a :class:`ProjectGraph` — functions indexed by
 module-qualified name, call edges with best-effort resolution, and the
 set of functions registered as simulator callbacks (the dispatch
 roots).
@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "CallSite",
@@ -35,7 +35,6 @@ __all__ = [
     "WriteSite",
     "ProjectGraph",
     "build_project",
-    "project_from_paths",
     "module_name_for",
 ]
 
@@ -54,6 +53,10 @@ CALLBACK_KEYWORDS = frozenset({"on_complete", "on_done", "callback"})
 
 #: ``X.observers.append(fn)`` / ``X.callbacks.append(fn)`` style sinks.
 CALLBACK_SINKS = frozenset({"observers", "callbacks"})
+
+#: Gate-acquiring vocabulary for the DS204 ordering analysis.
+GATE_ATTRS = frozenset({"acquire", "lock", "pause", "claim", "trigger",
+                        "flush_instance"})
 
 
 def module_name_for(path: Path) -> str:
@@ -101,6 +104,10 @@ class WriteSite:
     writer_is_class: bool = False
 
 
+#: ``(gate1, gate2) -> [(function, second-acquisition site)]``.
+GateOrders = Dict[Tuple[str, str], List[Tuple[str, CallSite]]]
+
+
 @dataclass
 class FunctionInfo:
     """One function, method, nested function or lambda in the project."""
@@ -131,6 +138,10 @@ class ProjectGraph:
     foreign_writes: Dict[str, List[WriteSite]] = field(default_factory=dict)
     #: Dispatch closure: callback roots plus everything they reach.
     _reachable: Optional[Dict[str, Optional[str]]] = None
+    #: path -> callsites located in that file, see :meth:`calls_in`.
+    _calls_by_path: Optional[Dict[str, List[CallSite]]] = None
+    #: See :meth:`gate_orders`.
+    _gate_orders: Optional[GateOrders] = None
 
     # ------------------------------------------------------------------
     # queries
@@ -171,6 +182,43 @@ class ProjectGraph:
             cursor = parent.get(cursor)
         return list(reversed(chain))
 
+    def calls_in(self, path: str) -> List[CallSite]:
+        """Callsites located in *path*: callers in sorted order, each
+        caller's sites in source order.  The table is built once, for
+        every file, on first use."""
+        if self._calls_by_path is None:
+            by_path: Dict[str, List[CallSite]] = {}
+            for caller in sorted(self.calls):
+                for site in self.calls[caller]:
+                    by_path.setdefault(site.path, []).append(site)
+            self._calls_by_path = by_path
+        return self._calls_by_path.get(path, [])
+
+    def gate_orders(self) -> GateOrders:
+        """``(gate1, gate2) -> [(function, second-acquisition site)]``:
+        every function that acquires *gate1* before *gate2*."""
+        if self._gate_orders is not None:
+            return self._gate_orders
+        orders: GateOrders = {}
+        for caller in sorted(self.calls):
+            gates: List[Tuple[str, CallSite]] = []
+            seen: set = set()
+            for site in self.calls[caller]:
+                if site.literal_base or site.attr not in GATE_ATTRS:
+                    continue
+                gate = _gate_id(site)
+                if gate in seen:
+                    continue
+                seen.add(gate)
+                gates.append((gate, site))
+            for i, (first, _) in enumerate(gates):
+                for second, second_site in gates[i + 1:]:
+                    orders.setdefault((first, second), []).append(
+                        (caller, second_site)
+                    )
+        self._gate_orders = orders
+        return orders
+
     def unique_method(self, name: str) -> Optional[str]:
         """The single project function called *name*, if unambiguous."""
         owners = self.by_name.get(name, [])
@@ -188,11 +236,32 @@ class ProjectGraph:
         self.calls.setdefault(site.caller, []).append(site)
 
 
+def _gate_id(site: CallSite) -> str:
+    if site.attr in ("acquire", "lock", "pause") and site.base:
+        return site.base.rsplit(".", 1)[-1]
+    return site.attr
+
+
+def _statements(tree: ast.Module) -> List[ast.AST]:
+    """The tree minus every expression subtree, in ``ast.walk`` order.
+
+    Expressions never contain statements, so this still holds every
+    import, at a fraction of a full walk's cost.
+    """
+    nodes: List[ast.AST] = [tree]
+    for node in nodes:
+        nodes.extend(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, ast.expr)
+        )
+    return nodes
+
+
 def _import_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
     """Local name -> dotted origin, resolving relative imports too."""
     aliases: Dict[str, str] = {}
     package_parts = module.split(".")[:-1]
-    for node in ast.walk(tree):
+    for node in _statements(tree):
         if isinstance(node, ast.Import):
             for item in node.names:
                 local = item.asname or item.name.split(".")[0]
@@ -437,9 +506,13 @@ def _resolve_site(
 
 
 def build_project(
-    sources: Sequence[Tuple[str, ast.Module]],
+    sources: Iterable[Tuple[str, ast.Module]],
 ) -> ProjectGraph:
-    """Index ``(path, tree)`` pairs into one :class:`ProjectGraph`."""
+    """Index ``(path, tree)`` pairs into one :class:`ProjectGraph`.
+
+    *sources* is consumed once, in order, and no tree is kept: a
+    generator lets each tree go as soon as it is indexed.
+    """
     graph = ProjectGraph()
     indexers: List[_FileIndexer] = []
     for path, tree in sources:
@@ -475,16 +548,3 @@ def build_project(
             graph.callback_roots[target] = (site.path, site.lineno, registrar)
     graph._reachable = None
     return graph
-
-
-def project_from_paths(paths: Sequence[Path]) -> ProjectGraph:
-    """Parse *paths* (skipping unreadable files) and build the graph."""
-    sources: List[Tuple[str, ast.Module]] = []
-    for path in paths:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-            tree = ast.parse(text, filename=str(path))
-        except (OSError, UnicodeDecodeError, SyntaxError):
-            continue
-        sources.append((str(path), tree))
-    return build_project(sources)

@@ -31,10 +31,10 @@ are *project-aware*: they consult the static call graph
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..rules import RuleContext, rule
-from .callgraph import CallSite, ProjectGraph, build_project
+from .callgraph import ProjectGraph, build_project
 from .catalog import (
     DECLARED_SYNC_MODULES,
     OWNERSHIP_TRANSFERS,
@@ -85,10 +85,6 @@ PUT_ATTRS = frozenset({"append", "appendleft", "put", "put_nowait", "extend"})
 QUEUE_NAME_HINTS = ("queue", "pending", "backlog", "buffer", "inbox",
                     "mailbox", "jobs", "tasks")
 
-#: Gate-acquiring vocabulary for DS204 ordering analysis.
-GATE_ATTRS = frozenset({"acquire", "lock", "pause", "claim", "trigger",
-                        "flush_instance"})
-
 
 class _Site:
     """Positional anchor for findings derived from callgraph records."""
@@ -108,13 +104,6 @@ def project_for(ctx: RuleContext) -> ProjectGraph:
         project = build_project([(ctx.path, ctx.tree)])
         ctx.project = project
     return project
-
-
-def _file_calls(graph: ProjectGraph, path: str) -> Iterator[CallSite]:
-    for caller in sorted(graph.calls):
-        for site in graph.calls[caller]:
-            if site.path == path:
-                yield site
 
 
 def _short(qualname: str) -> str:
@@ -143,7 +132,7 @@ def check_hidden_blocking_call(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]
         if prim.blocking
     }
     reachable = graph.dispatch_reachable()
-    for site in _file_calls(graph, ctx.path):
+    for site in graph.calls_in(ctx.path):
         if site.literal_base or site.attr not in blocking:
             continue
         if site.caller not in reachable:
@@ -174,7 +163,7 @@ def check_hidden_blocking_call(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]
 def check_undeclared_sync(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     graph = project_for(ctx)
     cataloged = set(primitives_by_method())
-    for site in _file_calls(graph, ctx.path):
+    for site in graph.calls_in(ctx.path):
         if site.literal_base:
             continue
         dotted = f"{site.base}.{site.attr}" if site.base else site.attr
@@ -239,36 +228,6 @@ def check_unowned_shared_state(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]
 # ----------------------------------------------------------------------
 
 
-def _gate_id(site: CallSite) -> str:
-    if site.attr in ("acquire", "lock", "pause") and site.base:
-        return site.base.rsplit(".", 1)[-1]
-    return site.attr
-
-
-def _gate_orders(
-    graph: ProjectGraph,
-) -> Dict[Tuple[str, str], List[Tuple[str, CallSite]]]:
-    """``(gate1, gate2) -> [(function, second-acquisition site)]``."""
-    orders: Dict[Tuple[str, str], List[Tuple[str, CallSite]]] = {}
-    for caller in sorted(graph.calls):
-        gates: List[Tuple[str, CallSite]] = []
-        seen: set = set()
-        for site in graph.calls[caller]:
-            if site.literal_base or site.attr not in GATE_ATTRS:
-                continue
-            gate = _gate_id(site)
-            if gate in seen:
-                continue
-            seen.add(gate)
-            gates.append((gate, site))
-        for i, (first, _) in enumerate(gates):
-            for second, second_site in gates[i + 1:]:
-                orders.setdefault((first, second), []).append(
-                    (caller, second_site)
-                )
-    return orders
-
-
 @rule(
     "DS204",
     "gate-order-hazard",
@@ -278,7 +237,7 @@ def _gate_orders(
 )
 def check_gate_order(ctx: RuleContext) -> Iterator[Tuple[ast.AST, str]]:
     graph = project_for(ctx)
-    orders = _gate_orders(graph)
+    orders = graph.gate_orders()
     reported: set = set()
     for (g1, g2) in sorted(orders):
         if (g2, g1) not in orders or g1 >= g2:

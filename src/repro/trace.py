@@ -64,6 +64,10 @@ _FORMAT_TAG = "repro.trace"
 
 _EVENT_KEYS = ("name", "cat", "ph", "ts", "dur", "tid", "args")
 
+#: One compact, key-sorted encoder for every JSONL line (``json.dumps``
+#: with these options would build a fresh encoder per line).
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 class TraceEvent:
     """One trace record.
@@ -251,11 +255,10 @@ class Tracer:
             "tid": "",
             "args": {"format": _FORMAT_TAG, "schema": TRACE_SCHEMA_VERSION},
         }
-        yield json.dumps(header, sort_keys=True, separators=(",", ":"))
+        encode = _JSONL_ENCODER.encode
+        yield encode(header)
         for event in self.events:
-            yield json.dumps(
-                event.to_dict(), sort_keys=True, separators=(",", ":")
-            )
+            yield encode(event.to_dict())
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="utf-8") as handle:

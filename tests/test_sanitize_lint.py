@@ -17,7 +17,25 @@ from repro.sanitize import (
 FIXTURES = Path(__file__).parent / "data" / "lint_fixtures"
 VIOLATIONS = FIXTURES / "violations.py"
 CLEAN = FIXTURES / "clean.py"
-PACKAGE = Path(__file__).parents[1] / "src" / "repro"
+REPO = Path(__file__).parents[1]
+PACKAGE = REPO / "src" / "repro"
+GOLDEN = Path(__file__).parent / "data" / "lint_findings_golden.json"
+GOLDEN_TARGETS = (FIXTURES, REPO / "perfbench")
+GOLDEN_RULES = (None, ["DS1xx"], ["DS2xx"], ["DS103"])
+
+
+def lint_golden() -> dict:
+    """``"<target> <rules>" -> findings`` over the golden grid, with
+    paths relative to the repository root."""
+    golden = {}
+    for target in GOLDEN_TARGETS:
+        for rules in GOLDEN_RULES:
+            key = f"{target.relative_to(REPO).as_posix()} {','.join(rules or ['all'])}"
+            golden[key] = [
+                dict(f.to_dict(), path=Path(f.path).relative_to(REPO).as_posix())
+                for f in lint_paths([target], rules=rules)
+            ]
+    return golden
 
 
 def test_rule_registry_is_complete():
@@ -133,6 +151,50 @@ def test_overlapping_paths_lint_each_file_once():
     once = lint_paths([FIXTURES])
     twice = lint_paths([FIXTURES, VIOLATIONS, FIXTURES])
     assert [f.location for f in twice] == [f.location for f in once]
+
+
+def test_findings_match_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert lint_golden() == golden
+
+
+def test_lint_paths_parses_each_file_once(monkeypatch):
+    import ast
+
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        parsed.append(filename)
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    lint_paths([FIXTURES])
+    assert sorted(parsed) == sorted(str(p) for p in FIXTURES.rglob("*.py"))
+
+
+def test_ds1xx_lint_never_builds_the_project_graph(monkeypatch):
+    from repro.sanitize.syncgraph import callgraph
+
+    def refuse(sources):
+        raise AssertionError("DS1xx rules do not read the project graph")
+
+    monkeypatch.setattr(callgraph, "build_project", refuse)
+    findings = lint_paths([FIXTURES], rules=["DS1xx"])
+    assert [f.rule_id for f in findings] == [
+        "DS101", "DS102", "DS102", "DS103", "DS104", "DS105",
+    ]
+
+
+def test_unparsable_file_in_tree_reports_ds000(tmp_path):
+    (tmp_path / "broken.py").write_text("def broken(:\n")
+    (tmp_path / "ok.py").write_text("import time\nT = time.time()\n")
+    assert [f.rule_name for f in lint_paths([tmp_path])] == [
+        "syntax-error", "wall-clock",
+    ]
+    assert [f.rule_name for f in lint_paths([tmp_path], rules=["DS2xx"])] == [
+        "syntax-error",
+    ]
 
 
 def test_unreadable_file_reports_ds000(tmp_path):
