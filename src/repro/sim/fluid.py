@@ -180,28 +180,9 @@ class FluidFlow:
             self._resource.request_reallocation()
 
     # ------------------------------------------------------------------
-    # resource protocol (called by ProcessorSharingResource)
+    # resource protocol (demand, serve rate and wake-ups are set by
+    # ProcessorSharingResource.reallocate)
     # ------------------------------------------------------------------
-
-    def current_demand(self) -> float:
-        """Units (cores) this flow asks for given its backlog state."""
-        available = self.max_parallelism * (1.0 - self.blocked_fraction)
-        if self.queue > _EPS:
-            return available
-        keep_up = self.arrival_rate * (1.0 - self.blocked_fraction)
-        return min(available, keep_up * self.work_per_message)
-
-    def escalated_demand(self, tentative_alloc: float) -> Optional[float]:
-        """If *tentative_alloc* would leave an empty queue underserved,
-        return the backlogged demand cap; otherwise ``None``."""
-        if self.queue > _EPS:
-            return None
-        keep_up_units = (
-            self.arrival_rate * (1.0 - self.blocked_fraction) * self.work_per_message
-        )
-        if tentative_alloc + _EPS < keep_up_units:
-            return self.max_parallelism * (1.0 - self.blocked_fraction)
-        return None
 
     @property
     def queue(self) -> float:
@@ -224,21 +205,6 @@ class FluidFlow:
             self._queue = max(0.0, self._queue + inflow - outflow)
         self._last_sync = now
 
-    def apply_allocation(self, alloc: float, now: float) -> float:
-        """Accept a new allocation; returns units actually used."""
-        self._alloc = alloc
-        capacity_msgs = alloc / self.work_per_message
-        servable_arrivals = self.arrival_rate * (1.0 - self.blocked_fraction)
-        if self.queue > _EPS:
-            serve = capacity_msgs
-        else:
-            serve = min(servable_arrivals, capacity_msgs)
-        self._serve_rate = serve
-        self._record_segment(now)
-        self._schedule_empty_event(now)
-        self._notify_output()
-        return serve * self.work_per_message
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -257,24 +223,6 @@ class FluidFlow:
             self.segments[-1] = segment
         else:
             self.segments.append(segment)
-
-    def _schedule_empty_event(self, now: float) -> None:
-        pending = self._empty_event
-        drain = self._serve_rate - self.arrival_rate
-        queue = self.queue
-        if queue > _EPS and drain > _EPS:
-            when = now + queue / drain
-            if pending is not None:
-                if not pending._cancelled and pending.time == when:
-                    # Reallocation left the drain trajectory unchanged;
-                    # keep the pending wake-up instead of heap churn.
-                    # Exact float equality only.
-                    return
-                pending.cancel()
-            self._empty_event = self.sim.schedule(when, self._on_queue_empty)
-        elif pending is not None:
-            pending.cancel()
-            self._empty_event = None
 
     def _on_queue_empty(self) -> None:
         self._empty_event = None
@@ -323,15 +271,6 @@ class FluidFlow:
         self.sync(self.sim.now)
         return (self.total_arrived + self.replayed_messages
                 - self.total_served - self.dropped_messages - self._queue)
-
-    def _notify_output(self) -> None:
-        rate = self._serve_rate
-        reference = max(self._last_notified_output, 1.0)
-        if abs(rate - self._last_notified_output) / reference <= _NOTIFY_TOLERANCE:
-            return
-        self._last_notified_output = rate
-        for listener in self.output_listeners:
-            listener(rate)
 
     # ------------------------------------------------------------------
     # introspection

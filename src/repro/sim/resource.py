@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from ..errors import SimulationError
 from .events import Event, LOW_PRIORITY
 from .fluid import FlowSegment, _NOTIFY_TOLERANCE
@@ -40,12 +38,6 @@ __all__ = ["ResourceTask", "ProcessorSharingResource"]
 
 #: Queue lengths below this are treated as empty (float hygiene).
 _EPS = 1e-9
-
-#: Flow count at which :meth:`ProcessorSharingResource.reallocate`
-#: switches to the numpy gather/scatter path.  Below this the per-array
-#: overhead exceeds the saved Python calls, so small resources keep the
-#: scalar loop.  Both paths are elementwise IEEE-754 identical.
-_VECTOR_MIN_FLOWS = 8
 
 
 class ResourceTask:
@@ -144,10 +136,6 @@ class ProcessorSharingResource:
         # traffic in flush/compaction-heavy runs.
         self._wheel_event: Optional[Event] = None
         self._wheel_task: Optional[ResourceTask] = None
-        # Cached (count, work_per_message[], max_parallelism[]) arrays
-        # for the vectorized reallocation path; rebuilt when flows are
-        # added (both attributes are fixed at flow construction).
-        self._flow_static: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # consumer registration
@@ -156,7 +144,6 @@ class ProcessorSharingResource:
     def add_flow(self, flow) -> None:
         """Attach a :class:`~repro.sim.fluid.FluidFlow` to this resource."""
         self._flows.append(flow)
-        self._flow_static = None
         flow._attached(self)
         self._dirty = True
         self.reallocate()
@@ -213,9 +200,7 @@ class ProcessorSharingResource:
     def reallocate(self) -> None:
         """Recompute every consumer's share; reschedule completions.
 
-        Called whenever the consumer set or any demand changes.  Large
-        flow populations take the vectorized gather/scatter path; both
-        paths produce bitwise-identical state.
+        Called whenever the consumer set or any demand changes.
         """
         now = self.sim.now
         if not self._dirty and now == self._last_realloc_time:
@@ -228,11 +213,9 @@ class ProcessorSharingResource:
             for task in self._tasks:
                 task.remaining = max(0.0, task.remaining - task.rate * elapsed)
         self._last_sync = now
-        if len(self._flows) >= _VECTOR_MIN_FLOWS:
-            used = self._reallocate_vectorized(now)
-        else:
-            used = self._reallocate_scalar(now)
-        # _record_util(now, used), inlined
+        used = self._reallocate_scalar(now)
+        # Utilization timeline: same-instant records overwrite, and
+        # sub-1e-6 changes are not worth a new segment.
         used = min(used, self.capacity)
         segments = self.util_segments
         if segments and abs(segments[-1][0] - now) < _EPS:
@@ -241,13 +224,15 @@ class ProcessorSharingResource:
             segments.append((now, used))
 
     def _reallocate_scalar(self, now: float) -> float:
-        """Per-flow loop with the fluid formulas inlined.
+        """Share capacity among tasks and flows; return the units used.
 
-        Mirrors ``FluidFlow.current_demand`` / ``escalated_demand`` /
-        ``apply_allocation`` expression-for-expression (the flow methods
-        remain the readable reference, and the vectorized path mirrors
-        the same math) — the inlining exists because this runs tens of
-        thousands of times per experiment.
+        This is where the fluid model is defined: a flow's demand (its
+        parallelism cap when backlogged, its keep-up rate otherwise),
+        the escalation of underserved flows, each flow's serve rate and
+        recorded segment, its queue-empty wake-up and the downstream
+        rate notification.  It is one flat pass over the flows, without
+        per-flow method calls, because it runs after nearly every
+        kernel event.
         """
         flows = self._flows
         tasks = self._tasks
@@ -290,7 +275,7 @@ class ProcessorSharingResource:
         # its demand to its parallelism cap.  Demands only ever increase
         # inside this loop, so it terminates.  ``demand_sum`` is rebuilt
         # sequentially after any change — incremental adjustment would
-        # round differently from the reference ``sum(demands)``.
+        # round differently from a left-to-right ``sum(demands)``.
         for _ in range(len(flows) + 1):
             total = task_demand + demand_sum
             scale = 1.0 if total <= capacity else capacity / total
@@ -332,8 +317,8 @@ class ProcessorSharingResource:
                 serve = min(servable, capacity_msgs)
             flow._serve_rate = serve
 
-            # FluidFlow._record_segment(now), inlined (the flow methods
-            # remain the readable reference; see the docstring above).
+            # Record the segment (a same-instant record overwrites, as in
+            # FluidFlow._record_segment); the history array cache is stale.
             flow._history = None
             segments = flow.segments
             segment = FlowSegment(
@@ -344,7 +329,9 @@ class ProcessorSharingResource:
             else:
                 segments.append(segment)
 
-            # FluidFlow._schedule_empty_event(now), inlined
+            # Queue-empty wake-up.  When the drain instant is unchanged
+            # (exact float equality only) the pending event is kept
+            # instead of churning the heap.
             pending = flow._empty_event
             drain = serve - arrival
             if queue > _EPS and drain > _EPS:
@@ -357,7 +344,8 @@ class ProcessorSharingResource:
                 pending.cancel()
                 flow._empty_event = None
 
-            # FluidFlow._notify_output(), inlined
+            # Downstream stages hear only output changes beyond the
+            # notify tolerance (bounds same-instant cascades).
             last = flow._last_notified_output
             reference = last if last > 1.0 else 1.0
             if abs(serve - last) / reference > _NOTIFY_TOLERANCE:
@@ -366,108 +354,6 @@ class ProcessorSharingResource:
                     listener(serve)
 
             used += serve * wpm
-        return used
-
-    def _flow_arrays(self) -> tuple:
-        static = self._flow_static
-        if static is None or static[0] != len(self._flows):
-            flows = self._flows
-            static = (
-                len(flows),
-                np.array([f.work_per_message for f in flows], dtype=float),
-                np.array([f.max_parallelism for f in flows], dtype=float),
-            )
-            self._flow_static = static
-        return static
-
-    def _reallocate_vectorized(self, now: float) -> float:
-        """Batched reallocation: one numpy op per formula, N flows each.
-
-        Mirrors ``FluidFlow.sync`` / ``current_demand`` /
-        ``escalated_demand`` / ``apply_allocation`` exactly: every
-        elementwise float64 op matches the scalar expression order, and
-        totals use sequential Python ``sum`` (numpy's pairwise ``np.sum``
-        rounds differently), so results are bitwise identical to the
-        scalar path.
-        """
-        flows = self._flows
-        _, wpm, max_par = self._flow_arrays()
-        arrival = np.array([f.arrival_rate for f in flows], dtype=float)
-        blocked = np.array([f.blocked_fraction for f in flows], dtype=float)
-        qv = np.array([f._queue for f in flows], dtype=float)
-        serve_prev = np.array([f._serve_rate for f in flows], dtype=float)
-        last_sync = np.array([f._last_sync for f in flows], dtype=float)
-
-        # --- batched FluidFlow.sync(now) ---
-        elapsed = now - last_sync
-        if (elapsed > 0.0).any():
-            inflow = arrival * elapsed
-            outflow = serve_prev * elapsed
-            served = np.minimum(outflow, qv + inflow)
-            new_q = np.maximum(0.0, qv + inflow - outflow)
-            active_list = (elapsed > 0.0).tolist()
-            inflow_list = inflow.tolist()
-            served_list = served.tolist()
-            new_q_list = new_q.tolist()
-            for i, flow in enumerate(flows):
-                if active_list[i]:
-                    flow.total_arrived += inflow_list[i]
-                    flow.total_served += served_list[i]
-                    flow._queue = new_q_list[i]
-                flow._last_sync = now
-            qv = np.where(elapsed > 0.0, new_q, qv)
-        else:
-            for flow in flows:
-                flow._last_sync = now
-
-        # --- batched current_demand / escalation fixpoint ---
-        unblocked = 1.0 - blocked
-        available = max_par * unblocked
-        keep_up_units = (arrival * unblocked) * wpm
-        backlogged = qv > _EPS
-        demands = np.where(
-            backlogged, available, np.minimum(available, keep_up_units)
-        )
-        task_demand = sum(task.demand for task in self._tasks)
-        capacity = self.capacity
-        for _ in range(len(flows) + 1):
-            total = task_demand + sum(demands.tolist())
-            scale = 1.0 if total <= capacity else capacity / total
-            escalate = (
-                ~backlogged
-                & (demands * scale + _EPS < keep_up_units)
-                & (available > demands + _EPS)
-            )
-            if not escalate.any():
-                break
-            demands = np.where(escalate, available, demands)
-
-        total = task_demand + sum(demands.tolist())
-        scale = 1.0 if total <= capacity else capacity / total
-
-        used = 0.0
-        for task in self._tasks:
-            task.rate = task.demand * scale
-            used += task.rate
-        self._rewheel(now)
-
-        # --- batched apply_allocation ---
-        alloc = demands * scale
-        capacity_msgs = alloc / wpm
-        servable = arrival * unblocked
-        serve = np.where(
-            backlogged, capacity_msgs, np.minimum(servable, capacity_msgs)
-        )
-        alloc_list = alloc.tolist()
-        serve_list = serve.tolist()
-        used_list = (serve * wpm).tolist()
-        for i, flow in enumerate(flows):
-            flow._alloc = alloc_list[i]
-            flow._serve_rate = serve_list[i]
-            flow._record_segment(now)
-            flow._schedule_empty_event(now)
-            flow._notify_output()
-            used += used_list[i]
         return used
 
     def _sync_tasks(self, now: float) -> None:
@@ -533,13 +419,6 @@ class ProcessorSharingResource:
         if task.on_complete is not None:
             task.on_complete(task)
         self.reallocate()
-
-    def _record_util(self, now: float, used: float) -> None:
-        used = min(used, self.capacity)
-        if self.util_segments and abs(self.util_segments[-1][0] - now) < _EPS:
-            self.util_segments[-1] = (now, used)
-        elif not self.util_segments or abs(self.util_segments[-1][1] - used) > 1e-6:
-            self.util_segments.append((now, used))
 
     # ------------------------------------------------------------------
     # introspection

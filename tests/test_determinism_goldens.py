@@ -1,25 +1,105 @@
 """Determinism goldens for the kernel hot-path optimizations.
 
-Each optimization in the run loop (coalesced accounting, vectorized
-fluid reallocation, barriered execution) claims to be *state-identical*
-to the scalar/monolithic path it replaced.  These tests hold it to
-that: run the same seeded job down both paths and require equal state
-digests — floats compared exactly, not approximately.
+Coalesced accounting claims to be *state-identical* to the
+per-instance loops it replaced.  These tests hold it to that: run the
+same seeded job down both paths and require equal state digests —
+floats compared exactly, not approximately.
+
+The many-flow regime (a node CPU shared by ≥ 8 fluid flows) is pinned
+by ``tests/data/many_flow_golden.json``, recorded while a separate
+numpy reallocation path still served it; regenerate with
+``PYTHONPATH=src python tests/make_many_flow_golden.py`` only after a
+deliberate change to the fluid model.
 """
+
+import hashlib
+import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.apps.traffic_job import build_traffic_job
 from repro.errors import SimulationError
+from repro.experiments.runner import ExperimentSettings
+from repro.experiments.summary import summarize_run
 from repro.sanitize.racedetect import digest_hash, state_digest
-from repro.sim import resource as resource_mod
+from repro.scenarios import build_scenario_job, run_scenario
+from repro.serialize import canonical_json
+from repro.sim import FluidFlow, ProcessorSharingResource, ResourceTask
 from repro.sim.kernel import Simulator
 
 DURATION = 40.0
+MANY_FLOW_GOLDEN = Path(__file__).parent / "data" / "many_flow_golden.json"
+MULTI_TENANT = ExperimentSettings(duration_s=40.0, warmup_s=8.0, seed=7)
 
 
 def _digest(job):
     return digest_hash(state_digest(job))
+
+
+def multi_tenant_digest() -> dict:
+    """End-state digest of a seeded ``multi_tenant`` run plus one sha256
+    per summary field (a mismatch names the field that moved)."""
+    result = run_scenario("multi_tenant", MULTI_TENANT)
+    state = _digest(result.job)
+    summary = summarize_run(result, MULTI_TENANT, scenario="multi_tenant")
+    body = summary.to_dict()
+    del body["label"]
+    return {
+        "state_digest": state,
+        "summary_sha256": {
+            key: hashlib.sha256(canonical_json(value).encode()).hexdigest()
+            for key, value in sorted(body.items())
+        },
+    }
+
+
+def synthetic_many_flow_digest() -> dict:
+    """64 flows on a 16-core pool, with task bursts that push total
+    demand past capacity (scale < 1), so flows escalate, back up and
+    drain again.  Hashes every recorded segment field as ``float.hex``."""
+    sim = Simulator(seed=7)
+    cpu = ProcessorSharingResource(sim, "cpu", 16.0)
+    flows = [
+        FluidFlow(sim, f"f{i}", 1e-4 * (1 + i % 2), 1.0 + i % 2)
+        for i in range(64)
+    ]
+    for i, flow in enumerate(flows):
+        cpu.add_flow(flow)
+        flow.set_arrival_rate(1000.0 + 100.0 * (i % 5))
+    step = [0]
+
+    def tick():
+        i = step[0]
+        step[0] += 1
+        flows[(7 * i) % 64].set_arrival_rate(900.0 + 150.0 * (i % 6))
+        if i % 7 == 0:
+            flows[(3 * i) % 64].set_blocked_fraction(0.5 * (i % 2))
+        if i % 10 == 0:
+            for k in range(3):
+                cpu.submit(ResourceTask(f"t{i}.{k}", "compaction", 0.4, 2.0))
+        if i < 100:
+            sim.schedule(sim.now + 0.05, tick)
+
+    sim.schedule(0.0, tick)
+    sim.run(until=6.0)
+    digest = hashlib.sha256()
+    count = 0
+    for flow in flows:
+        for seg in flow.segments:
+            fields = (seg.time, seg.arrival_rate, seg.serve_rate,
+                      seg.queue, seg.blocked, seg.alloc)
+            digest.update((",".join(float(v).hex() for v in fields) + "\n").encode())
+            count += 1
+    return {"segments": count, "segments_sha256": digest.hexdigest()}
+
+
+def many_flow_golden() -> dict:
+    return {
+        "multi_tenant": multi_tenant_digest(),
+        "synthetic_64_flows": synthetic_many_flow_digest(),
+    }
 
 
 def test_coalesced_accounting_matches_per_instance_loops():
@@ -36,18 +116,16 @@ def test_coalesced_accounting_matches_per_instance_loops():
     assert _digest(coalesced) == _digest(scalar)
 
 
-def test_vectorized_reallocation_matches_scalar(monkeypatch):
-    """The numpy gather/scatter path and the per-flow loop must agree
-    bitwise on every float they produce."""
-    vectorized = build_traffic_job(seed=7)
-    vectorized.run(DURATION)
+def test_many_flow_runs_match_the_golden():
+    golden = json.loads(MANY_FLOW_GOLDEN.read_text())
+    assert many_flow_golden() == golden
 
-    # Force every reallocation down the scalar path.
-    monkeypatch.setattr(resource_mod, "_VECTOR_MIN_FLOWS", 10**9)
-    scalar = build_traffic_job(seed=7)
-    scalar.run(DURATION)
 
-    assert _digest(vectorized) == _digest(scalar)
+def test_multi_tenant_shares_a_node_cpu_among_many_flows():
+    """The golden's scenario must keep covering the many-flow regime."""
+    job = build_scenario_job("multi_tenant", seed=MULTI_TENANT.seed)
+    flows_per_node = Counter(node for stage in job.stages for node in stage.flows)
+    assert max(flows_per_node.values()) >= 8
 
 
 def test_max_events_stops_after_exactly_n_dispatches():
