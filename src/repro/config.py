@@ -91,10 +91,6 @@ class ClusterConfig:
         if self.cores_per_node < 1:
             raise ConfigurationError("cores_per_node must be >= 1")
 
-    @property
-    def total_cores(self) -> int:
-        return self.num_nodes * self.cores_per_node
-
 
 @dataclass(frozen=True)
 class CheckpointConfig:

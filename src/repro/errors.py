@@ -49,11 +49,6 @@ class FrozenMemtableError(LSMError):
     """Raised when writing to a memtable that has been frozen for flush."""
 
 
-class CheckpointError(ReproError):
-    """Raised on checkpoint-coordination failures (e.g. overlapping
-    checkpoints that the coordinator was configured to reject)."""
-
-
 class AnalysisError(ReproError):
     """Raised when an analysis routine receives degenerate input
     (e.g. fewer than three points for knee detection)."""

@@ -186,6 +186,11 @@ def _settings(args, trace: Optional[bool] = None) -> ExperimentSettings:
     defaults to the command's ``--trace`` flag, off where it has none)."""
     if trace is None:
         trace = getattr(args, "trace", False)
+    if args.duration < 0 or args.warmup < 0 or args.warmup >= args.duration:
+        raise ConfigurationError(
+            f"--warmup ({args.warmup:g}) must be >= 0 and less than "
+            f"--duration ({args.duration:g})"
+        )
     return ExperimentSettings(
         duration_s=args.duration, warmup_s=args.warmup, seed=args.seed,
         trace=trace,
@@ -517,37 +522,6 @@ def _trace_command(args) -> int:
     print(f"{len(tracer)} events ({summary.scenario} run, schema "
           f"{summary.trace_schema}) -> {out}")
     print(analyze_summary(summary).render())
-    return 0
-
-
-@command(
-    "compare",
-    "run traffic baseline vs solution and print tails",
-    _duration(200.0),
-    _warmup(40.0),
-    _SEED,
-    _jobs("worker processes (default serial)"),
-    _no_cache(),
-)
-def _compare_command(args) -> int:
-    from ..core.mitigation import MitigationPlan
-
-    settings = _settings(args)
-    specs = [
-        RunSpec(
-            scenario=scenario("baseline_traffic", mitigation=plan),
-            settings=settings,
-            label=name,
-        )
-        for name, plan in (("baseline", None),
-                           ("solution", MitigationPlan.paper_solution()))
-    ]
-    with _harness_env(args.no_cache):
-        summaries = run_grid(specs, jobs=args.jobs)
-    tails = {s.label: s.tails for s in summaries}
-    print(render_tails(tails))
-    ratio = tails["solution"]["p999"] / tails["baseline"]["p999"]
-    print(f"p99.9 reduced to {ratio:.0%} of baseline")
     return 0
 
 

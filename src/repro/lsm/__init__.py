@@ -4,7 +4,9 @@ The store is real — sorted memtables, immutable SSTables, leveled
 compaction with newest-wins merges and tombstones — while its *timing*
 is charged to the simulation by whoever drives the control-plane hooks
 (:meth:`~repro.lsm.store.LSMStore.begin_flush`,
-:meth:`~repro.lsm.store.LSMStore.pick_compaction`, …).
+:meth:`~repro.lsm.store.LSMStore.pick_compaction`, …).  Every
+compaction is chosen by the store's
+:class:`~repro.lsm.policies.CompactionPolicy` (``reference`` by default).
 """
 
 from .compaction import CompactionJob

@@ -45,10 +45,6 @@ class FlushJob:
     def input_bytes(self) -> int:
         return self.memtable.size_bytes
 
-    @property
-    def input_entries(self) -> int:
-        return self.memtable.entry_count
-
     def trace_args(self) -> dict:
         """Plain-data identity of this flush for trace span/instant args."""
         return {

@@ -6,13 +6,15 @@ manager answers the two questions the ShadowSync study revolves around:
 
 * ``l0_file_count`` — the counter whose trip at the compaction trigger
   schedules a compaction (Figures 5 and 9);
-* which compaction to run next (L0→L1 on the trigger; Ln→Ln+1 on byte
-  overflow, as in RocksDB's leveled compaction).
+* which compactions are due (L0→L1 on the trigger; Ln→Ln+1 on byte
+  overflow, as in RocksDB's leveled compaction).  It builds and claims
+  the candidate picks; a :class:`~repro.lsm.policies.CompactionPolicy`
+  chooses among them.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import LSMError
 from .options import LSMOptions
@@ -59,7 +61,7 @@ class LevelManager:
         #: Tables currently consumed by a running compaction.
         self._compacting: set = set()
         #: Structure version: bumped by every mutation of the level
-        #: lists or the compacting set.  Lets pick_compaction() memoize
+        #: lists or the compacting set.  Lets the policy layer memoize
         #: a "nothing due" answer — the backend polls it after every
         #: flush, and most polls find no work.
         self._version = 0
@@ -99,10 +101,6 @@ class LevelManager:
 
     def total_bytes(self) -> int:
         return sum(self.level_bytes(i) for i in range(self.num_levels))
-
-    def all_tables(self) -> Iterator[SSTable]:
-        for level in self._levels:
-            yield from level
 
     # ------------------------------------------------------------------
     # mutation
@@ -161,7 +159,7 @@ class LevelManager:
         """True while any table at *level* is claimed by a running compaction."""
         return any(t.table_id in self._compacting for t in self._levels[level])
 
-    # -- the no-pick memo (shared by LevelManager and the policy layer)
+    # -- the no-pick memo (read and written by CompactionPolicy.pick)
 
     def no_pick_memoized(self, trigger: int) -> bool:
         """True when "nothing due at *trigger*" is known for this version."""
@@ -177,37 +175,6 @@ class LevelManager:
         # the claim set grew: new structure
         self._version += 1
         return pick
-
-    def pick_compaction(self, trigger: Optional[int] = None) -> Optional[CompactionPick]:
-        """Choose and claim the next compaction, or ``None`` when
-        nothing is due.
-
-        Priority mirrors RocksDB's leveled strategy: L0 file-count
-        pressure first, then the most over-sized deeper level.  This is
-        the ``reference`` policy of :mod:`repro.lsm.policies`; stores
-        route their picks through the policy layer, which builds on the
-        non-claiming helpers below.
-
-        A "nothing due" answer is memoized against the structure
-        version and the trigger in force — the poll after every flush
-        mostly finds no work, and rescanning the levels each time is
-        measurable.  Trigger policies are stable between ``advance()``
-        calls (no RNG draw per read), so the memo key is exact.
-        """
-        effective = (
-            trigger if trigger is not None else self.options.effective_l0_trigger()
-        )
-        if self.no_pick_memoized(effective):
-            return None
-        pick = self.build_l0_pick(effective)
-        if pick is None:
-            level = self.peek_overflow_level()
-            if level is not None:
-                pick = self.build_level_pick(level)
-        if pick is None:
-            self.memoize_no_pick(effective)
-            return None
-        return self.claim(pick)
 
     def build_l0_pick(
         self, trigger: Optional[int] = None, max_files: Optional[int] = None

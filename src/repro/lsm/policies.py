@@ -217,8 +217,8 @@ class ReferencePolicy(CompactionPolicy):
     """RocksDB's leveled strategy — the store's historical behavior.
 
     L0 file-count pressure first (merge *all* idle L0 files plus their
-    L1 overlap), then the most over-sized deeper level.  Bit-identical
-    to :meth:`LevelManager.pick_compaction`.
+    L1 overlap), then the most over-sized deeper level.  The default
+    of :attr:`~repro.lsm.options.LSMOptions.compaction_policy`.
     """
 
     def choose(

@@ -8,7 +8,7 @@ and separately exposes the *control-plane* hooks the simulation drives:
 * :meth:`begin_flush` / :meth:`finish_flush` bracket a flush whose
   simulated duration the engine charges to CPU/storage;
 * :meth:`pick_compaction` / :meth:`finish_compaction` do the same for
-  compactions;
+  compactions, chosen by the store's :attr:`policy`;
 * :attr:`l0_file_count` is the counter whose trip at
   ``effective_l0_trigger()`` creates the 4-checkpoint ShadowSync cycle.
 

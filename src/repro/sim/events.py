@@ -3,15 +3,17 @@
 An :class:`Event` couples a firing time with a callback.  Events are
 totally ordered by ``(time, priority, sequence)`` so that simultaneous
 events fire deterministically in scheduling order unless a priority says
-otherwise.  Cancellation is lazy: a cancelled event stays in the heap but
-is skipped when popped, which keeps cancellation O(1); when dead entries
-outnumber live ones the heap is compacted in place so cancellation-heavy
-workloads (e.g. completion reschedules) stay O(live) instead of O(pushed).
+otherwise.  Cancellation is lazy: a cancelled event stays in the heap
+until :meth:`repro.sim.kernel.Simulator.run` reaches and drops it, which
+keeps cancellation O(1); when dead entries outnumber live ones the heap
+is compacted in place so cancellation-heavy workloads (e.g. completion
+reschedules) stay O(live) instead of O(pushed).
 
 The heap stores ``(time, priority, seq, event)`` tuples rather than the
 events themselves: tuple comparison settles on the unique ``seq`` before
 ever reaching the event object, so ordering costs no Python-level
-``__lt__`` calls — by far the hottest path in large simulations.
+comparison calls — by far the hottest path in large simulations.  The
+queue only pushes; the kernel's run loop pops the heap directly.
 """
 
 from __future__ import annotations
@@ -75,15 +77,6 @@ class Event:
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def _key(self) -> tuple:
-        return (self.time, self.priority, self.seq)
-
-    def __lt__(self, other: Event) -> bool:
-        # Heap ordering no longer touches this (the heap compares the
-        # (time, priority, seq) tuple prefix of its entries); kept for
-        # callers that sort Event handles directly.
-        return self._key() < other._key()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else "pending"
@@ -157,29 +150,3 @@ class EventQueue:
         heapq.heappush(self._heap, (time, priority, seq, event))
         self._live += 1
         return event
-
-    def pop(self) -> Optional[Event]:
-        """Pop the earliest non-cancelled event, or ``None`` if empty."""
-        heap = self._heap
-        while heap:
-            event = heapq.heappop(heap)[3]
-            if not event._cancelled:
-                self._live -= 1
-                # Detach so a late cancel() on the popped handle cannot
-                # decrement the live count a second time.
-                event._queue = None
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest pending event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][3]._cancelled:
-            heapq.heappop(heap)
-        if heap:
-            return heap[0][0]
-        return None
-
-    def discard(self, event: Event) -> None:
-        """Cancel *event* (synonym for ``event.cancel()``)."""
-        event.cancel()

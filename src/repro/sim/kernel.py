@@ -6,7 +6,7 @@ background jobs) schedule work on one shared ``Simulator``.
 
 The kernel is deliberately small: a monotonically advancing clock, an
 event heap, generator-based processes layered on top (see
-:mod:`repro.sim.process`), and a couple of run-loop variants.  Determinism
+:mod:`repro.sim.process`), and one run loop.  Determinism
 is a first-class property — two runs with the same seed and configuration
 produce identical traces, which the test suite relies on.
 """
@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import SimulationError
 from ..trace import Tracer, ensure_tracer
-from .events import Event, EventQueue, HIGH_PRIORITY, LOW_PRIORITY, NORMAL_PRIORITY
+from .events import Event, EventQueue, LOW_PRIORITY, NORMAL_PRIORITY
 from .rng import RngRegistry
 
 __all__ = ["Simulator"]
@@ -171,39 +171,9 @@ class Simulator:
         same-time events of normal priority."""
         return self.schedule(self._now, callback, *args, priority=LOW_PRIORITY)
 
-    def call_urgent(self, callback: Callable[..., Any], *args: Any) -> Event:
-        """Schedule *callback* at the current time ahead of normal events."""
-        return self.schedule(self._now, callback, *args, priority=HIGH_PRIORITY)
-
     # ------------------------------------------------------------------
-    # run loops
+    # run loop
     # ------------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the single earliest event.
-
-        Returns ``True`` if an event fired, ``False`` if the queue was
-        empty.
-        """
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now - 1e-9:
-            raise SimulationError(
-                f"event queue yielded past event {event!r} at now={self._now}"
-            )
-        self._now = max(self._now, event.time)
-        self._events_fired += 1
-        if self._trace_dispatch:
-            self.tracer.instant(
-                _dispatch_name(event.callback),
-                "kernel",
-                self._now,
-                tid="kernel",
-                priority=event.priority,
-            )
-        event.callback(*event.args)
-        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the queue drains or the clock would pass *until*.
@@ -216,8 +186,8 @@ class Simulator:
         a guard against event-cascade bugs in user models.
 
         The loop works on the heap entries directly (one ``heappop`` per
-        dispatched event, no ``peek``/``pop`` double traversal, no
-        ``Event.__lt__`` calls) — this is the simulation's hottest code.
+        dispatched or cancelled event, ordering by tuple comparison) —
+        this is the simulation's hottest code.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
@@ -254,8 +224,8 @@ class Simulator:
                     )
                 heappop(heap)
                 queue._live -= 1
-                # Detach (as EventQueue.pop does) so a late cancel() on
-                # the fired handle cannot decrement the live count again.
+                # Detach so a late cancel() on the fired handle cannot
+                # decrement the live count again.
                 event._queue = None
                 if etime < self._now - 1e-9:
                     raise SimulationError(

@@ -57,10 +57,6 @@ class Signal:
         for waiter in waiters:
             waiter(value)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Signal {self.name!r} waiters={len(self._waiters)}>"
 

@@ -159,10 +159,6 @@ class ProcessorSharingResource:
         self.reallocate()
         return task
 
-    @property
-    def running_tasks(self) -> List[ResourceTask]:
-        return list(self._tasks)
-
     def running_count(self, kind: Optional[str] = None) -> int:
         if kind is None:
             return len(self._tasks)

@@ -45,10 +45,6 @@ class RngRegistry:
             self._streams[name] = stream
         return stream
 
-    def uniform_int(self, name: str, low: int, high: int) -> int:
-        """Draw one integer in ``[low, high]`` from stream *name*."""
-        return self.stream(name).randint(low, high)
-
     def names(self) -> list:
         """Names of streams created so far (sorted, for reproducibility)."""
         return sorted(self._streams)

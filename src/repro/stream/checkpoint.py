@@ -119,8 +119,8 @@ class CheckpointCoordinator:
         # state accumulated strictly before t belongs to this checkpoint,
         # accounting ticks landing exactly at t to the next one.  The
         # HIGH_PRIORITY wake-up makes that ordering explicit; without it
-        # the trigger races the per-instance accounting ticks scheduled
-        # for the same timestamp (found by repro.sanitize's race
+        # the trigger races the accounting tick scheduled for the same
+        # timestamp (found by repro.sanitize's race
         # detector as a flushed-vs-refilled memtable divergence).
         spawn(
             self.sim,

@@ -95,7 +95,6 @@ class StreamJob:
         lsm_options_factory: Optional[Callable[[StageSpec, int], LSMOptions]] = None,
         initial_l0: Optional[Dict[str, InitialL0]] = None,
         seed: int = 0,
-        coalesce_accounting: bool = True,
         tracer: Optional[Tracer] = None,
         tie_break: str = "fifo",
         skew: Sequence = (),
@@ -112,13 +111,6 @@ class StreamJob:
         self.checkpoint_config = checkpoint or CheckpointConfig()
         self.mitigation = mitigation or MitigationPlan.baseline()
         self.source = source
-        #: Drive all per-instance accounting ticks from one batched
-        #: process instead of one process per instance.  State-identical
-        #: to the scalar path (the bodies run in the same order at the
-        #: same timestamps) but dispatches one kernel event per tick
-        #: instead of one per instance — the scalar path is kept for the
-        #: determinism A/B test.
-        self.coalesce_accounting = coalesce_accounting
         self._started = False
         #: Installed add-on layers by name, in install order (see
         #: :meth:`attach`).
@@ -574,49 +566,11 @@ class StreamJob:
         for downstream in self._consumers[upstream_index]:
             self._refresh_arrival(downstream)
 
-    def _account_loop(self, instance: StageInstance, stage: Stage):
-        store = instance.store
-        spec = stage.spec
-        tick = 0
-        while True:
-            yield ACCOUNTING_DT
-            tick += 1
-            flow = stage.flows[instance.node.name]
-            hosted = len(stage.instances_by_node[instance.node.name])
-            rate = flow.arrival_rate / hosted
-            updates = rate * ACCOUNTING_DT
-            if updates <= 0:
-                continue
-            # Keyed state overwrites in place: a memtable grows until it
-            # holds every distinct key this instance owns, then updates
-            # stop adding bytes (see StageSpec.distinct_keys).
-            if spec.distinct_keys:
-                capacity = spec.distinct_keys_per_instance
-                new_entries = min(updates, max(0.0, capacity - store.memtable_entries))
-            else:
-                new_entries = updates
-            if new_entries >= 1.0:
-                store.account(
-                    int(round(new_entries)),
-                    int(round(new_entries * spec.state_entry_bytes)),
-                )
-            key_space = int(spec.distinct_keys_per_instance) or 997
-            key = f"{instance.name}:{tick % key_space}".encode()
-            payload = b"x" * min(int(spec.state_entry_bytes) or 1, 1024)
-            store.put(key, payload)
-            if store.memtable_full and instance.flush_in_flight == 0:
-                # Memtable-full flush is the LSM write path's own
-                # backpressure; deferring it would grow the memtable
-                # without bound.
-                # repro: allow[DS201] declared write-path backpressure
-                self.backend.flush_instance(instance, reason="memtable-full")
-
     def _account_entries(self) -> list:
-        """Per-instance accounting constants for the batched loop.
+        """Per-instance accounting constants for :meth:`_account_all_loop`.
 
-        One tuple per stateful instance, in spawn order (stage order,
-        then instance index) — the iteration order is what keeps the
-        batched loop state-identical to one process per instance.
+        One tuple per stateful instance, in stage order, then instance
+        index — the order every tick visits the stores in.
         """
         entries = []
         for stage in self.stages:
@@ -642,10 +596,14 @@ class StreamJob:
         return entries
 
     def _account_all_loop(self, entries: list):
-        """One kernel event per accounting tick for *all* instances.
+        """Every stateful instance's state growth, one tick per
+        ``ACCOUNTING_DT`` and one kernel event per tick for all of them.
 
-        Body-for-body identical to :meth:`_account_loop` (same math,
-        same order), with the per-tick constants precomputed.
+        Each instance accounts its share of its node's arrival rate as
+        memtable entries and puts one real probe key.  Keyed state
+        overwrites in place: a memtable grows until it holds every
+        distinct key the instance owns, then updates stop adding bytes
+        (see :attr:`StageSpec.distinct_keys`).
         """
         dt = ACCOUNTING_DT
         backend_flush = self.backend.flush_instance
@@ -677,8 +635,9 @@ class StreamJob:
                     )
                 store.put(key_prefix + b"%d" % (tick % key_space), payload)
                 if store.memtable_full and instance.flush_in_flight == 0:
-                    # Same memtable-full backpressure as the
-                    # per-instance accounting loop.
+                    # Memtable-full flush is the LSM write path's own
+                    # backpressure; deferring it would grow the
+                    # memtable without bound.
                     # repro: allow[DS201] declared write-path backpressure
                     backend_flush(instance, reason="memtable-full")
 
@@ -700,20 +659,9 @@ class StreamJob:
         for at_s, hot_fraction, hot_node in self._skew_schedule:
             self.sim.schedule(at_s, self._set_skew, hot_fraction, hot_node)
         self.coordinator.start()
-        if self.coalesce_accounting:
-            entries = self._account_entries()
-            if entries:
-                spawn(self.sim, self._account_all_loop(entries), name="account-all")
-        else:
-            for stage in self.stages:
-                if not stage.spec.stateful or stage.spec.state_entry_bytes <= 0:
-                    continue
-                for instance in stage.instances:
-                    spawn(
-                        self.sim,
-                        self._account_loop(instance, stage),
-                        name=f"account-{instance.name}",
-                    )
+        entries = self._account_entries()
+        if entries:
+            spawn(self.sim, self._account_all_loop(entries), name="account-all")
         self.sim.run(until=duration)
         for stage in self.stages:
             for flow in stage.flows.values():

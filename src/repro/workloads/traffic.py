@@ -96,11 +96,6 @@ class TrafficModel:
             heading=(math.cos(heading_angle), math.sin(heading_angle)),
         )
 
-    @property
-    def num_streets(self) -> int:
-        cells = int(self.city_extent // self.grid_size)
-        return cells * cells
-
     def tick(self, dt: float = 1.0) -> None:
         """Advance every car by *dt* seconds (bouncing at city edges)."""
         for car in self.cars:

@@ -12,8 +12,9 @@ from repro.experiments.cli import EXPERIMENTS, build_parser, main
 DATA = Path(__file__).parent / "data"
 #: Both recorded by tests/make_cli_parser_golden.py at the commit before
 #: the CLI became a command table (deliberate edits since: the
-#: ``paper`` subcommand was added and the four ``--shards`` options were
-#: removed).
+#: ``paper`` subcommand was added, the four ``--shards`` options were
+#: removed, and ``compare`` was deleted — its baseline-vs-solution tails
+#: are the ``run fig16`` row, recorded at the commit before).
 PARSER_GOLDEN = DATA / "cli_parser_golden.json"
 STDOUT_GOLDEN = DATA / "cli_stdout_golden.json"
 
@@ -25,7 +26,7 @@ STDOUT_COMMANDS = [
     "cluster show",
     "run fig8 --duration 48 --warmup 16",
     "run fig8 --faults crash --duration 48 --warmup 16",
-    "compare --duration 48 --warmup 16",
+    "run fig16 --duration 48 --warmup 16",
     "soak --kind baseline_traffic --seeds 1 --duration 100 --warmup 20",
 ]
 
@@ -118,14 +119,6 @@ def test_run_sweep_with_jobs_flag(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "delay_s" in out
-
-
-def test_compare_command(capsys):
-    code = main(["compare", "--duration", "48", "--warmup", "16"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "baseline" in out and "solution" in out
-    assert "p99.9 reduced to" in out
 
 
 def test_cache_info_and_clear(capsys, tmp_path, monkeypatch):
@@ -381,6 +374,29 @@ def test_bad_input_is_an_error_line_not_a_traceback(
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert all(value in err for value in env.values())  # names the culprit
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "fig8", "--duration", "10", "--warmup", "20"],
+    ["run", "fig8", "--faults", "crash", "--duration", "10", "--warmup", "10"],
+    ["run", "--scenario", "baseline_traffic", "--duration", "10",
+     "--warmup", "-1"],
+    ["trace", "fig8", "--duration", "-4", "--warmup", "0"],
+    ["cluster", "run", "--duration", "0", "--warmup", "0"],
+])
+def test_bad_run_window_names_both_flags(argv, capsys, monkeypatch):
+    """A warmup at or past the duration, or a negative value, is an
+    error line naming both flags, raised before anything simulates."""
+    from repro.stream.engine import StreamJob
+
+    def no_run(job, duration):
+        raise AssertionError("simulated a run with a bad window")
+
+    monkeypatch.setattr(StreamJob, "run", no_run)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "--warmup" in err and "--duration" in err
 
 
 def test_command_table_is_the_parser():

@@ -1,15 +1,19 @@
 """Determinism goldens for the kernel hot-path optimizations.
 
-Coalesced accounting claims to be *state-identical* to the
-per-instance loops it replaced.  These tests hold it to that: run the
-same seeded job down both paths and require equal state digests —
-floats compared exactly, not approximately.
+Every stateful instance's accounting tick runs from one batched process
+(``StreamJob._account_all_loop``).  It replaced one process per
+instance, and ``tests/data/accounting_golden.json`` pins the end state
+both paths produced: it was written by
+``tests/make_accounting_golden.py`` at the commit before the
+per-instance path was deleted, only after both paths gave the same
+``digest_hash(state_digest(job))`` on every pinned job.
 
 The many-flow regime (a node CPU shared by ≥ 8 fluid flows) is pinned
 by ``tests/data/many_flow_golden.json``, recorded while a separate
-numpy reallocation path still served it; regenerate with
-``PYTHONPATH=src python tests/make_many_flow_golden.py`` only after a
-deliberate change to the fluid model.
+numpy reallocation path still served it.
+
+Regenerate either file (``PYTHONPATH=src python tests/make_*_golden.py``)
+only after a deliberate change to what the model computes.
 """
 
 import hashlib
@@ -30,7 +34,10 @@ from repro.sim import FluidFlow, ProcessorSharingResource, ResourceTask
 from repro.sim.kernel import Simulator
 
 DURATION = 40.0
-MANY_FLOW_GOLDEN = Path(__file__).parent / "data" / "many_flow_golden.json"
+DATA = Path(__file__).parent / "data"
+ACCOUNTING_GOLDEN = DATA / "accounting_golden.json"
+MANY_FLOW_GOLDEN = DATA / "many_flow_golden.json"
+ELASTIC_SCALE = ExperimentSettings(duration_s=200.0, warmup_s=40.0, seed=1)
 MULTI_TENANT = ExperimentSettings(duration_s=40.0, warmup_s=8.0, seed=7)
 
 
@@ -95,6 +102,20 @@ def synthetic_many_flow_digest() -> dict:
     return {"segments": count, "segments_sha256": digest.hexdigest()}
 
 
+def accounting_golden() -> dict:
+    """End-state digests of the two jobs that pin accounting: a seeded
+    traffic job, and ``elastic_scale``, whose node joins (60 s) and
+    leaves (150 s) make the batched loop rebuild its per-instance
+    entries mid-run."""
+    traffic = build_traffic_job(seed=5)
+    traffic.run(DURATION)
+    elastic = run_scenario("elastic_scale", ELASTIC_SCALE)
+    return {
+        "elastic_scale_seed1_200s": _digest(elastic.job),
+        "traffic_seed5_40s": _digest(traffic),
+    }
+
+
 def many_flow_golden() -> dict:
     return {
         "multi_tenant": multi_tenant_digest(),
@@ -102,18 +123,9 @@ def many_flow_golden() -> dict:
     }
 
 
-def test_coalesced_accounting_matches_per_instance_loops():
-    """One batched accounting process per tick == one process per
-    instance: bit-identical end state."""
-    coalesced = build_traffic_job(seed=5)
-    assert coalesced.coalesce_accounting  # default on
-    coalesced.run(DURATION)
-
-    scalar = build_traffic_job(seed=5)
-    scalar.coalesce_accounting = False
-    scalar.run(DURATION)
-
-    assert _digest(coalesced) == _digest(scalar)
+def test_accounting_runs_match_the_golden():
+    golden = json.loads(ACCOUNTING_GOLDEN.read_text())
+    assert accounting_golden() == golden
 
 
 def test_many_flow_runs_match_the_golden():

@@ -1,13 +1,18 @@
-"""Unit tests for the level manager and compaction picking."""
+"""Unit tests for the level manager and compaction picking (through the
+``reference`` policy, the picker every store uses by default)."""
 
 import pytest
 
 from repro.errors import LSMError
-from repro.lsm import LSMOptions, LevelManager, MiB, SSTable
+from repro.lsm import LSMOptions, LevelManager, MiB, SSTable, make_policy
 
 
 def options(trigger=4, base=16 * MiB):
     return LSMOptions(l0_compaction_trigger=trigger, max_bytes_for_level_base=base)
+
+
+def pick_compaction(levels):
+    return make_policy("reference", options=levels.options).pick(levels)
 
 
 def l0_table(pairs=None, logical=1000):
@@ -37,14 +42,14 @@ def test_no_compaction_below_trigger():
     for _ in range(3):
         levels.add_l0(l0_table())
     assert not levels.needs_l0_compaction()
-    assert levels.pick_compaction() is None
+    assert pick_compaction(levels) is None
 
 
 def test_l0_trigger_picks_all_idle_files():
     levels = LevelManager(options(trigger=4))
     for _ in range(5):
         levels.add_l0(l0_table())
-    pick = levels.pick_compaction()
+    pick = pick_compaction(levels)
     assert pick is not None
     assert pick.source_level == 0 and pick.target_level == 1
     assert len(pick.inputs) == 5
@@ -55,11 +60,11 @@ def test_pick_reserves_inputs_until_applied():
     levels = LevelManager(options(trigger=2))
     for _ in range(2):
         levels.add_l0(l0_table())
-    first = levels.pick_compaction()
+    first = pick_compaction(levels)
     assert first is not None
-    assert levels.pick_compaction() is None  # inputs reserved
+    assert pick_compaction(levels) is None  # inputs reserved
     levels.abandon_compaction(first)
-    assert levels.pick_compaction() is not None  # released again
+    assert pick_compaction(levels) is not None  # released again
 
 
 def test_l0_pick_includes_overlapping_l1_runs():
@@ -68,7 +73,7 @@ def test_l0_pick_includes_overlapping_l1_runs():
     levels._levels[1].append(resident)
     levels.add_l0(l0_table({b"b": b"x"}))
     levels.add_l0(l0_table({b"c": b"y"}))
-    pick = levels.pick_compaction()
+    pick = pick_compaction(levels)
     assert resident in pick.inputs
 
 
@@ -76,7 +81,7 @@ def test_apply_compaction_replaces_inputs():
     levels = LevelManager(options(trigger=2))
     for _ in range(2):
         levels.add_l0(l0_table(logical=500))
-    pick = levels.pick_compaction()
+    pick = pick_compaction(levels)
     output = SSTable([], logical_bytes=1000, level=1)
     levels.apply_compaction(pick, output)
     assert levels.l0_file_count == 0
@@ -88,7 +93,7 @@ def test_apply_compaction_validates_target_level():
     levels = LevelManager(options(trigger=2))
     for _ in range(2):
         levels.add_l0(l0_table())
-    pick = levels.pick_compaction()
+    pick = pick_compaction(levels)
     wrong = SSTable([], logical_bytes=0, level=3)
     with pytest.raises(LSMError):
         levels.apply_compaction(pick, wrong)
@@ -99,7 +104,7 @@ def test_overflow_pick_on_oversized_level():
     levels = LevelManager(opts)
     big = SSTable([(b"a", b"v")], logical_bytes=5000, level=1)
     levels._levels[1].append(big)
-    pick = levels.pick_compaction()
+    pick = pick_compaction(levels)
     assert pick is not None
     assert pick.reason == "size-overflow"
     assert pick.source_level == 1 and pick.target_level == 2
@@ -113,7 +118,7 @@ def test_overflow_merges_overlapping_next_level_run():
     below = SSTable([(b"a", b"v"), (b"z", b"v")], logical_bytes=100, level=2)
     levels._levels[1].append(seed)
     levels._levels[2].append(below)
-    pick = levels.pick_compaction()
+    pick = pick_compaction(levels)
     assert set(pick.inputs) == {seed, below}
 
 

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.parallel import RunSpec, spec_cache_key
 from repro.experiments.runner import ExperimentSettings
 from repro.sanitize import (
-    OrderingReport,
     ProbeTarget,
     RaceReport,
     check_cache_key_stability,
@@ -30,17 +29,13 @@ from repro.trace import Tracer
 def test_tie_break_modes_only_reorder_equal_keys():
     order = {}
     for mode in TIE_BREAKS:
-        queue = EventQueue(tie_break=mode)
+        sim = Simulator(tie_break=mode)
         fired = []
-        queue.push(1.0, lambda m=None: fired.append("a"))
-        queue.push(1.0, lambda m=None: fired.append("b"))
-        queue.push(0.5, lambda m=None: fired.append("early"))
-        queue.push(1.0, lambda m=None: fired.append("urgent"), priority=-10)
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.callback(*event.args)
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule(1.0, fired.append, "b")
+        sim.schedule(0.5, fired.append, "early")
+        sim.schedule(1.0, fired.append, "urgent", priority=-10)
+        sim.run()
         order[mode] = fired
     # Time and priority always dominate; only equal-key order flips.
     assert order["fifo"] == ["early", "urgent", "a", "b"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.sim.events import HIGH_PRIORITY
 
 
 def test_clock_starts_at_zero():
@@ -76,13 +77,14 @@ def test_call_soon_runs_at_current_time_after_normal_events():
     assert order == ["first", "second", "soon"]
 
 
-def test_call_urgent_precedes_normal_events_at_same_time():
+def test_high_priority_now_precedes_normal_events_at_same_time():
     sim = Simulator()
     order = []
 
     def at_one():
         order.append("normal-1")
-        sim.call_urgent(lambda: order.append("urgent"))
+        sim.schedule(sim.now, lambda: order.append("urgent"),
+                     priority=HIGH_PRIORITY)
 
     sim.schedule(1.0, at_one)
     sim.schedule(1.0, lambda: order.append("normal-2"))
