@@ -3,8 +3,8 @@
 
 This example runs the paper's diagnostic/remediation loop end to end:
 
-1. run the baseline and let the :class:`ShadowSyncDetector` classify the
-   latency spikes (millibottlenecks + flush/compaction overlap);
+1. run the baseline and let :func:`analyze_result` attribute and classify
+   the latency spikes (millibottlenecks + flush/compaction overlap);
 2. derive every mitigation parameter *from measurements*:
    the compaction delay from the drain-out formula T = λ·Δt / C (Eq. 2),
    flush threads from the core count (§4.2.1), and compaction threads
@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.api import (
     MitigationPlan,
-    ShadowSyncDetector,
+    analyze_result,
     build_traffic_job,
     estimate_drain_time,
     recommend_compaction_threads,
@@ -34,25 +34,11 @@ def main():
     print("step 1: run the baseline and diagnose")
     job = build_traffic_job(checkpoint_interval_s=8.0, initial_l0="aligned", seed=1)
     result = job.run(RUN)
-    times, p999 = result.latency_timeline(0.999, window=0.25, start=WARMUP)
-
-    detector = ShadowSyncDetector()
-    finding = detector.analyze(
-        spans=result.spans,
-        cpu_series=result.cpu_series("node0"),
-        cpu_capacity=16.0,
-        latency_times=times,
-        latency_values=p999,
-        checkpoint_times=result.coordinator.checkpoint_times(),
-        stages=["s0", "s1"],
-        window=(WARMUP, RUN),
-    )
-    print(f"  spikes found: {len(finding.spikes)}  "
-          f"matched to millibottlenecks: {finding.spike_match_fraction:.0%}")
-    print(f"  flush/compaction overlap: {finding.overlap_seconds:.1f}s  "
-          f"alignment: {finding.alignment:.2f}")
-    print(f"  verdict: {finding.classification} ShadowSync, "
-          f"spike period ~{finding.spike_period_s:.0f}s")
+    report = analyze_result(result, start=WARMUP)
+    print(f"  spikes found: {report.spike_count}  attributed to "
+          f"flush/compaction overlap: {report.attributed_fraction:.0%}")
+    print(f"  verdict: {report.classification} ShadowSync, "
+          f"stage-burst alignment {report.alignment:.2f}")
 
     print("\nstep 2: derive the mitigation parameters from measurements")
     # Eq. 2: λ per node, flush-phase duration, drain rate once unblocked.

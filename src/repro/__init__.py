@@ -23,7 +23,6 @@ from .core import (
     MitigationPlan,
     SilkPolicy,
     RandomizedL0Trigger,
-    ShadowSyncDetector,
     estimate_drain_time,
     recommend_compaction_threads,
     recommend_flush_threads,
@@ -45,7 +44,6 @@ __all__ = [
     "MitigationPlan",
     "SilkPolicy",
     "RandomizedL0Trigger",
-    "ShadowSyncDetector",
     "estimate_drain_time",
     "recommend_compaction_threads",
     "recommend_flush_threads",

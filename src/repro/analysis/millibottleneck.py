@@ -24,7 +24,7 @@ Three entry points cover the three places evidence lives:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +51,8 @@ STATISTICAL_ALIGNMENT = 0.8
 #: Default spike-threshold rule shared with the figure scripts.
 SPIKE_FLOOR_S = 0.8
 SPIKE_MEDIAN_FACTOR = 2.5
+#: Padding on each side of a spike's above-threshold region.
+PAD_S = 1.0
 
 #: One ``(label, start, end)`` attribution window.
 Window = Tuple[str, float, float]
@@ -65,11 +67,14 @@ class SpikeAttribution:
 
     peak_time: float
     peak_s: float
+    #: Evidence window: from the triggering checkpoint (or onset − pad)
+    #: to the spike's end + pad.  Span counts, overlap and labels read it.
     window: Tuple[float, float]
     flush_spans: int
     compaction_spans: int
     overlap_s: float
-    #: Fraction of the window with CPU ≥ saturation; None when no CPU data.
+    #: Fraction of the spike's padded region with CPU ≥ saturation;
+    #: None when no CPU data.
     cpu_saturated_fraction: Optional[float]
     #: 0-based checkpoint period containing the peak (-1: before first).
     checkpoint_index: int
@@ -98,24 +103,7 @@ class SpikeAttribution:
     sync: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "peak_time": self.peak_time,
-            "peak_s": self.peak_s,
-            "window": list(self.window),
-            "flush_spans": self.flush_spans,
-            "compaction_spans": self.compaction_spans,
-            "overlap_s": self.overlap_s,
-            "cpu_saturated_fraction": self.cpu_saturated_fraction,
-            "checkpoint_index": self.checkpoint_index,
-            "stages": list(self.stages),
-            "attributed": self.attributed,
-            "classification": self.classification,
-            "faults": list(self.faults),
-            "resilience": list(self.resilience),
-            "policies": list(self.policies),
-            "cluster": list(self.cluster),
-            "sync": list(self.sync),
-        }
+        return {**asdict(self), "window": list(self.window)}
 
     @classmethod
     def from_dict(cls, data: dict) -> SpikeAttribution:
@@ -238,7 +226,6 @@ def detect(
     per_checkpoint: Optional[Dict[int, Dict[str, int]]] = None,
     windows: Optional[Mapping[str, Sequence[Window]]] = None,
     threshold: Optional[float] = None,
-    pad_s: float = 1.0,
     saturation: float = 0.95,
     min_gap: float = 1.0,
 ) -> MillibottleneckReport:
@@ -252,6 +239,14 @@ def detect(
     carries the run's saturation windows.  *windows* maps each of
     :data:`CHANNELS` to the known-cause spans of that kind; a spike
     carries the labels of every span its window overlaps.
+
+    A p99.9 peak lags the flush/compaction burst behind it by the drain
+    time, so a spike's evidence window opens at the last checkpoint at
+    or before its onset — when that checkpoint is at most one median
+    checkpoint spacing earlier — and never later than ``onset − PAD_S``.
+    The CPU gate reads only the spike's own padded region: the cause
+    may come first, but the millibottleneck must be on while the spike
+    is up.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(p999, dtype=float)
@@ -289,11 +284,18 @@ def detect(
         if not (ct.shape == cf.shape == cc.shape):
             raise AnalysisError("concurrency arrays must have equal shapes")
 
+    cps = np.asarray(checkpoint_times, dtype=float)
+    spacing = float(np.median(np.diff(cps))) if len(cps) > 1 else 0.0
+
     for spike in find_spikes(t, v, threshold, min_gap=min_gap):
         # Latency at time τ reflects work queued up to a flush/compaction
-        # burst slightly earlier, so look at a padded window.
-        w0 = spike.start - pad_s
-        w1 = spike.end + pad_s
+        # burst earlier, so the evidence window reaches back to the
+        # checkpoint that triggered it.
+        w0 = spike.start - PAD_S
+        w1 = spike.end + PAD_S
+        last = _checkpoint_index(cps, spike.start)
+        if last >= 0 and spike.start - cps[last] <= spacing:
+            w0 = min(w0, float(cps[last]))
         n_flush = n_comp = 0
         overlap_s = 0.0
         stages: List[str] = []
@@ -320,9 +322,11 @@ def detect(
 
         cpu_frac: Optional[float] = None
         if cpu is not None and capacity is not None:
-            cpu_frac = cpu.fraction_above(saturation * capacity, w0, w1)
+            cpu_frac = cpu.fraction_above(
+                saturation * capacity, spike.start - PAD_S, w1
+            )
 
-        cp_index = _checkpoint_index(checkpoint_times, spike.peak_time)
+        cp_index = _checkpoint_index(cps, spike.peak_time)
         if not stages and per_checkpoint is not None and cp_index in per_checkpoint:
             stages = sorted(
                 name

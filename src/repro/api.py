@@ -15,7 +15,7 @@ Quickstart::
         settings=api.ExperimentSettings(
             duration_s=104.0, warmup_s=32.0, trace=True))
     print(result.tail_summary(start=32.0))
-    report = result.millibottleneck_report(start=32.0)
+    report = api.analyze_result(result, start=32.0)
     print(report.attributed_fraction, report.classification)
     result.export_trace("run.trace.json", format="chrome")  # → Perfetto
 
@@ -45,7 +45,6 @@ from .cluster import (
 from .config import CheckpointConfig, ClusterConfig, CostModel
 from .core import (
     MitigationPlan,
-    ShadowSyncDetector,
     TunedConfig,
     TuneReport,
     estimate_drain_time,
@@ -199,7 +198,6 @@ __all__ = [
     "policy_names",
     "register_policy",
     # diagnosis & tuning
-    "ShadowSyncDetector",
     "estimate_drain_time",
     "recommend_flush_threads",
     "recommend_compaction_threads",

@@ -1,4 +1,4 @@
-"""The paper's contribution: ShadowSync detection and mitigation."""
+"""The paper's contribution: ShadowSync mitigation and its tuning."""
 
 from .allocation import (
     concurrency_latency_curve,
@@ -7,7 +7,6 @@ from .allocation import (
 )
 from .autotuner import TunedConfig, TuneReport, tune
 from .delay import DelayedCompactionPolicy, estimate_drain_time
-from .detector import ShadowSyncDetector, ShadowSyncFinding
 from .mitigation import MitigationPlan
 from .silk import SilkPolicy, install_silk_pauses
 from .thresholds import RandomizedL0Trigger, StaticL0Trigger
@@ -21,8 +20,6 @@ __all__ = [
     "tune",
     "DelayedCompactionPolicy",
     "estimate_drain_time",
-    "ShadowSyncDetector",
-    "ShadowSyncFinding",
     "MitigationPlan",
     "SilkPolicy",
     "install_silk_pauses",

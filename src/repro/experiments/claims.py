@@ -134,6 +134,11 @@ def _cpu_at_spikes(out: dict) -> tuple:
     )
 
 
+def _verdict(out: dict) -> tuple:
+    """The detector's verdict, its attributed and its detected spikes."""
+    return out["verdict"], out["attributed_spikes"], out["detected_spikes"]
+
+
 def _joint_bursts(out: dict) -> int:
     """Checkpoint periods in which *both* stages burst (Figure 8)."""
     return sum(
@@ -179,6 +184,11 @@ CLAIMS: Sequence[Claim] = (
     Claim("fig1", "Fig 1/3", "spike peaks [s]", ">1", "{:.2f}-{:.2f}",
           lambda out: (min(_peaks(out)), max(_peaks(out)), len(out["spikes"])),
           lambda _low, high, spikes: spikes >= 3 and high > 1.0),
+    Claim("fig1", "Fig 1/3", "ShadowSync verdict", "scheduled", "{} {}/{}",
+          _verdict,
+          lambda verdict, attributed, _spikes: (
+              verdict == "scheduled" and attributed >= 3
+          )),
     Claim("table1", "Table 1", "burst pattern over 5 CPs", "s1,-,s0,-,s1", "{}",
           lambda out: (_burst_pattern(out), len(out["rows"])),
           lambda pattern, rows: rows == 5 and pattern == "s1,-,s0,-,s1"),
@@ -221,6 +231,11 @@ CLAIMS: Sequence[Claim] = (
     Claim("fig8", "Fig 8", "joint s0+s1 bursts", "every 4th CP", "{} periods",
           _joint_bursts,
           lambda periods: periods >= 2),
+    Claim("fig8", "Fig 8", "ShadowSync verdict", "statistical", "{} {}/{}",
+          _verdict,
+          lambda verdict, attributed, _spikes: (
+              verdict == "statistical" and attributed >= 3
+          )),
     Claim("fig12", "Fig 12", "best delay [ms]", "1000-3000", "{:.0f}",
           lambda out: (out["best_delay_s"] * 1000, out["best_delay_s"]),
           lambda _ms, best: 0.5 <= best <= 3.0),

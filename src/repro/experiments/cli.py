@@ -497,7 +497,6 @@ def _scenarios_command(args) -> int:
 )
 def _trace_command(args) -> int:
     from ..analysis.millibottleneck import analyze_summary
-    from ..trace import TraceEvent, Tracer
 
     summary = _run_one(args, exemplar(args.experiment),
                        f"trace:{args.experiment}", trace=True)
@@ -505,13 +504,7 @@ def _trace_command(args) -> int:
         print("run produced no trace events", file=sys.stderr)
         return 1
 
-    tracer = Tracer()
-    tracer.extend(TraceEvent.from_dict(e) for e in summary.trace_events)
-    # Give the exported file a latency track so the spike context is
-    # visible next to the spans in Perfetto.
-    for t, v in zip(summary.fine_times, summary.fine_p999):
-        tracer.counter("latency_p999", "latency", t, v, tid="latency")
-
+    tracer = summary.to_tracer()
     out = args.out
     if out is None:
         out = f"{args.experiment}.trace." + ("json" if args.chrome else "jsonl")
@@ -773,6 +766,8 @@ def _sync_command(args) -> int:
             "--static-only and --dynamic-only are mutually exclusive"
         )
     events = None
+    scenario = None if args.static_only else args.scenario
+    duration_s, seed = args.duration, args.seed
     if args.trace_file is not None:
         from ..trace import read_jsonl
 
@@ -781,12 +776,15 @@ def _sync_command(args) -> int:
         except OSError as exc:
             print(f"error: cannot read trace: {exc}", file=sys.stderr)
             return 2
+        # The file does not record its run's length or seed, and the
+        # flags' defaults are not them: name the file instead.
+        scenario, duration_s, seed = args.trace_file, None, None
     with _harness_env(args.no_cache):
         report = analyze_sync(
-            scenario=None if args.static_only else args.scenario,
-            duration_s=args.duration,
+            scenario=scenario,
+            duration_s=duration_s,
             warmup_s=args.warmup,
-            seed=args.seed,
+            seed=seed,
             paths=[Path(p) for p in args.paths] or None,
             events=events,
             static=not args.dynamic_only,

@@ -17,6 +17,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from ..analysis.longtail import find_spikes, reduction_ratio, spike_period
+from ..analysis.millibottleneck import analyze_result, default_threshold
 from ..analysis.overlap import burst_alignment
 from ..apps.traffic_job import build_traffic_job
 from ..config import CheckpointConfig, ClusterConfig, CostModel
@@ -67,6 +68,16 @@ def _timeline(result, settings: ExperimentSettings):
     )
 
 
+def _verdict(result, settings: ExperimentSettings) -> Dict:
+    """The millibottleneck detector's reading of the measured span."""
+    report = analyze_result(result, start=settings.warmup_s)
+    return {
+        "verdict": report.classification,
+        "attributed_spikes": report.attributed_count,
+        "detected_spikes": report.spike_count,
+    }
+
+
 #: §3.2's scheduled-ShadowSync deployment: 16 s checkpoints with the
 #: stages' L0 counters out of phase (Figures 1, 3, 6, 7 and Table 1).
 SCHEDULED = scenario(
@@ -93,15 +104,15 @@ def fig1_fig3_baseline_timeline(
     """
     result = run_scenario(SCHEDULED, settings=settings)
     times, p999 = _timeline(result, settings)
-    floor = float(np.median(p999))
-    spikes = find_spikes(times, p999, threshold=max(2.5 * floor, 0.8))
+    spikes = find_spikes(times, p999, threshold=default_threshold(p999))
     return {
         "times": times.tolist(),
         "p999": p999.tolist(),
-        "floor_s": floor,
+        "floor_s": float(np.median(p999)),
         "spikes": [(s.peak_time, s.peak) for s in spikes],
         "spike_period_s": spike_period(spikes),
         "tails": result.tail_summary(start=settings.warmup_s),
+        **_verdict(result, settings),
     }
 
 
@@ -142,8 +153,7 @@ def fig6_point_in_time(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     f_t, flush_c = result.concurrency("flush", start, end)
     _, comp_c = result.concurrency("compaction", start, end)
     times, p999 = _timeline(result, settings)
-    floor = float(np.median(p999))
-    spikes = find_spikes(times, p999, threshold=max(2.5 * floor, 0.8))
+    spikes = find_spikes(times, p999, threshold=default_threshold(p999))
     saturated = [
         float(cpu.fraction_above(15.2, s.start - 1.0, s.end + 1.0)) for s in spikes
     ]
@@ -214,6 +224,7 @@ def fig8_statistical(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
             k: v for k, v in sorted(alignment.items())
         },
         "tails": result.tail_summary(start=settings.warmup_s),
+        **_verdict(result, settings),
     }
 
 

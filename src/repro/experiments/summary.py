@@ -110,6 +110,19 @@ class RunSummary:
             else 0.0
         )
 
+    def to_tracer(self):
+        """A :class:`~repro.trace.Tracer` holding the run's trace events
+        plus a ``latency_p999`` counter track rebuilt from the fine
+        timeline, so spike detection (and Perfetto) has latency to read
+        next to the spans."""
+        from ..trace import TraceEvent, Tracer
+
+        tracer = Tracer()
+        tracer.extend(TraceEvent.from_dict(e) for e in self.trace_events)
+        for t, v in zip(self.fine_times, self.fine_p999):
+            tracer.counter("latency_p999", "latency", t, v, tid="latency")
+        return tracer
+
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------

@@ -44,9 +44,11 @@ _PACKAGE_ROOT = Path(__file__).resolve().parents[2]
 class SyncAuditReport:
     """Joined static + dynamic view of the system's synchronization."""
 
+    #: The traced run: a scenario name, or the trace file its events
+    #: were read from (whose length and seed are unknown: ``None``).
     scenario: Optional[str]
-    duration_s: float
-    seed: int
+    duration_s: Optional[float]
+    seed: Optional[int]
     #: Unsuppressed DS2xx findings on the audited tree.
     findings: List = field(default_factory=list)
     #: Runtime wait-for edges (catalog-diffed).
@@ -95,7 +97,9 @@ class SyncAuditReport:
 
     def render(self) -> str:
         lines: List[str] = []
-        if self.scenario is not None:
+        if self.scenario is not None and self.duration_s is None:
+            lines.append(f"shadow-sync audit: trace={self.scenario}")
+        elif self.scenario is not None:
             lines.append(
                 f"shadow-sync audit: scenario={self.scenario} "
                 f"duration={self.duration_s:g}s seed={self.seed}"
@@ -156,7 +160,6 @@ def _traced_events(
     and return its trace events."""
     from ...experiments.parallel import RunSpec, run_grid
     from ...experiments.runner import ExperimentSettings
-    from ...trace import TraceEvent, Tracer
 
     settings = ExperimentSettings(
         duration_s=duration_s, warmup_s=warmup_s, seed=seed, trace=True
@@ -175,13 +178,7 @@ def _traced_events(
             f"scenario {scenario!r} produced no trace events; "
             "cannot extract a wait-for graph"
         )
-    tracer = Tracer()
-    tracer.extend(TraceEvent.from_dict(e) for e in summary.trace_events)
-    # Exported traces carry no latency track; rebuild it from the
-    # summary's fine timeline so spike detection has something to read.
-    for t, v in zip(summary.fine_times, summary.fine_p999):
-        tracer.counter("latency_p999", "latency", t, v, tid="latency")
-    return tracer.events
+    return summary.to_tracer().events
 
 
 def analyze_sync(

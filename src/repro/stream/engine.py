@@ -860,14 +860,6 @@ class StreamJobResult:
         checker = self.job.subsystems.get("invariants")
         return [] if checker is None else checker.to_dicts()
 
-    def millibottleneck_report(self, start: float = 0.0,
-                               end: Optional[float] = None, **kwargs):
-        """Run the §3 millibottleneck detector over this run's trace
-        and measurements (see :mod:`repro.analysis.millibottleneck`)."""
-        from ..analysis.millibottleneck import analyze_result
-
-        return analyze_result(self, start=start, end=end, **kwargs)
-
     def summary(self, start: float = 0.0, end: Optional[float] = None) -> dict:
         """A JSON-serializable digest of the run (tails, activity
         counts, checkpoint/backup stats, stalls) for dashboards and the

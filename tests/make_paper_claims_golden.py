@@ -4,8 +4,9 @@ change to a claim row or to what a figure measures.
 
 The checked-in file was recorded at the commit before the claims table
 replaced ``benchmarks/`` (the 44 ``record(...)`` rows its conftest
-collected); ``tests/test_paper_claims.py`` asserts the table prints the
-same labels, paper values and measured strings.
+collected), plus the detector's Fig 1/3 and Fig 8 verdict rows added
+since; ``tests/test_paper_claims.py`` asserts the table prints the same
+labels, paper values and measured strings.
 
 Usage::
 

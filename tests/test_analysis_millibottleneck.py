@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.millibottleneck import (
+    PAD_S,
     MillibottleneckReport,
     SpikeAttribution,
     analyze_result,
@@ -12,6 +13,8 @@ from repro.analysis.millibottleneck import (
     default_threshold,
     detect,
 )
+from repro.analysis.overlap import burst_alignment
+from repro.errors import AnalysisError
 from repro.metrics.spans import ActivitySpan, SpanLog
 from repro.metrics.timeline import StepSeries
 
@@ -113,6 +116,113 @@ def test_scheduled_vs_statistical_classification():
     assert both.classification == "statistical"
     assert both.alignment == pytest.approx(1.0)
     assert all(s.checkpoint_index in (0, 4) for s in both.spikes)
+
+
+def burst_scene(stages_at, spiking=True):
+    """Detector inputs for a run whose flush + compaction bursts
+    saturate a 16-core node for 2.5 s; *stages_at* maps each burst
+    time to the stages compacting in it, checkpoints fall every 8 s
+    and (when *spiking*) the p99.9 sits at 2 s for 3 s per burst."""
+    spans = SpanLog()
+    cpu = [(0.0, 10.0)]
+    times = np.arange(0.0, 96.0, 0.25)
+    latency = np.full(len(times), 0.3)
+    for t0, stages in stages_at.items():
+        for stage in stages:
+            for i in range(8):
+                spans.add(ActivitySpan("flush", f"f{i}", stage, i, "n0",
+                                       t0, t0 + 0.4))
+                spans.add(ActivitySpan("compaction", f"c{i}", stage, i, "n0",
+                                       t0 + 0.1, t0 + 2.5))
+        cpu += [(t0, 16.0), (t0 + 2.5, 10.0)]
+        if spiking:
+            latency[(times >= t0) & (times < t0 + 3.0)] = 2.0
+    checkpoints = [8.0 * k for k in range(12)]
+    return dict(
+        times=times, p999=latency, spans=spans, cpu=StepSeries(cpu),
+        capacity=16.0, checkpoint_times=checkpoints, threshold=1.0,
+        per_checkpoint=burst_alignment(spans, ["s0", "s1"], checkpoints),
+    )
+
+
+@pytest.mark.parametrize("stages_at, verdict", [
+    ({32.0: ("s0", "s1"), 64.0: ("s0", "s1")}, "statistical"),
+    ({32.0: ("s0",), 64.0: ("s1",)}, "scheduled"),
+], ids=["aligned-stages", "alternating-stages"])
+def test_burst_scenes_read_as_their_kind_of_shadowsync(stages_at, verdict):
+    """Each spike sits on a millibottleneck with flush/compaction
+    overlap, 32 s apart; stages bursting in the same checkpoint period
+    read statistical, stages taking turns read scheduled."""
+    report = detect(**burst_scene(stages_at))
+    assert report.classification == verdict
+    assert report.spike_count == 2 and report.attributed_fraction == 1.0
+    for spike in report.spikes:
+        assert spike.overlap_s > 0 and spike.cpu_saturated_fraction > 0
+    first, second = report.spikes
+    assert second.peak_time - first.peak_time == pytest.approx(32.0, abs=1.0)
+
+
+def test_bursts_without_latency_spikes_read_none():
+    report = detect(**burst_scene({32.0: ("s0", "s1"), 64.0: ("s0", "s1")},
+                                  spiking=False))
+    assert report.spike_count == 0
+    assert report.classification == "none"
+
+
+def test_detect_rejects_a_malformed_timeline():
+    """An empty timeline is an empty report; unequal arrays are an error."""
+    assert detect([], []).classification == "none"
+    with pytest.raises(AnalysisError):
+        detect(np.arange(0.0, 5.0, 0.05), np.full(3, 0.3))
+
+
+# ----------------------------------------------------------------------
+# the causal window: a spike's evidence reaches back to its checkpoint
+# ----------------------------------------------------------------------
+
+#: A checkpoint-time flush/compaction overlap, and a p99.9 excursion
+#: whose onset trails it by 2.5 s — the drain-time lag of a real run.
+CAUSE_AT, ONSET = 40.0, 42.5
+EVERY_8_S = [8.0 * k for k in range(12)]
+
+
+def test_overlap_at_the_triggering_checkpoint_is_attributed():
+    times, values = synthetic_timeline([ONSET], duration=60.0)
+    spans = overlap_spans([CAUSE_AT])
+    (spike,) = detect(times, values, spans=spans,
+                      checkpoint_times=EVERY_8_S).spikes
+    assert spike.attributed
+    assert spike.window[0] == pytest.approx(CAUSE_AT)
+    assert spike.flush_spans == 1 and spike.compaction_spans == 1
+    # without checkpoints the window is the spike's own padded region
+    (spike,) = detect(times, values, spans=spans).spikes
+    assert not spike.attributed
+    assert spike.window[0] == pytest.approx(ONSET - PAD_S)
+
+
+def test_checkpoint_beyond_one_spacing_before_onset_is_not_used():
+    times, values = synthetic_timeline([ONSET], duration=60.0)
+    early = 32.0  # last of the 8 s checkpoints, 10.5 s before onset
+    (spike,) = detect(times, values, spans=overlap_spans([early]),
+                      checkpoint_times=[c for c in EVERY_8_S if c <= early]).spikes
+    assert not spike.attributed
+    assert spike.window[0] == pytest.approx(ONSET - PAD_S)
+
+
+def test_saturation_only_in_the_look_back_leaves_the_spike_unattributed():
+    """The cause may precede the spike, the millibottleneck may not."""
+    times, values = synthetic_timeline([ONSET], duration=60.0)
+    spans = overlap_spans([CAUSE_AT])
+    before = StepSeries([(0.0, 1.0), (CAUSE_AT, 16.0), (CAUSE_AT + 1.0, 1.0)])
+    (spike,) = detect(times, values, spans=spans, cpu=before, capacity=16.0,
+                      checkpoint_times=EVERY_8_S).spikes
+    assert spike.overlap_s > 0
+    assert spike.cpu_saturated_fraction == 0.0
+    assert not spike.attributed
+    during = StepSeries([(0.0, 1.0), (ONSET, 16.0), (ONSET + 1.0, 1.0)])
+    (spike,) = detect(times, values, spans=spans, cpu=during, capacity=16.0,
+                      checkpoint_times=EVERY_8_S).spikes
+    assert spike.attributed
 
 
 def test_default_threshold_rule():

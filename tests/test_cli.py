@@ -163,6 +163,27 @@ def test_trace_command_writes_trace_and_report(capsys, tmp_path):
     assert any(e.cat == "latency" for e in events)
 
 
+def test_sync_audits_a_recorded_trace_file_and_names_it(capsys, tmp_path):
+    """``repro trace`` output feeds ``repro sync --trace-file``; the
+    report names the file, not the flags' default scenario and seed."""
+    path = str(tmp_path / "fig8.jsonl")
+    assert main(["trace", "fig8", "--duration", "48", "--warmup", "16",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["sync", "--trace-file", path, "--dynamic-only"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"shadow-sync audit: trace={path}\n")
+    assert "baseline_traffic" not in out and "seed=" not in out
+    assert "detected" in out  # the rebuilt latency track was read
+    assert main(["sync", "--trace-file", path, "--dynamic-only",
+                 "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["scenario"], data["duration_s"], data["seed"]) == (
+        path, None, None
+    )
+    assert data["spikes"]["count"] > 0
+
+
 def test_trace_command_chrome_format(capsys, tmp_path):
     out_path = tmp_path / "fig8.trace.json"
     code = main(["trace", "fig8", "--duration", "70", "--warmup", "30",

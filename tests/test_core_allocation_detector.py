@@ -1,16 +1,14 @@
-"""Unit tests for allocation recommendations and the ShadowSync detector."""
+"""Unit tests for the thread-allocation recommendations (§4.2)."""
 
 import numpy as np
 import pytest
 
 from repro.core import (
-    ShadowSyncDetector,
     concurrency_latency_curve,
     recommend_compaction_threads,
     recommend_flush_threads,
 )
 from repro.errors import AnalysisError
-from repro.metrics import ActivitySpan, SpanLog, StepSeries
 
 
 # ---------------------------------------------------------------- allocation
@@ -52,88 +50,3 @@ def test_recommend_threads_fallback_on_flat_curve():
     levels = np.arange(0.0, 8.0)
     latency = np.full_like(levels, 0.4)
     assert recommend_compaction_threads(levels, latency, fallback=4) == 4
-
-
-# ---------------------------------------------------------------- detector
-
-def build_shadowsync_scene():
-    """Synthetic run: 2 spikes, both during CPU saturation windows that
-    coincide with flush+compaction overlap."""
-    spans = SpanLog()
-    for burst_start in (32.0, 64.0):
-        for i in range(8):
-            spans.add(ActivitySpan("flush", f"f{i}", "s0", i, "n0",
-                                   burst_start, burst_start + 0.4))
-            spans.add(ActivitySpan("compaction", f"c{i}", "s0", i, "n0",
-                                   burst_start + 0.1, burst_start + 2.5))
-            spans.add(ActivitySpan("compaction", f"c{i}b", "s1", i, "n0",
-                                   burst_start + 0.1, burst_start + 2.5))
-    cpu_points = [(0.0, 10.0)]
-    for burst_start in (32.0, 64.0):
-        cpu_points += [(burst_start, 16.0), (burst_start + 2.5, 10.0)]
-    cpu = StepSeries(cpu_points)
-    times = np.arange(0.0, 96.0, 0.25)
-    latency = np.full_like(times, 0.3)
-    for burst_start in (32.0, 64.0):
-        latency[(times >= burst_start) & (times < burst_start + 3.0)] = 2.0
-    return spans, cpu, times, latency
-
-
-def test_detector_classifies_statistical_shadowsync():
-    spans, cpu, times, latency = build_shadowsync_scene()
-    detector = ShadowSyncDetector(spike_threshold_s=1.0)
-    finding = detector.analyze(
-        spans=spans, cpu_series=cpu, cpu_capacity=16.0,
-        latency_times=times, latency_values=latency,
-        checkpoint_times=[8.0 * k for k in range(12)],
-        stages=["s0", "s1"], window=(0.0, 96.0),
-    )
-    assert finding.classification == "statistical"
-    assert len(finding.spikes) == 2
-    assert finding.spike_match_fraction == 1.0
-    assert finding.overlap_seconds > 0
-    assert finding.spike_period_s == pytest.approx(32.0, abs=1.0)
-
-
-def test_detector_reports_none_without_spikes():
-    spans, cpu, times, _latency = build_shadowsync_scene()
-    flat = np.full_like(times, 0.3)
-    detector = ShadowSyncDetector(spike_threshold_s=1.0)
-    finding = detector.analyze(
-        spans=spans, cpu_series=cpu, cpu_capacity=16.0,
-        latency_times=times, latency_values=flat,
-        checkpoint_times=[8.0 * k for k in range(12)],
-        stages=["s0", "s1"], window=(0.0, 96.0),
-    )
-    assert finding.classification == "none"
-
-
-def test_detector_scheduled_when_stages_alternate():
-    spans = SpanLog()
-    # s0 bursts at 32, s1 bursts at 64 — alternating periods
-    for i in range(8):
-        spans.add(ActivitySpan("flush", f"f{i}", "s0", i, "n0", 32.0, 32.4))
-        spans.add(ActivitySpan("compaction", f"c{i}", "s0", i, "n0", 32.1, 34.5))
-        spans.add(ActivitySpan("flush", f"g{i}", "s1", i, "n0", 64.0, 64.4))
-        spans.add(ActivitySpan("compaction", f"d{i}", "s1", i, "n0", 64.1, 66.5))
-    cpu = StepSeries([(0.0, 10.0), (32.0, 16.0), (34.5, 10.0),
-                      (64.0, 16.0), (66.5, 10.0)])
-    times = np.arange(0.0, 96.0, 0.25)
-    latency = np.full_like(times, 0.3)
-    for start in (32.0, 64.0):
-        latency[(times >= start) & (times < start + 3.0)] = 1.8
-    detector = ShadowSyncDetector(spike_threshold_s=1.0)
-    finding = detector.analyze(
-        spans=spans, cpu_series=cpu, cpu_capacity=16.0,
-        latency_times=times, latency_values=latency,
-        checkpoint_times=[8.0 * k for k in range(12)],
-        stages=["s0", "s1"], window=(0.0, 96.0),
-    )
-    assert finding.classification == "scheduled"
-
-
-def test_detector_empty_window_raises():
-    spans, cpu, times, latency = build_shadowsync_scene()
-    detector = ShadowSyncDetector()
-    with pytest.raises(AnalysisError):
-        detector.analyze(spans, cpu, 16.0, times, latency, [], ["s0"], (5.0, 5.0))

@@ -7,8 +7,7 @@ one 16 s-staggered run) and assert the *shape* claims of §3 and §5.
 import numpy as np
 import pytest
 
-from repro.analysis import find_spikes, overlap_report, spike_period
-from repro.core import ShadowSyncDetector
+from repro.analysis import analyze_result, find_spikes, overlap_report, spike_period
 
 WARMUP, DURATION = 40.0, 160.0
 
@@ -76,21 +75,10 @@ def test_statistical_alignment_both_stages_same_checkpoint(traffic_baseline):
 
 
 def test_detector_flags_baseline_as_shadowsync(traffic_baseline):
-    times, p999 = traffic_baseline.latency_timeline(
-        0.999, window=0.25, start=WARMUP, end=DURATION
-    )
-    finding = ShadowSyncDetector(spike_threshold_s=1.0).analyze(
-        spans=traffic_baseline.spans,
-        cpu_series=traffic_baseline.cpu_series("node0"),
-        cpu_capacity=16.0,
-        latency_times=times,
-        latency_values=p999,
-        checkpoint_times=traffic_baseline.coordinator.checkpoint_times(),
-        stages=["s0", "s1"],
-        window=(WARMUP, DURATION),
-    )
-    assert finding.classification == "statistical"
-    assert finding.spike_match_fraction >= 0.5
+    report = analyze_result(traffic_baseline, start=WARMUP)
+    assert report.classification == "statistical"
+    assert report.spike_count >= 3
+    assert report.attributed_fraction == 1.0
 
 
 # ------------------------------------------------------------ §3.2 16 s run

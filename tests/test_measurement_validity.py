@@ -1,16 +1,24 @@
-"""Two measurement findings, pinned as strict expected-failures.
+"""Measurement findings: one pinned as a strict expected-failure, one
+fixed and held.
 
-Fixing either moves every golden, so neither is fixed here; a strict
-xfail turns into a failure the day the cause is fixed, which is when
-the marker — and the ``note`` on the Fig 8 / Fig 16 "> 2 s" claim rows
-— should go (ROADMAP: measurement validity; `repro explain`).
+The tail finding is not fixed here, since fixing it moves every golden;
+a strict xfail turns into a failure the day the cause is fixed, which is
+when the marker — and the ``note`` on the Fig 8 / Fig 16 "> 2 s" claim
+rows — should go (ROADMAP: measurement validity; `repro explain`).
+
+The detector finding is fixed: a spike's evidence window reaches back to
+the checkpoint that caused it, so the verdict on either exemplar no
+longer depends on the run's length.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from repro.analysis.millibottleneck import analyze_summary
+from repro.analysis.millibottleneck import analyze_result, analyze_summary
 from repro.api import run_scenario
 from repro.experiments import DEFAULT_SETTINGS, summarize_run
+from repro.experiments.figures import SCHEDULED
 from repro.metrics.percentiles import weighted_quantile
 
 
@@ -36,12 +44,32 @@ def test_tail_does_not_depend_on_where_the_timeline_starts(baseline):
     )
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "analyze_summary calls the paper's Figure 8 statistical-ShadowSync "
-    "exemplar 'none' (0 of 5 spikes attributed) at the standard settings, "
-    "though 'statistical' (3 of 3) at repro trace's 104 s / 32 s"
-))
 def test_detector_names_the_statistical_exemplar(baseline):
     report = analyze_summary(summarize_run(baseline, DEFAULT_SETTINGS))
     assert report.classification == "statistical"
     assert report.attributed_count >= 3
+
+
+@pytest.mark.parametrize("spec, verdict", [
+    ("baseline_traffic", "statistical"),
+    (SCHEDULED, "scheduled"),
+], ids=["fig8", "fig1"])
+@pytest.mark.parametrize("duration_s, warmup_s", [(104.0, 32.0), (200.0, 40.0)],
+                         ids=["trace-length", "standard"])
+def test_exemplar_verdicts_do_not_depend_on_run_length(
+    baseline, spec, verdict, duration_s, warmup_s
+):
+    """The same verdict, every spike attributed, at ``repro trace``'s
+    104 s / 32 s and the standard 200 s / 40 s, live and from a summary."""
+    settings = replace(DEFAULT_SETTINGS, duration_s=duration_s, warmup_s=warmup_s)
+    if spec == "baseline_traffic" and settings == DEFAULT_SETTINGS:
+        result = baseline
+    else:
+        result = run_scenario(spec, settings=settings)
+    for report in (
+        analyze_result(result, start=warmup_s),
+        analyze_summary(summarize_run(result, settings)),
+    ):
+        assert report.classification == verdict
+        assert report.spike_count >= 3
+        assert report.attributed_fraction == 1.0

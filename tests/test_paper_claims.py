@@ -12,8 +12,9 @@ from repro.experiments.claims import CLAIMS, FIGURES, evaluate
 from repro.experiments.cli import EXPERIMENTS, main
 from repro.experiments.figures import ABLATIONS
 
-#: [label, quantity, paper, measured] as the parent's benchmark suite
-#: recorded them (regenerate: tests/make_paper_claims_golden.py).
+#: [label, quantity, paper, measured] as the old benchmark suite
+#: recorded them, plus the two detector-verdict rows added since
+#: (regenerate: tests/make_paper_claims_golden.py).
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "paper_claims_golden.json").read_text()
 )

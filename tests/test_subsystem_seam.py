@@ -63,6 +63,13 @@ def test_composed_run_matches_the_golden_recorded_before_the_refactor():
     spikes = golden["analysis"]["spikes"]
     for channel in ("faults", "resilience", "cluster"):
         assert any(spike[channel] for spike in spikes), channel
+    # negative control: the spike during the scale-in is known churn —
+    # its CPU never saturates while it is up, so it stays unattributed
+    assert golden["analysis"]["classification"] == "scheduled"
+    assert golden["analysis"]["attributed_count"] == 1
+    (scale_in,) = [s for s in spikes if s["peak_time"] == pytest.approx(45.05)]
+    assert not scale_in["attributed"]
+    assert "scale-in:-4" in scale_in["cluster"]
 
 
 # ----------------------------------------------------------------------
