@@ -32,7 +32,6 @@ import numpy as np
 from ..errors import AnalysisError
 from ..metrics.spans import ActivitySpan, SpanLog
 from ..metrics.timeline import StepSeries, millibottleneck_windows
-from ..serialize import register
 from .longtail import find_spikes
 from .overlap import alignment_score, burst_alignment
 
@@ -60,7 +59,6 @@ Window = Tuple[str, float, float]
 CHANNELS = ("faults", "resilience", "cluster", "sync")
 
 
-@register
 @dataclass
 class SpikeAttribution:
     """One latency spike and the background work blamed for it."""
@@ -112,7 +110,6 @@ class SpikeAttribution:
         return cls(**data)
 
 
-@register
 @dataclass
 class MillibottleneckReport:
     """Detector output for one run window."""

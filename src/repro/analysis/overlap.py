@@ -20,7 +20,6 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..metrics.spans import SpanLog
-from ..serialize import register
 
 __all__ = [
     "scheduled_overlap_times",
@@ -72,7 +71,6 @@ def coincidence_period(period_a: float, period_b: float) -> Optional[float]:
     return period_b * frac[0] / math.gcd(frac[0], frac[1]) * 1.0
 
 
-@register
 class OverlapReport:
     """Quantified ShadowSync exposure of one run window."""
 

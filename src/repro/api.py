@@ -90,7 +90,6 @@ from .resilience import (
     CircuitBreaker,
     Deadline,
     LoadShedder,
-    OverloadController,
     ResilienceConfig,
     ResilientKafkaCommitter,
     ResilientUploader,
@@ -130,7 +129,6 @@ from .sanitize import (
     render_findings,
     sanitize_experiment,
 )
-from .serialize import from_dict, to_dict
 from .sim import Simulator
 from .storage.backend import HDD, NVME_SSD, TMPFS, StorageProfile
 from .stream.engine import StreamJob, StreamJobResult
@@ -227,7 +225,6 @@ __all__ = [
     # overload protection & chaos soak
     "ResilienceConfig",
     "SLOGuard",
-    "OverloadController",
     "LoadShedder",
     "RetryPolicy",
     "Deadline",
@@ -258,9 +255,6 @@ __all__ = [
     "analyze_result",
     "analyze_summary",
     "analyze_trace",
-    # serialization
-    "to_dict",
-    "from_dict",
     # static analysis & sanitizers
     "lint",
     "sanitize",

@@ -6,7 +6,7 @@ phi-accrual failure detector suspects a silent node, how partition
 transfers are paced (bandwidth, retry policy, deadline, circuit
 breaker), and the scheduled membership events (scale-out joins and
 graceful leaves).  Like every other spec in this repo it round-trips
-through :mod:`repro.serialize` and hashes into the experiment cache
+through its ``to_dict``/``from_dict`` and hashes into the experiment cache
 key, so an elastic run is exactly as reproducible and cacheable as a
 static one.
 """
@@ -16,10 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..compat import keyword_only
 from ..errors import ConfigurationError
 from ..resilience.policies import RetryPolicy
-from ..serialize import register
 
 __all__ = ["MEMBERSHIP_ACTIONS", "NodeSpec", "MembershipEvent", "ClusterSpec"]
 
@@ -27,9 +25,7 @@ __all__ = ["MEMBERSHIP_ACTIONS", "NodeSpec", "MembershipEvent", "ClusterSpec"]
 MEMBERSHIP_ACTIONS = ("join", "leave")
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class NodeSpec:
     """Shape of the worker nodes a scale-out event adds.
 
@@ -51,9 +47,7 @@ class NodeSpec:
         return cls(cores=int(data.get("cores", 0)))
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MembershipEvent:
     """One scheduled membership change: *count* nodes join or leave at
     *at_s*.  Leaves retire the highest-named live nodes after draining
@@ -86,9 +80,7 @@ class MembershipEvent:
         )
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ClusterSpec:
     """Configuration of the elastic cluster layer for one run."""
 

@@ -13,13 +13,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional
 
-from ..serialize import register
 from .mitigation import MitigationPlan
 
 __all__ = ["TunedConfig", "TuneReport", "tune"]
 
 
-@register
 @dataclass
 class TunedConfig:
     """The artifact :func:`tune` emits: the winning configuration.
@@ -58,7 +56,6 @@ class TunedConfig:
         return asdict(self)
 
 
-@register
 @dataclass
 class TuneReport:
     """Everything one :func:`tune` invocation measured."""

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
 from .. import __version__
-from ..compat import keyword_only
 from ..serialize import canonical_json
 from ..errors import ConfigurationError
 from ..scenarios.run import resolve_scenario, run_scenario
@@ -70,8 +69,7 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 _PACKAGE_VERSION = __version__
 
 
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunSpec:
     """One (config, seed) run, fully described by plain data.
 

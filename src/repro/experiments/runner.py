@@ -11,16 +11,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import List, Optional
 
-from ..compat import keyword_only
-from ..serialize import register
 from ..trace import Tracer
 
 __all__ = ["ExperimentSettings"]
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSettings:
     """Run length and measurement conventions shared by experiments."""
 

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
-from ..serialize import register
-
 __all__ = ["RunSummary", "summarize_run"]
 
 #: dt of the concurrency timelines, matching the paper's 50 ms analysis
@@ -30,7 +28,6 @@ __all__ = ["RunSummary", "summarize_run"]
 CONCURRENCY_DT = 0.05
 
 
-@register
 @dataclass
 class RunSummary:
     """The serializable digest of one finished stream-job run."""

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import LSMError, SimulationError
-from ..serialize import register
 from ..sim.process import spawn
 from ..stream.engine import Subsystem
 
@@ -56,7 +55,6 @@ __all__ = [
 ]
 
 
-@register
 @dataclass
 class InvariantViolation:
     """One recorded invariant violation."""

@@ -5,10 +5,11 @@ serializable list of :class:`FaultSpec` entries, each saying *what*
 breaks (``kind``), *where* (``node``), *when* (``at_s``), for *how long*
 (``duration_s``) and *how hard* (``factor``).  Plans are plain data —
 they contain no simulator references — so they round-trip through
-:mod:`repro.serialize`, participate in the experiment cache key, and can
-be generated from a seed (:meth:`FaultPlan.random`) for property-based
-testing.  :meth:`FaultPlan.shrink` yields strictly-simpler candidate
-plans so a failing random plan can be minimised before it is reported.
+``to_dict``/``from_dict``, participate in the experiment cache key, and
+can be generated from a seed (:meth:`FaultPlan.random`) for
+property-based testing.  :meth:`FaultPlan.shrink` yields
+strictly-simpler candidate plans so a failing random plan can be
+minimised before it is reported.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence, Tuple
 
-from ..compat import keyword_only
 from ..errors import ConfigurationError
-from ..serialize import register
 
 __all__ = [
     "ALL_FAULT_KINDS",
@@ -69,9 +68,7 @@ ALL_NODES = -1
 GLOBAL_KINDS = ("checkpoint_timeout", "kafka_backpressure")
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FaultSpec:
     """One scheduled fault: kind, target, window, and intensity."""
 
@@ -115,9 +112,7 @@ class FaultSpec:
         return self.at_s + self.duration_s
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FaultPlan:
     """A named, ordered collection of faults to inject into one run."""
 

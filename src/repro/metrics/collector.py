@@ -17,14 +17,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..serialize import register
 from .spans import ActivitySpan, SpanLog
 from .timeline import StepSeries
 
 __all__ = ["CheckpointStats", "MetricsCollector"]
 
 
-@register
 class CheckpointStats:
     """Statistics of one checkpoint period, one row-group of Table 1."""
 

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..stream.engine import Subsystem
 from .config import DEFAULT_RESILIENCE, ResilienceConfig
-from .guard import OverloadController, SLOGuard
+from .guard import SLOGuard
 from .policies import CircuitBreaker, Deadline, RetryPolicy
 from .shedding import LoadShedder
 from .uploads import ResilientKafkaCommitter, ResilientUploader
@@ -36,7 +36,6 @@ __all__ = [
     "ResilienceConfig",
     "DEFAULT_RESILIENCE",
     "SLOGuard",
-    "OverloadController",
     "LoadShedder",
     "RetryPolicy",
     "Deadline",

@@ -6,7 +6,7 @@ mode actuates (admission shedding, compaction throttling, checkpoint
 stretching), the retry/deadline/circuit-breaker policies applied to
 checkpoint uploads and Kafka commits, and the watchdog deadlines.  It
 is plain data — it pickles through the parallel executor, hashes into
-the result-cache key, and round-trips through the serialize registry —
+the result-cache key, and round-trips through ``to_dict``/``from_dict`` —
 so a guarded run is exactly as reproducible as an unguarded one.
 """
 
@@ -14,16 +14,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from ..compat import keyword_only
 from ..errors import ConfigurationError
-from ..serialize import register
 
 __all__ = ["ResilienceConfig", "DEFAULT_RESILIENCE"]
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResilienceConfig:
     """Knobs of the SLO guard, degradation actuators, policies, watchdog."""
 

@@ -1,11 +1,11 @@
 """The SLO guard: closed-loop overload detection and graceful degradation.
 
-:class:`SLOGuard` (alias ``OverloadController``) samples the running
-job every ``sample_interval_s``: total queue depth across all stage
-flows, per-node CPU saturation, and an *estimated* end-to-end latency
-(per-stage backlog over effective drain rate).  The windowed p99 of
-that estimate, compared against ``latency_slo_s`` with consecutive-
-sample hysteresis, drives a two-mode state machine:
+:class:`SLOGuard` samples the running job every ``sample_interval_s``:
+total queue depth across all stage flows, per-node CPU saturation, and
+an *estimated* end-to-end latency (per-stage backlog over effective
+drain rate).  The windowed p99 of that estimate, compared against
+``latency_slo_s`` with consecutive-sample hysteresis, drives a two-mode
+state machine:
 
 ``normal`` → ``degraded`` (trip)
     engage the token-bucket load shedder, shrink every compaction pool
@@ -29,7 +29,7 @@ from ..sim.process import spawn
 from .config import ResilienceConfig
 from .shedding import LoadShedder
 
-__all__ = ["SLOGuard", "OverloadController"]
+__all__ = ["SLOGuard"]
 
 
 class SLOGuard:
@@ -216,7 +216,3 @@ class SLOGuard:
             for mode, start, end in self.mode_windows
             if end is not None
         ]
-
-
-#: The ISSUE names this both ways; they are the same object.
-OverloadController = SLOGuard

@@ -14,16 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..compat import keyword_only
 from ..errors import ConfigurationError, RetryExhaustedError
-from ..serialize import register
 
 __all__ = ["RetryPolicy", "Deadline", "CircuitBreaker"]
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RetryPolicy:
     """Exponential backoff with bounded, jittered delays.
 

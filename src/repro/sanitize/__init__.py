@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..serialize import register
 from .lint import (
     Finding,
     findings_json,
@@ -119,7 +118,6 @@ __all__ = [
 ]
 
 
-@register
 @dataclass
 class SanitizeReport:
     """Combined runtime-sanitizer verdict for one benchmark run."""

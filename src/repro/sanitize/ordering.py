@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, List
 
-from ..serialize import canonical_json, register
+from ..serialize import canonical_json
 
 __all__ = [
     "OrderingCheck",
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 
-@register
 @dataclass
 class OrderingCheck:
     """One verified property (or its counterexample)."""
@@ -45,7 +44,6 @@ class OrderingCheck:
         return asdict(self)
 
 
-@register
 @dataclass
 class OrderingReport:
     """Outcome of the ordering checks on one spec/summary pair."""

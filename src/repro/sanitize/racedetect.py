@@ -33,7 +33,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..serialize import canonical_json, register
+from ..serialize import canonical_json
 from ..sim.kernel import Simulator
 from ..trace import TraceEvent, Tracer, events_in_window
 
@@ -96,7 +96,6 @@ class RaceProbe:
     result: object = None
 
 
-@register
 @dataclass
 class RaceDivergence:
     """One hidden same-timestamp race: where the two runs split."""
@@ -132,7 +131,6 @@ class RaceDivergence:
         )
 
 
-@register
 @dataclass
 class RaceReport:
     """Outcome of one race-detection pass (two runs + diff)."""

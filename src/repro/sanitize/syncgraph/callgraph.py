@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..rules import qualified_name
+
 __all__ = [
     "CallSite",
     "FunctionInfo",
@@ -281,18 +283,6 @@ def _import_aliases(tree: ast.Module, module: str) -> Dict[str, str]:
     return aliases
 
 
-def _dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """``self.backend.flush_instance`` style dotted text, alias-resolved."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(aliases.get(node.id, node.id))
-    return ".".join(reversed(parts))
-
-
 class _FileIndexer(ast.NodeVisitor):
     """One pass over a file: functions, calls, callback registrations."""
 
@@ -362,7 +352,7 @@ class _FileIndexer(ast.NodeVisitor):
             and isinstance(node.targets[0], ast.Name)
             and isinstance(node.value, (ast.Attribute, ast.Name))
         ):
-            dotted = _dotted(node.value, self.aliases)
+            dotted = qualified_name(node.value, self.aliases)
             if dotted is not None:
                 self.locals[node.targets[0].id] = dotted
         for target in node.targets:
@@ -376,7 +366,7 @@ class _FileIndexer(ast.NodeVisitor):
     def _note_write(self, target: ast.AST) -> None:
         if not isinstance(target, ast.Attribute):
             return
-        base = _dotted(target.value, self.aliases)
+        base = qualified_name(target.value, self.aliases)
         if base is None or base.split(".", 1)[0] in ("self", "cls"):
             return
         site = WriteSite(
@@ -408,7 +398,7 @@ class _FileIndexer(ast.NodeVisitor):
                 attr = dotted
         elif isinstance(func, ast.Attribute):
             attr = func.attr
-            base = _dotted(func.value, self.aliases)
+            base = qualified_name(func.value, self.aliases)
             if base is not None and base.split(".", 1)[0] in self.locals:
                 root, _, rest = base.partition(".")
                 base = self.locals[root] + (f".{rest}" if rest else "")
@@ -436,7 +426,7 @@ class _FileIndexer(ast.NodeVisitor):
             # spawn(self._loop()) registers the generator function.
             arg = arg.func
         dotted = (
-            _dotted(arg, self.aliases)
+            qualified_name(arg, self.aliases)
             if isinstance(arg, (ast.Attribute, ast.Name))
             else None
         )

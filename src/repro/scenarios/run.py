@@ -91,8 +91,6 @@ def build_scenario_job(
 def run_scenario(
     spec: Union[ScenarioSpec, str, dict],
     settings=None,
-    tracer: Optional[Tracer] = None,
-    tie_break: str = "fifo",
     scale: int = 1,
 ) -> StreamJobResult:
     """The single public entry point: run a scenario, return its result.
@@ -120,8 +118,7 @@ def run_scenario(
     job = build_scenario_job(
         spec,
         seed=settings.seed,
-        tracer=tracer if tracer is not None else settings.make_tracer(),
-        tie_break=tie_break,
+        tracer=settings.make_tracer(),
         scale=scale,
     )
     if spec.cluster is not None:

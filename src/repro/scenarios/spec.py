@@ -4,10 +4,10 @@ A :class:`ScenarioSpec` composes everything that defines one experiment
 *situation* — the workload (arrival process, key distribution), the
 app/topology, the fault schedule, and the resilience configuration —
 into a single frozen, serializable object.  It is plain data end to
-end: it round-trips through :mod:`repro.serialize`, pickles through the
-parallel executor, and hashes canonically into the result-cache key, so
-a scenario run is exactly as reproducible and cacheable as the
-hand-wired experiments it replaces.
+end: it round-trips through its own ``to_dict``/``from_dict``, pickles
+through the parallel executor, and hashes canonically into the
+result-cache key, so a scenario run is exactly as reproducible and
+cacheable as the hand-wired experiments it replaces.
 
 Measurement conventions (duration, warmup, seed) deliberately stay
 *outside* the scenario, in
@@ -22,12 +22,10 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
 from ..cluster.spec import ClusterSpec
-from ..compat import keyword_only
 from ..core.mitigation import MitigationPlan
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
 from ..resilience.config import ResilienceConfig
-from ..serialize import register
 from ..storage.backend import profile_by_name
 from ..stream.sources import (
     ClosedLoopSource,
@@ -50,9 +48,7 @@ def _tupled(entries) -> tuple:
     return tuple(tuple(entry) for entry in entries)
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class WorkloadSpec:
     """The arrival process and key distribution of a scenario.
 
@@ -151,9 +147,7 @@ class WorkloadSpec:
         return cls(**{k: v for k, v in data.items() if k in names})
 
 
-@register
-@keyword_only
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ScenarioSpec:
     """One named experiment situation, fully described by plain data."""
 

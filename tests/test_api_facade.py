@@ -21,7 +21,6 @@ def test_facade_covers_the_advertised_surface():
         "ExperimentSettings", "RunSpec", "RunSummary", "MitigationPlan",
         "Tracer", "NullTracer", "build_traffic_job", "build_wordcount_job",
         "analyze_result", "analyze_summary", "analyze_trace",
-        "to_dict", "from_dict",
     }
     assert expected <= set(api.__all__)
 

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.core import MitigationPlan, TunedConfig, TuneReport, tune
-from repro.serialize import roundtrip
 
 #: One policy keeps the smoke grid at 4 runs (baseline, paper, 2 pools)
 #: while still exercising the full search/rank/knee/artifact path.
@@ -46,7 +45,7 @@ def test_rerun_is_deterministic_and_cache_hot(report, cache_dir):
 
 
 def test_report_roundtrips_and_plan_revives(report):
-    assert roundtrip(report) == report
+    assert TuneReport.from_dict(report.to_dict()) == report
     assert isinstance(report.best, TunedConfig)
     plan = report.best.plan()
     assert isinstance(plan, MitigationPlan)

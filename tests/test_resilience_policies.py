@@ -20,7 +20,6 @@ from repro.resilience import (
     ResilientKafkaCommitter,
     RetryPolicy,
 )
-from repro.serialize import roundtrip
 
 
 # ----------------------------------------------------------------------
@@ -216,8 +215,9 @@ def test_committer_passes_through_on_success():
 
 def test_config_roundtrips_through_serialize_registry():
     config = ResilienceConfig(latency_slo_s=2.0, shed_rate_factor=0.5)
-    assert roundtrip(config) == config
-    assert roundtrip(RetryPolicy(max_attempts=5)) == RetryPolicy(max_attempts=5)
+    assert ResilienceConfig.from_dict(config.to_dict()) == config
+    policy = RetryPolicy(max_attempts=5)
+    assert RetryPolicy.from_dict(policy.to_dict()) == policy
 
 
 def test_config_validation():

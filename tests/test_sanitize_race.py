@@ -9,13 +9,13 @@ from repro.experiments.runner import ExperimentSettings
 from repro.sanitize import (
     ProbeTarget,
     RaceReport,
+    SanitizeReport,
     check_cache_key_stability,
     check_summary_order_independence,
     detect_races,
     reorder,
     sanitize_experiment,
 )
-from repro.serialize import from_dict, to_dict
 from repro.sim.events import TIE_BREAKS, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.process import spawn
@@ -121,7 +121,7 @@ def test_tie_robust_model_passes():
 
 def test_race_report_roundtrips_through_serialize():
     report = detect_races(_planted_race_factory, duration_s=2.0, window_s=1.0)
-    revived = from_dict("RaceReport", to_dict(report))
+    revived = RaceReport.from_dict(report.to_dict())
     assert isinstance(revived, RaceReport)
     assert revived.to_dict() == report.to_dict()
     assert not revived.ok
@@ -187,7 +187,7 @@ def test_wordcount_headline_run_is_sanitize_clean():
     assert report.ordering.ok
     names = {check.name for check in report.ordering.checks}
     assert names == {"cache-key-stability", "summary-order-independence"}
-    revived = from_dict("SanitizeReport", to_dict(report))
+    revived = SanitizeReport.from_dict(report.to_dict())
     assert revived.ok and revived.race.windows == 8
 
 

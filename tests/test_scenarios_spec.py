@@ -22,7 +22,6 @@ from repro.scenarios import (
     scenario,
     scenario_names,
 )
-from repro.serialize import from_dict, roundtrip, to_dict
 
 GOLDEN_KEYS = Path(__file__).parent / "data" / "scenario_cache_keys.json"
 
@@ -89,10 +88,10 @@ def test_unknown_library_scenario_is_an_error():
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_library_scenario_roundtrips(name):
     spec = scenario(name)
-    assert roundtrip(spec) == spec
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
     # and through plain JSON text, as the CLI / cache would store it
-    payload = json.loads(json.dumps(to_dict(spec)))
-    assert from_dict(ScenarioSpec, payload) == spec
+    payload = json.loads(json.dumps(spec.to_dict()))
+    assert ScenarioSpec.from_dict(payload) == spec
 
 
 def test_custom_spec_with_faults_roundtrips():
@@ -107,7 +106,7 @@ def test_custom_spec_with_faults_roundtrips():
         resilience=True,
         tenants=2,
     )
-    again = roundtrip(spec)
+    again = ScenarioSpec.from_dict(spec.to_dict())
     assert again == spec
     assert again.workload.bursts == ((10.0, 5.0, 2.0),)
 
@@ -116,7 +115,7 @@ def test_workload_roundtrip_preserves_tuples():
     wl = WorkloadSpec(arrival="piecewise",
                       schedule=((0.0, 100.0), (10.0, 200.0)),
                       skew=((5.0, 0.5, 1),))
-    again = roundtrip(wl)
+    again = WorkloadSpec.from_dict(wl.to_dict())
     assert again == wl
     assert isinstance(again.schedule, tuple)
     assert isinstance(again.skew, tuple)
