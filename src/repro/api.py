@@ -53,7 +53,6 @@ from .core import (
     tune,
 )
 from .experiments.parallel import RunSpec, run_grid
-from .experiments.profile import ProfileReport, profile_run
 from .experiments.shard import (
     ShardedResult,
     execute_spec_sharded,
@@ -167,10 +166,6 @@ __all__ = [
     "plan_shards",
     "execute_spec_sharded",
     "merge_summaries",
-    # profiling
-    "profile",
-    "profile_run",
-    "ProfileReport",
     # jobs
     "build_traffic_job",
     "build_wordcount_job",
@@ -290,15 +285,6 @@ def lint(*paths):
     if not targets:
         targets = [Path(__file__).resolve().parent]
     return lint_paths(targets)
-
-
-def profile(**kwargs) -> ProfileReport:
-    """Profile one benchmark run: kernel dispatch histogram plus an
-    optional cProfile pass; see
-    :func:`repro.experiments.profile.profile_run` for the keyword
-    arguments.  Equivalent to ``repro profile``.
-    """
-    return profile_run(**kwargs)
 
 
 def sanitize(**kwargs) -> SanitizeReport:

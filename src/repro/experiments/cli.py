@@ -58,7 +58,7 @@ EXEMPLARS: Dict[str, ScenarioSpec] = {
 
 
 def exemplar(experiment: str) -> ScenarioSpec:
-    """The scenario ``repro trace``/``profile``/``run --faults`` run for
+    """The scenario ``repro trace`` and ``repro run --faults`` run for
     *experiment*."""
     return EXEMPLARS.get(experiment, scenario("baseline_traffic"))
 
@@ -213,14 +213,14 @@ def _emit_json(payload) -> None:
     print()
 
 
-def _finish(args, report, **render_options) -> int:
+def _finish(args, report) -> int:
     """The report protocol's epilogue: ``to_dict()`` as JSON or
     ``render()`` as text; exit 1 when the report has an ``ok`` that is
     false."""
     if args.json:
         _emit_json(report.to_dict())
     else:
-        print(report.render(**render_options))
+        print(report.render())
     return 0 if getattr(report, "ok", True) else 1
 
 
@@ -508,10 +508,14 @@ def _trace_command(args) -> int:
     out = args.out
     if out is None:
         out = f"{args.experiment}.trace." + ("json" if args.chrome else "jsonl")
-    if args.chrome:
-        tracer.write_chrome(out)
-    else:
-        tracer.write_jsonl(out)
+    try:
+        if args.chrome:
+            tracer.write_chrome(out)
+        else:
+            tracer.write_jsonl(out)
+    except OSError as exc:
+        print(f"error: cannot write trace: {exc}", file=sys.stderr)
+        return 2
     print(f"{len(tracer)} events ({summary.scenario} run, schema "
           f"{summary.trace_schema}) -> {out}")
     print(analyze_summary(summary).render())
@@ -765,6 +769,10 @@ def _sync_command(args) -> int:
         raise ConfigurationError(
             "--static-only and --dynamic-only are mutually exclusive"
         )
+    if args.static_only and args.trace_file is not None:
+        raise ConfigurationError(
+            "--static-only and --trace-file are mutually exclusive"
+        )
     events = None
     scenario = None if args.static_only else args.scenario
     duration_s, seed = args.duration, args.seed
@@ -790,34 +798,6 @@ def _sync_command(args) -> int:
             static=not args.dynamic_only,
         )
     return _finish(args, report)
-
-
-@command(
-    "profile",
-    "profile one exemplar run: kernel dispatch histogram (per-callback "
-    "event counts and self time) plus an optional cProfile pass — the "
-    "starting point for hot-spot hunts",
-    _experiment(default="fig8"),
-    _duration(104.0, "simulated seconds (default 104)"),
-    _SEED,
-    flag("--top", type=int, default=20, help="rows per section (default 20)"),
-    flag("--no-cprofile", action="store_true",
-         help="skip the cProfile pass; dispatch histogram only (faster, "
-              "uninflated wall time)"),
-    _json("dump the ProfileReport as JSON"),
-)
-def _profile_command(args) -> int:
-    from .profile import profile_run
-
-    report = profile_run(
-        kind=exemplar(args.experiment),
-        duration_s=args.duration,
-        seed=args.seed,
-        label=f"profile:{args.experiment}",
-        with_cprofile=not args.no_cprofile,
-        top=max(args.top, 50),
-    )
-    return _finish(args, report, top=args.top)
 
 
 @command(

@@ -664,8 +664,8 @@ def ablation_checkpoint_mode(
     return out
 
 
-#: CLI name -> experiment function: the ids ``repro run`` / ``trace`` /
-#: ``profile`` accept and the claims table resolves its rows through.
+#: CLI name -> experiment function: the ids ``repro run`` / ``trace``
+#: accept and the claims table resolves its rows through.
 EXPERIMENTS: Dict[str, Callable] = {
     "fig1": fig1_fig3_baseline_timeline,
     "fig3": fig1_fig3_baseline_timeline,

@@ -6,8 +6,7 @@ serialized dict), assembles the job, installs the scenario's cluster
 layer, fault plan and resilience config, and runs it.
 :func:`build_scenario_job` is the one place harness code turns a run
 description into a :class:`StreamJob`: the parallel executor, the
-sharded path, the profiler, the race sanitizer and the soak all come
-through here.
+sharded path, the race sanitizer and the soak all come through here.
 """
 
 from __future__ import annotations

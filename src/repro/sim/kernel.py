@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from time import perf_counter  # repro: allow[DS101] dispatch profiler only, never model time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Optional
 
 from ..errors import SimulationError
 from ..trace import Tracer, ensure_tracer
@@ -90,10 +89,6 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self.tracer = ensure_tracer(tracer)
         self._trace_dispatch = self.tracer.enabled and self.tracer.wants("kernel")
-        # label -> [count, self_seconds]; populated only while dispatch
-        # profiling is enabled (see enable_dispatch_stats) because the
-        # timed path costs two wall-clock reads per event.
-        self._dispatch_stats: Optional[Dict[str, List[float]]] = None
 
     # ------------------------------------------------------------------
     # clock
@@ -207,7 +202,6 @@ class Simulator:
         bound = None if until is None else until + 1e-12
         tracer = self.tracer
         trace = self._trace_dispatch
-        stats = self._dispatch_stats
         try:
             while heap and not self._aborted:
                 entry = heap[0]
@@ -243,18 +237,7 @@ class Simulator:
                         tid="kernel",
                         priority=event.priority,
                     )
-                if stats is None:
-                    event.callback(*event.args)
-                else:
-                    started = perf_counter()  # repro: allow[DS101] dispatch profiler
-                    event.callback(*event.args)
-                    elapsed = perf_counter() - started  # repro: allow[DS101] dispatch profiler
-                    cell = stats.get(_dispatch_name(event.callback))
-                    if cell is None:
-                        stats[_dispatch_name(event.callback)] = [1, elapsed]
-                    else:
-                        cell[0] += 1
-                        cell[1] += elapsed
+                event.callback(*event.args)
             if until is not None and until > self._now and not self._aborted:
                 self._now = until
         finally:
@@ -265,33 +248,6 @@ class Simulator:
     def run_for(self, duration: float) -> None:
         """Run for *duration* simulated seconds from the current time."""
         self.run(until=self._now + duration)
-
-    # ------------------------------------------------------------------
-    # dispatch profiling
-    # ------------------------------------------------------------------
-
-    def enable_dispatch_stats(self) -> None:
-        """Record per-callback dispatch counts and wall-clock self time.
-
-        Must be called before :meth:`run`; the run loop binds the stats
-        table once on entry.  Adds two clock reads per event, so it is
-        off by default and meant for ``repro profile``.
-        """
-        if self._dispatch_stats is None:
-            self._dispatch_stats = {}
-
-    def dispatch_stats(self) -> Dict[str, tuple]:
-        """Per-callback ``{label: (count, self_seconds)}`` gathered so far.
-
-        Empty unless :meth:`enable_dispatch_stats` was called before the
-        run.  Labels match the ``"kernel"`` trace's dispatch names.
-        """
-        if self._dispatch_stats is None:
-            return {}
-        return {
-            label: (int(cell[0]), float(cell[1]))
-            for label, cell in self._dispatch_stats.items()
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -23,6 +23,8 @@ def test_facade_covers_the_advertised_surface():
         "analyze_result", "analyze_summary", "analyze_trace",
     }
     assert expected <= set(api.__all__)
+    # per-layer time is perfbench's, function-level hotspots cProfile's
+    assert not {"profile", "profile_run", "ProfileReport"} & set(api.__all__)
 
 
 def test_facade_reexports_are_the_implementation_objects():

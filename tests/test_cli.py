@@ -13,8 +13,9 @@ DATA = Path(__file__).parent / "data"
 #: Both recorded by tests/make_cli_parser_golden.py at the commit before
 #: the CLI became a command table (deliberate edits since: the
 #: ``paper`` subcommand was added, the four ``--shards`` options were
-#: removed, and ``compare`` was deleted — its baseline-vs-solution tails
-#: are the ``run fig16`` row, recorded at the commit before).
+#: removed, ``compare`` was deleted — its baseline-vs-solution tails
+#: are the ``run fig16`` row, recorded at the commit before — and so was
+#: ``profile``).
 PARSER_GOLDEN = DATA / "cli_parser_golden.json"
 STDOUT_GOLDEN = DATA / "cli_stdout_golden.json"
 
@@ -182,6 +183,16 @@ def test_sync_audits_a_recorded_trace_file_and_names_it(capsys, tmp_path):
         path, None, None
     )
     assert data["spikes"]["count"] > 0
+
+
+def test_trace_to_an_unwritable_path_is_an_error_line(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "dir" / "x.jsonl"
+    code = main(["trace", "fig8", "--duration", "48", "--warmup", "16",
+                 "--out", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write trace:")
+    assert str(out_path) in err
 
 
 def test_trace_command_chrome_format(capsys, tmp_path):
@@ -380,6 +391,7 @@ def test_stdout_matches_golden(command, capsys, monkeypatch):
     (["run", "fig8", "--faults", "nosuchpreset", "--duration", "4",
       "--warmup", "1"], {}),
     (["sync", "--static-only", "--dynamic-only"], {}),
+    (["sync", "--static-only", "--trace-file", "{tmp}/a-file"], {}),
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(
     argv, env, capsys, monkeypatch, tmp_path
@@ -387,6 +399,7 @@ def test_bad_input_is_an_error_line_not_a_traceback(
     """One ``except ReproError`` boundary: every entry path reports a
     configuration mistake as ``error: ...`` with exit 2."""
     (tmp_path / "a-file").write_text("")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     env = {name: value.format(tmp=tmp_path) for name, value in env.items()}
     for name, value in env.items():
         monkeypatch.setenv(name, value)

@@ -160,25 +160,6 @@ def test_max_events_equal_to_queue_is_not_an_error():
     assert fired == [0, 1, 2, 3]
 
 
-def test_dispatch_stats_do_not_perturb_state():
-    """The profiler's per-callback timing must be observation-only."""
-    plain = build_traffic_job(seed=13)
-    plain.run(24.0)
-
-    profiled = build_traffic_job(seed=13)
-    profiled.sim.enable_dispatch_stats()
-    profiled.run(24.0)
-
-    assert _digest(plain) == _digest(profiled)
-    stats = profiled.sim.dispatch_stats()
-    assert stats and all(
-        count > 0 and self_s >= 0.0 for count, self_s in stats.values()
-    )
-    assert sum(count for count, _ in stats.values()) == (
-        profiled.sim.events_fired
-    )
-
-
 # ----------------------------------------------------------------------
 # the mitigation zoo is deterministic (slow lane: run with `-m slow`)
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ import repro.scenarios.run as scenario_run
 from repro.core.mitigation import MitigationPlan
 from repro.experiments import figures
 from repro.experiments.parallel import RunSpec, execute_spec, spec_cache_key
-from repro.experiments.profile import profile_run
 from repro.experiments.runner import ExperimentSettings
 from repro.experiments.shard import execute_spec_sharded
 from repro.resilience.soak import run_soak
@@ -147,8 +146,8 @@ def test_short_names_are_aliases_not_library_entries():
 
 
 def test_every_entry_point_builds_the_job_build_scenario_job_builds(monkeypatch):
-    """``profile_run``, ``experiment_factory`` and ``run_soak`` given the
-    ``wordcount`` alias start from exactly the job
+    """``experiment_factory`` and ``run_soak`` given the ``wordcount``
+    alias start from exactly the job
     ``build_scenario_job("baseline_wordcount")`` assembles."""
     expected = state_digest(build_scenario_job("baseline_wordcount", seed=4))
     built = []
@@ -160,8 +159,7 @@ def test_every_entry_point_builds_the_job_build_scenario_job_builds(monkeypatch)
         return job
 
     monkeypatch.setattr(scenario_run, "build_scenario_job", spy)
-    profile_run(kind="wordcount", duration_s=1.0, seed=4, with_cprofile=False)
     experiment_factory("wordcount", seed=4)("fifo")
     run_soak(kind="wordcount", seeds=(4,), duration_s=1.0, warmup_s=0.0,
              cache=False)
-    assert built == [expected] * 3
+    assert built == [expected] * 2
