@@ -60,7 +60,7 @@ from .experiments.shard import (
     plan_shards,
 )
 from .experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
-from .errors import OverloadError, RetryExhaustedError, WatchdogError
+from .errors import OverloadError, WatchdogError
 from .experiments.report import render_series, render_table, render_tails
 from .experiments.summary import RunSummary, summarize_run
 from .faults import (
@@ -90,7 +90,6 @@ from .resilience import (
     Deadline,
     LoadShedder,
     ResilienceConfig,
-    ResilientKafkaCommitter,
     ResilientUploader,
     RetryPolicy,
     SLOGuard,
@@ -225,13 +224,11 @@ __all__ = [
     "Deadline",
     "CircuitBreaker",
     "ResilientUploader",
-    "ResilientKafkaCommitter",
     "Watchdog",
     "install_resilience",
     "run_soak",
     "SoakReport",
     "OverloadError",
-    "RetryExhaustedError",
     "WatchdogError",
     # reporting
     "render_tails",

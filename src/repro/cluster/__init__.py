@@ -11,7 +11,7 @@ a built job with::
     )))
 """
 
-from .coordinator import ClusterManager, install_cluster, state_digest
+from .coordinator import ClusterManager, install_cluster
 from .detector import PhiAccrualDetector
 from .spec import MEMBERSHIP_ACTIONS, ClusterSpec, MembershipEvent, NodeSpec
 
@@ -23,5 +23,4 @@ __all__ = [
     "NodeSpec",
     "PhiAccrualDetector",
     "install_cluster",
-    "state_digest",
 ]

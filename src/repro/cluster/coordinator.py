@@ -37,30 +37,17 @@ from ..errors import ConfigurationError
 from ..resilience.policies import CircuitBreaker, Deadline
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
+from ..stream.checkpoint import snapshot_digest
 from ..stream.engine import Subsystem
+from ..stream.state_backend import stall_level
 from .detector import PhiAccrualDetector
 from .spec import ClusterSpec, MembershipEvent
 
-__all__ = ["ClusterManager", "install_cluster", "state_digest"]
+__all__ = ["ClusterManager", "install_cluster"]
 
 #: Poll step while waiting for an instance's in-flight flush to drain
 #: before an ownership flip.
 _FLUSH_DRAIN_POLL_S = 0.05
-
-
-def state_digest(snapshot: Optional[dict]) -> str:
-    """Shape digest of a store snapshot: per-level table count and
-    logical bytes.  The WAL frontier is deliberately excluded — the
-    destination replays the WAL tail, so its frontier legitimately
-    advances past the snapshot's."""
-    if snapshot is None:
-        return "cold"
-    parts = []
-    for level in snapshot.get("levels", []):
-        parts.append(
-            f"{len(level)}/{int(sum(t.logical_bytes for t in level))}"
-        )
-    return "|".join(parts) if parts else "empty"
 
 
 def install_cluster(job, spec: ClusterSpec) -> "ClusterManager":
@@ -101,10 +88,9 @@ class ClusterManager(Subsystem):
         self.partitioned: set = set()
         #: Nodes being drained for a scheduled leave.
         self.retiring: set = set()
-        #: Fenced nodes: name -> {"start": t, ...}; data plane frozen.
+        #: Fenced nodes: name -> {"start": t, ...}; data plane frozen
+        #: (``start`` anchors the failover replay).
         self.fenced: Dict[str, dict] = {}
-        #: Time each fenced node went silent (failover replay anchor).
-        self._fence_time: Dict[str, float] = {}
         #: partition (instance name) -> owning node name.
         self.owner: Dict[str, str] = {}
         #: Append-only flips: each entry's ``from`` equals the previous
@@ -430,24 +416,16 @@ class ClusterManager(Subsystem):
             self.rebalance(f"rejoin:{name}")
 
     def _fence(self, name: str) -> None:
-        """Quarantine a suspected node: abort checkpoints its barrier
-        participants can no longer ack, freeze its data plane, shed its
-        queued inputs (Kafka re-reads them on replay)."""
+        """Quarantine a suspected node: the engine crashes it (aborting
+        checkpoints its barrier participants can no longer ack, freezing
+        its data plane, shedding its queued inputs — Kafka re-reads them
+        on replay)."""
         if name in self.fenced:
             return
-        node = self._node(name)
-        record = {"start": self.sim.now, "dropped_messages": 0.0}
-        self._fence_time[name] = self.sim.now
-        self.job.coordinator.abort_in_flight(reason=f"fence:{name}")
-        node.begin_crash()
-        dropped = 0.0
-        for stage in self.job.stages:
-            flow = stage.flows.get(name)
-            if flow is not None:
-                dropped += flow.drop_backlog()
-            stage.update_blocked(name)
-        record["dropped_messages"] = dropped
-        self.fenced[name] = record
+        _aborted, dropped = self.job.crash_node(
+            self._node(name), f"fence:{name}"
+        )
+        self.fenced[name] = {"start": self.sim.now, "dropped_messages": dropped}
         self._abort_transfers(name, "source-fenced")
         self._instant("node-fence", name, dropped=dropped)
 
@@ -456,76 +434,40 @@ class ClusterManager(Subsystem):
         if record is None:
             return
         node = self._node(name)
-        self._restore_in_place(node, record["start"])
-        node.end_crash()
-        for stage in self.job.stages:
-            stage.update_blocked(name)
-        self._fence_time.pop(name, None)
+        self.job.recover_node(
+            node, self._hosted_instances(node), record["start"]
+        )
         self._instant("node-unfence", name)
-
-    def _restore_in_place(self, node, since: float) -> None:
-        """Rewind every instance still hosted on *node* to its newest
-        completed checkpoint and replay the gap — the same recovery the
-        fault injector performs for a classic worker crash."""
-        coordinator = self.job.coordinator
-        snapshot_times = []
-        for instance in self._hosted_instances(node):
-            if instance.store is None:
-                continue
-            info = coordinator.restore_instance(instance)
-            snapshot_times.append(info["snapshot_time"])
-            self._recompute_stall(instance)
-        rewind_to = min(snapshot_times) if snapshot_times else since
-        stage0 = self.job.stages[0]
-        flow = stage0.flows.get(node.name)
-        if flow is not None:
-            replayed = flow.arrival_rate * max(0.0, since - rewind_to)
-            if replayed > 0:
-                flow.add_backlog(replayed)
-
-    @staticmethod
-    def _recompute_stall(instance) -> None:
-        options = instance.store.options
-        l0 = instance.store.l0_file_count
-        if l0 >= options.l0_stop_trigger:
-            instance.stall_level = 1.0
-        elif l0 >= options.l0_slowdown_trigger:
-            instance.stall_level = 0.5
-        else:
-            instance.stall_level = 0.0
 
     # ------------------------------------------------------------------
     # fault hooks (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------
 
     def begin_node_crash(self, node, event: dict) -> None:
-        """The node process dies: abort its barriers, freeze its share
-        of every stage, shed its queues, kill its outgoing transfers."""
+        """The node process dies: the engine crashes it, and its
+        outgoing transfers die with it."""
         name = node.name
         self.down.add(name)
-        aborted = self.job.coordinator.abort_in_flight(reason=f"crash:{name}")
+        aborted, dropped = self.job.crash_node(node, f"crash:{name}")
         event["aborted_checkpoints"] = [r.checkpoint_id for r in aborted]
-        node.begin_crash()
-        dropped = 0.0
-        for stage in self.job.stages:
-            flow = stage.flows.get(name)
-            if flow is not None:
-                dropped += flow.drop_backlog()
-            stage.update_blocked(name)
         event["dropped_messages"] = dropped
         self._abort_transfers(name, "source-crashed")
 
     def end_node_crash(self, node, event: dict) -> None:
         """The node process restarts.  If the detector fenced it the
-        fence owns recovery (lifted on revival); otherwise restore in
-        place immediately, like the classic worker-crash path."""
+        fence owns recovery (lifted on revival); otherwise the engine
+        recovers it in place immediately, like a classic worker crash."""
         name = node.name
         self.down.discard(name)
-        if name not in self.fenced:
-            self._restore_in_place(node, event.get("start", self.sim.now))
-        node.end_crash()
-        for stage in self.job.stages:
-            stage.update_blocked(name)
+        if name in self.fenced:
+            node.end_crash()
+            for stage in self.job.stages:
+                stage.update_blocked(name)
+        else:
+            self.job.recover_node(
+                node, self._hosted_instances(node),
+                event.get("start", self.sim.now),
+            )
 
     def begin_partition(self, node, event: dict) -> None:
         self.partitioned.add(node.name)
@@ -724,24 +666,23 @@ class ClusterManager(Subsystem):
         stage_rate = sum(f.arrival_rate for f in stage.flows.values())
         per_instance = stage_rate / max(1, len(stage.instances))
         if record["kind"] == "failover":
-            # the source is fenced/dead: discard its flush bookkeeping;
-            # any in-flight flush job is epoch-guarded into a no-op
-            instance.restart_epoch += 1
-            instance.flush_in_flight = 0
-            instance.blocked = False
+            # the source is fenced/dead: any in-flight flush job there
+            # is a zombie
+            instance.abandon_flushes()
             # the partition is reborn on a healthy host: the crash flag
             # belongs to the fenced source node, and end_crash() there
             # can no longer reach an instance that has moved away
             instance.crashed = False
         drained = job.relocate_instance(instance, dest)
         if instance.store is not None:
-            record["digest_source"] = state_digest(snapshot)
+            record["digest_source"] = snapshot_digest(snapshot)
             instance.store.restore_from_checkpoint(snapshot)
-            record["digest_restored"] = state_digest(
+            record["digest_restored"] = snapshot_digest(
                 {"levels": instance.store.levels.snapshot()}
             )
-            self._recompute_stall(instance)
-        replay_until = self._fence_time.get(record["source"], now)
+            instance.stall_level = stall_level(instance.store)
+        fence = self.fenced.get(record["source"])
+        replay_until = now if fence is None else fence["start"]
         replay = per_instance * max(0.0, replay_until - snapshot_time)
         replay += drained
         if replay > 0:

@@ -67,14 +67,6 @@ class OverloadError(ResilienceError):
     load.  See :meth:`repro.resilience.soak.SoakReport.require_pass`."""
 
 
-class RetryExhaustedError(ResilienceError):
-    """Raised (or recorded, on asynchronous paths) when a
-    :class:`repro.resilience.policies.RetryPolicy` has spent every
-    attempt without a success — e.g. a checkpoint snapshot upload that
-    kept missing its deadline, or a Kafka offset commit that failed on
-    all attempts."""
-
-
 class WatchdogError(ResilienceError):
     """Raised when the :class:`repro.resilience.watchdog.Watchdog` is
     misused (installed twice, attached to a finished job) or when a

@@ -15,7 +15,9 @@ Fault semantics
     of the downtime each store is rewound **in place** to its newest
     completed checkpoint snapshot and the source backlog since that
     snapshot is replayed into the node's stage-0 flow — Flink's
-    restart-from-checkpoint in fluid form.
+    restart-from-checkpoint in fluid form, performed by the engine's
+    :meth:`~repro.stream.engine.StreamJob.crash_node` and
+    :meth:`~repro.stream.engine.StreamJob.recover_node`.
 ``flush_stall`` / ``compaction_stall``
     The node's background pool stops starting jobs (a hung thread);
     running jobs finish, queued work piles up.
@@ -193,22 +195,14 @@ class FaultInjector(Subsystem):
         return clear
 
     def _begin_worker_crash(self, spec: FaultSpec, node, event: dict):
-        coordinator = self.job.coordinator
-        # the crash tears down this node's barrier participants, so any
-        # checkpoint still collecting acks can never complete
-        aborted = coordinator.abort_in_flight(reason=f"crash:{node.name}")
+        aborted, dropped = self.job.crash_node(node, f"crash:{node.name}")
         event["aborted_checkpoints"] = [r.checkpoint_id for r in aborted]
-        node.begin_crash()
-        dropped = 0.0
-        for stage in self.job.stages:
-            flow = stage.flows.get(node.name)
-            if flow is not None:
-                dropped += flow.drop_backlog()
-            stage.update_blocked(node.name)
         event["dropped_messages"] = dropped
 
         def recover() -> None:
-            self._recover(node, event)
+            event.update(
+                self.job.recover_node(node, node.instances, event["start"])
+            )
 
         return recover
 
@@ -229,19 +223,17 @@ class FaultInjector(Subsystem):
         return recover
 
     def _begin_node_flap(self, spec: FaultSpec, node, event: dict):
-        manager = self.job.subsystems.get("cluster")
         cycles = max(1, int(round(spec.factor)))
         event["cycles"] = cycles
         event["flaps"] = []
         spawn(
             self.sim,
-            self._flap_loop(spec, node, event, manager, cycles),
+            self._flap_loop(spec, node, event, cycles),
             name=f"flap-{node.name}",
         )
         return None  # each cycle restores itself inside the window
 
-    def _flap_loop(self, spec: FaultSpec, node, event: dict,
-                   manager, cycles: int):
+    def _flap_loop(self, spec: FaultSpec, node, event: dict, cycles: int):
         phase = spec.duration_s / (2 * cycles)
         for cycle in range(cycles):
             sub = {
@@ -249,14 +241,9 @@ class FaultInjector(Subsystem):
                 "start": self.sim.now, "end": None,
             }
             event["flaps"].append(sub)
-            if manager is not None:
-                manager.begin_node_crash(node, sub)
-                yield phase
-                manager.end_node_crash(node, sub)
-            else:
-                recover = self._begin_worker_crash(spec, node, sub)
-                yield phase
-                recover()
+            recover = self._begin_node_crash(spec, node, sub)
+            yield phase
+            recover()
             sub["end"] = self.sim.now
             yield phase
 
@@ -272,42 +259,3 @@ class FaultInjector(Subsystem):
             manager.end_partition(node, event)
 
         return heal
-
-    def _recover(self, node, event: dict) -> None:
-        coordinator = self.job.coordinator
-        restores = []
-        snapshot_times = []
-        for instance in node.instances:
-            if instance.store is None:
-                continue
-            info = coordinator.restore_instance(instance)
-            restores.append(info)
-            snapshot_times.append(info["snapshot_time"])
-            # the restore rewrote the level structure; recompute the
-            # L0-driven stall level the same way the state backend does
-            options = instance.store.options
-            l0 = instance.store.l0_file_count
-            if l0 >= options.l0_stop_trigger:
-                instance.stall_level = 1.0
-            elif l0 >= options.l0_slowdown_trigger:
-                instance.stall_level = 0.5
-            else:
-                instance.stall_level = 0.0
-        event["restores"] = restores
-        node.end_crash()
-        # replay: everything the source delivered to this node between the
-        # restored snapshot and the crash must be processed again (stage 0
-        # re-reads it from the durable source).  Deliveries *during* the
-        # downtime already sit in the flow's queue — Kafka kept them — so
-        # the replay window ends at the crash, not at recovery.
-        rewind_to = min(snapshot_times) if snapshot_times else event["start"]
-        stage0 = self.job.stages[0]
-        flow = stage0.flows.get(node.name)
-        replayed = 0.0
-        if flow is not None:
-            replayed = flow.arrival_rate * max(0.0, event["start"] - rewind_to)
-            flow.add_backlog(replayed)
-        event["replayed_messages"] = replayed
-        event["rewound_to_s"] = rewind_to
-        for stage in self.job.stages:
-            stage.update_blocked(node.name)

@@ -37,7 +37,6 @@ class CheckpointedWordCount:
         write_buffer_kib: int = 32,
         topic: str = "lines",
         group: str = "wordcount",
-        committer=None,
         compaction_policy: str = "reference",
     ) -> None:
         if partitions < 1:
@@ -47,17 +46,6 @@ class CheckpointedWordCount:
         self.group = group
         self.broker = KafkaBroker()
         self.topic = self.broker.create_topic(topic, partitions=partitions)
-        #: Offset commits go through this callable.  *committer* is a
-        #: factory receiving the broker's raw commit and returning the
-        #: wrapper to use — e.g.
-        #: ``lambda c: ResilientKafkaCommitter(c, config.retry_policy())``
-        #: to get retries and circuit breaking on the commit path.
-        self.committer = None
-        self._commit = self.broker.commit
-        if committer is not None:
-            wrapped = committer(self.broker.commit)
-            self.committer = wrapped
-            self._commit = getattr(wrapped, "commit", wrapped)
         self.stores: List[LSMStore] = [
             LSMStore(
                 LSMOptions(
@@ -135,7 +123,7 @@ class CheckpointedWordCount:
                     break
                 store.finish_compaction(compaction, now=self._clock)
             self._snapshots[index] = store.snapshot_state()
-            self._commit(
+            self.broker.commit(
                 self.group, self.topic.name, index, self.processed[index]
             )
         self._checkpoint_offsets = self.broker.snapshot_offsets(self.group)

@@ -8,9 +8,7 @@ The package wires four cooperating pieces onto a built
 * :class:`~repro.resilience.shedding.LoadShedder` — token-bucket
   admission control over the source rate while degraded;
 * :class:`~repro.resilience.uploads.ResilientUploader` — retry,
-  deadline and circuit breaking around checkpoint snapshot uploads
-  (and :class:`~repro.resilience.uploads.ResilientKafkaCommitter` for
-  offset commits);
+  deadline and circuit breaking around checkpoint snapshot uploads;
 * :class:`~repro.resilience.watchdog.Watchdog` — restarts stuck pools
   and hung workers through the checkpoint restore path.
 
@@ -29,7 +27,7 @@ from .config import DEFAULT_RESILIENCE, ResilienceConfig
 from .guard import SLOGuard
 from .policies import CircuitBreaker, Deadline, RetryPolicy
 from .shedding import LoadShedder
-from .uploads import ResilientKafkaCommitter, ResilientUploader
+from .uploads import ResilientUploader
 from .watchdog import Watchdog
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "Deadline",
     "CircuitBreaker",
     "ResilientUploader",
-    "ResilientKafkaCommitter",
     "Watchdog",
     "ResilienceController",
     "install_resilience",

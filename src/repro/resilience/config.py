@@ -4,7 +4,7 @@ One frozen :class:`ResilienceConfig` describes everything the layer
 does to a run: how the SLO guard samples and trips, what the degraded
 mode actuates (admission shedding, compaction throttling, checkpoint
 stretching), the retry/deadline/circuit-breaker policies applied to
-checkpoint uploads and Kafka commits, and the watchdog deadlines.  It
+checkpoint uploads, and the watchdog deadlines.  It
 is plain data — it pickles through the parallel executor, hashes into
 the result-cache key, and round-trips through ``to_dict``/``from_dict`` —
 so a guarded run is exactly as reproducible as an unguarded one.

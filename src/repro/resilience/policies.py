@@ -12,9 +12,9 @@ simulator's named RNG streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..errors import ConfigurationError, RetryExhaustedError
+from ..errors import ConfigurationError
 
 __all__ = ["RetryPolicy", "Deadline", "CircuitBreaker"]
 
@@ -55,38 +55,6 @@ class RetryPolicy:
         if self.jitter > 0.0 and rng is not None:
             delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
         return delay
-
-    def call(
-        self,
-        fn: Callable[[], object],
-        rng=None,
-        sleep: Optional[Callable[[float], None]] = None,
-        on_retry: Optional[Callable[[int, float, Exception], None]] = None,
-    ):
-        """Call *fn* until it returns, retrying on any exception.
-
-        *sleep*, when given, receives each backoff delay (tests pass a
-        recorder; synchronous sim callers usually cannot block and use
-        the event-driven wiring in :mod:`repro.resilience.uploads`
-        instead).  Raises :class:`RetryExhaustedError` from the last
-        failure once every attempt is spent.
-        """
-        last: Optional[Exception] = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                return fn()
-            except Exception as exc:  # noqa: BLE001 - policy boundary
-                last = exc
-                if attempt == self.max_attempts:
-                    break
-                delay = self.delay_s(attempt, rng)
-                if on_retry is not None:
-                    on_retry(attempt, delay, exc)
-                if sleep is not None:
-                    sleep(delay)
-        raise RetryExhaustedError(
-            f"operation failed after {self.max_attempts} attempts: {last}"
-        ) from last
 
     def to_dict(self) -> dict:
         from dataclasses import asdict

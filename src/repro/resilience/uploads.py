@@ -1,4 +1,4 @@
-"""Policy-wrapped I/O paths: checkpoint uploads and Kafka commits.
+"""The policy-wrapped checkpoint upload path.
 
 :class:`ResilientUploader` replaces the coordinator's direct
 ``hdfs.backup`` call: each upload races a per-attempt
@@ -9,20 +9,15 @@ a worse recovery point instead of an unbounded upload queue).  This is
 what turns an injected ``slow_disk`` on the uplink or a
 ``checkpoint_timeout`` window into retries and sheds rather than
 silent absorption.
-
-:class:`ResilientKafkaCommitter` wraps a synchronous offset-commit
-callable in the same retry policy and an optional breaker, raising
-:class:`~repro.errors.RetryExhaustedError` when every attempt fails.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List
 
-from ..errors import OverloadError, RetryExhaustedError
 from .policies import CircuitBreaker, Deadline, RetryPolicy
 
-__all__ = ["ResilientUploader", "ResilientKafkaCommitter"]
+__all__ = ["ResilientUploader"]
 
 
 class ResilientUploader:
@@ -130,51 +125,3 @@ class ResilientUploader:
             "breaker_state": self.breaker.state,
             "breaker_trips": self.breaker.trips,
         }
-
-
-class ResilientKafkaCommitter:
-    """Retry + circuit-breaker wrapper for a synchronous commit call."""
-
-    def __init__(
-        self,
-        commit: Callable[..., object],
-        policy: RetryPolicy,
-        breaker: Optional[CircuitBreaker] = None,
-        rng=None,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self._commit = commit
-        self.policy = policy
-        self.breaker = breaker
-        self.rng = rng
-        self.clock = clock or (lambda: 0.0)
-        self.commits = 0
-        self.retries = 0
-        self.failures = 0
-
-    def commit(self, *args, **kwargs):
-        """Commit with retries; raises on an open breaker or exhaustion."""
-        now = self.clock()
-        if self.breaker is not None and not self.breaker.allow(now):
-            raise OverloadError(
-                f"commit rejected: circuit breaker {self.breaker.name!r} is open"
-            )
-
-        def note_retry(_attempt: int, _delay: float, _exc: Exception) -> None:
-            self.retries += 1
-
-        try:
-            result = self.policy.call(
-                lambda: self._commit(*args, **kwargs),
-                rng=self.rng,
-                on_retry=note_retry,
-            )
-        except RetryExhaustedError:
-            self.failures += 1
-            if self.breaker is not None:
-                self.breaker.record_failure(self.clock())
-            raise
-        self.commits += 1
-        if self.breaker is not None:
-            self.breaker.record_success(self.clock())
-        return result

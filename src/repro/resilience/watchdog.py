@@ -14,11 +14,11 @@ covers both:
 *hung worker*
     a stage instance blocked in a flush that makes no progress (e.g. a
     near-zero ``slow_disk`` dip) past ``watchdog_worker_stuck_s``.
-    The instance is restarted through the existing checkpoint recovery
-    path: in-flight checkpoints abort, the store rewinds to its newest
-    completed snapshot via ``restore_instance``, and the instance's
-    restart epoch is bumped so the zombie flush's eventual completion
-    is ignored by the state backend.
+    The instance is restarted through the engine's checkpoint restore:
+    in-flight checkpoints abort, the store rewinds to its newest
+    completed snapshot via ``restore_instance``, and
+    ``abandon_flushes`` makes the state backend ignore the zombie
+    flush's eventual completion.
 
 Crashed nodes are a *declared* fault with their own recovery; the
 watchdog leaves them alone.
@@ -136,23 +136,7 @@ class Watchdog:
         coordinator = self.job.coordinator
         aborted = coordinator.abort_in_flight(reason=f"watchdog:{instance.name}")
         info = coordinator.restore_instance(instance)
-        # the zombie flush still occupies its pool slot; bumping the
-        # epoch makes the state backend discard its completion instead
-        # of corrupting the freshly-reset bookkeeping below
-        instance.restart_epoch += 1
-        instance.blocked = False
-        instance.flush_in_flight = 0
-        store = instance.store
-        if store is not None:
-            # recompute the L0-driven stall level, as crash recovery does
-            options = store.options
-            l0 = store.l0_file_count
-            if l0 >= options.l0_stop_trigger:
-                instance.stall_level = 1.0
-            elif l0 >= options.l0_slowdown_trigger:
-                instance.stall_level = 0.5
-            else:
-                instance.stall_level = 0.0
+        instance.abandon_flushes()
         stage = self.job.stage(instance.spec.name)
         stage.update_blocked(instance.node.name)
         self._last_restart[instance.name] = now

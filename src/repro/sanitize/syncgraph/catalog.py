@@ -214,12 +214,10 @@ OWNERSHIP_TRANSFERS: Dict[str, str] = {
     "flush_in_flight": "flush reference count: incremented at submit, "
                        "decremented by the completion callback of the "
                        "same flush (epoch-guarded against restarts)",
-    "stall_level": "write-stall level is recomputed by the backend "
-                   "after every flush/compaction completion; single "
-                   "logical writer",
-    "restart_epoch": "bumped only by watchdog/cluster recovery to "
-                     "invalidate in-flight completions; readers compare "
-                     "against their captured epoch",
+    "stall_level": "write-stall level is re-derived from the store's "
+                   "L0 count by state_backend.stall_level, after every "
+                   "flush/compaction completion and every restore; "
+                   "single logical writer",
     "end_time": "job completion stamp: written once by the executing "
                 "pool when the job leaves the active set, then the job "
                 "object is handed to metrics read-only",

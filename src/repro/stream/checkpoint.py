@@ -29,9 +29,24 @@ from ..sim.kernel import Simulator
 from ..sim.process import spawn
 from ..storage.hdfs import HdfsBackup
 from .stage import Stage, StageInstance
-from .state_backend import LSMStateBackend
+from .state_backend import LSMStateBackend, stall_level
 
-__all__ = ["CheckpointRecord", "CheckpointCoordinator"]
+__all__ = ["CheckpointRecord", "CheckpointCoordinator", "snapshot_digest"]
+
+
+def snapshot_digest(snapshot: Optional[dict]) -> str:
+    """Shape digest of a store snapshot: per-level table count and
+    logical bytes.  The WAL frontier is deliberately excluded — a
+    restored store replays the WAL tail, so its frontier legitimately
+    advances past the snapshot's."""
+    if snapshot is None:
+        return "cold"
+    parts = []
+    for level in snapshot.get("levels", []):
+        parts.append(
+            f"{len(level)}/{int(sum(t.logical_bytes for t in level))}"
+        )
+    return "|".join(parts) if parts else "empty"
 
 
 class CheckpointRecord:
@@ -309,8 +324,10 @@ class CheckpointCoordinator:
         A store that was never covered by a completed checkpoint is reset
         to a cold start (empty levels; WAL replay still applies).  The
         store object is mutated **in place** — the engine's accounting
-        loops keep their references.  Returns a restore-info dict with
-        ``checkpoint_id`` (``None`` = cold start) and ``snapshot_time``.
+        loops keep their references — and the instance's write-stall
+        level is re-derived from the restored level structure.  Returns
+        a restore-info dict with ``checkpoint_id`` (``None`` = cold
+        start) and ``snapshot_time``.
         """
         store = instance.store
         entry = self._latest_snapshot.get(instance.name)
@@ -327,6 +344,8 @@ class CheckpointCoordinator:
             store.restore_from_checkpoint(snapshot)
             info = {"instance": instance.name, "checkpoint_id": checkpoint_id,
                     "snapshot_time": triggered_at, "restored": True}
+        if store is not None:
+            instance.stall_level = stall_level(store)
         self.restore_events.append(dict(info, time=self.sim.now))
         tracer = self.sim.tracer
         if tracer.enabled:

@@ -40,7 +40,7 @@ from ..sim.kernel import Simulator
 from ..sim.process import spawn
 from ..storage.hdfs import HdfsBackup
 from ..trace import Tracer
-from .checkpoint import CheckpointCoordinator
+from .checkpoint import CheckpointCoordinator, CheckpointRecord
 from .sources import ConstantSource
 from .stage import SOURCE_INPUT, Stage, StageInstance, StageSpec
 from .state_backend import LSMStateBackend
@@ -437,6 +437,62 @@ class StreamJob:
         stage.update_blocked(src.name)
         stage.update_blocked(dest.name)
         return drained
+
+    # ------------------------------------------------------------------
+    # crash and recovery (the layers decide when, the engine how)
+    # ------------------------------------------------------------------
+
+    def crash_node(self, node: WorkerNode,
+                   reason: str) -> Tuple[List[CheckpointRecord], float]:
+        """Take *node* down at the current event time.
+
+        Every in-flight checkpoint aborts (the node's barrier
+        participants can no longer ack), the node freezes, and each
+        stage's queued input on it is dropped — the durable source
+        re-delivers it on replay.  Returns the aborted checkpoint
+        records and the number of messages dropped.
+        """
+        aborted = self.coordinator.abort_in_flight(reason=reason)
+        node.begin_crash()
+        dropped = 0.0
+        for stage in self.stages:
+            flow = stage.flows.get(node.name)
+            if flow is not None:
+                dropped += flow.drop_backlog()
+            stage.update_blocked(node.name)
+        return aborted, dropped
+
+    def recover_node(self, node: WorkerNode, instances: Sequence[StageInstance],
+                     crashed_at: float) -> dict:
+        """Bring *node* back from a crash that began at *crashed_at*.
+
+        Each stateful instance in *instances* is rewound to its newest
+        completed checkpoint, and the source input delivered to the
+        node's stage-0 flow between the oldest restored snapshot and
+        the crash is replayed: deliveries *during* the downtime already
+        sit in the flow's queue (Kafka kept them), so the replay window
+        ends at the crash, not at recovery.  Then the node comes up.
+        Returns ``restores`` (the restore-info dicts),
+        ``replayed_messages`` and ``rewound_to_s``.
+        """
+        restores = [
+            self.coordinator.restore_instance(instance)
+            for instance in instances
+            if instance.store is not None
+        ]
+        rewind_to = min(
+            (info["snapshot_time"] for info in restores), default=crashed_at
+        )
+        replayed = 0.0
+        flow = self.stages[0].flows.get(node.name)
+        if flow is not None:
+            replayed = flow.arrival_rate * max(0.0, crashed_at - rewind_to)
+            flow.add_backlog(replayed)
+        node.end_crash()
+        for stage in self.stages:
+            stage.update_blocked(node.name)
+        return {"restores": restores, "replayed_messages": replayed,
+                "rewound_to_s": rewind_to}
 
     def expected_stage_rate(self, index: int) -> float:
         """Steady input rate of stage *index* given the source rate.

@@ -150,15 +150,23 @@ class StageInstance:
         #: Set while the hosting worker is down (fault injection); fully
         #: freezes this instance's share of the stage's processing.
         self.crashed = False
-        #: Bumped by a watchdog-forced restart; in-flight flush jobs
+        #: Bumped by :meth:`abandon_flushes`; in-flight flush jobs
         #: carry the epoch they started under and their completion is
-        #: discarded when it no longer matches (the restart already
-        #: reset the instance's flush bookkeeping).
+        #: discarded when it no longer matches.
         self.restart_epoch = 0
 
     @property
     def name(self) -> str:
         return f"{self.spec.name}/{self.index}"
+
+    def abandon_flushes(self) -> None:
+        """Disown every in-flight flush (a restart, or a move off a dead
+        host): a zombie flush still holds its pool slot, so bump the
+        epoch and the state backend discards its completion instead of
+        corrupting the reset bookkeeping."""
+        self.restart_epoch += 1
+        self.flush_in_flight = 0
+        self.blocked = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<StageInstance {self.name} on {self.node.name}>"

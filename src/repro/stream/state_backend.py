@@ -24,11 +24,29 @@ from ..core.mitigation import MitigationPlan
 from ..errors import SimulationError
 from ..lsm.compaction import CompactionJob
 from ..lsm.flush import FlushJob
+from ..lsm.store import LSMStore
 from ..sim.kernel import Simulator
 from ..sim.threadpool import JobPhase, SimJob
 from .stage import Stage, StageInstance
 
-__all__ = ["LSMStateBackend"]
+__all__ = ["LSMStateBackend", "stall_level"]
+
+
+def stall_level(store: LSMStore) -> float:
+    """The L0-driven write-stall level of *store*: 0 none, 0.5 slowdown,
+    1.0 stopped.
+
+    Mirrors RocksDB's write controller: too many L0 files first
+    throttle (slowdown trigger), then stop (stop trigger), writes —
+    and with them the instance's message processing.
+    """
+    options = store.options
+    l0 = store.l0_file_count
+    if l0 >= options.l0_stop_trigger:
+        return 1.0
+    if l0 >= options.l0_slowdown_trigger:
+        return 0.5
+    return 0.0
 
 
 class LSMStateBackend:
@@ -179,21 +197,9 @@ class LSMStateBackend:
     # ------------------------------------------------------------------
 
     def _update_stall(self, instance: StageInstance) -> None:
-        """Re-evaluate the instance's L0-driven write-stall level.
-
-        Mirrors RocksDB's write controller: too many L0 files first
-        throttle (slowdown trigger), then stop (stop trigger), writes —
-        and with them the instance's message processing.
-        """
-        store = instance.store
-        options = store.options
-        l0 = store.l0_file_count
-        if l0 >= options.l0_stop_trigger:
-            level = 1.0
-        elif l0 >= options.l0_slowdown_trigger:
-            level = 0.5
-        else:
-            level = 0.0
+        """Re-evaluate the instance's write-stall level (see
+        :func:`stall_level`), counting each escalation."""
+        level = stall_level(instance.store)
         if level != instance.stall_level:
             if level > instance.stall_level:
                 self.write_stall_events += 1

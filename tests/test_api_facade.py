@@ -25,6 +25,10 @@ def test_facade_covers_the_advertised_surface():
     assert expected <= set(api.__all__)
     # per-layer time is perfbench's, function-level hotspots cProfile's
     assert not {"profile", "profile_run", "ProfileReport"} & set(api.__all__)
+    # no run ever installed the Kafka commit wrapper
+    assert not {"ResilientKafkaCommitter", "RetryExhaustedError"} & set(
+        api.__all__
+    )
 
 
 def test_facade_reexports_are_the_implementation_objects():

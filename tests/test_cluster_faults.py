@@ -66,6 +66,34 @@ def test_node_crash_without_cluster_degrades_to_worker_crash():
     assert result.invariant_violations == []
 
 
+def test_unsuspected_node_crash_recovers_like_a_worker_crash():
+    """One recovery path: a crash too short for the detector to suspect
+    is recovered in place by the engine, so the cluster's node_crash
+    restores and replays exactly what a plain worker_crash does."""
+
+    def crash(kind, clustered):
+        job = small_job()
+        manager = install_cluster(job, cluster_spec()) if clustered else None
+        inject_faults(job, plan_of(FaultSpec(kind=kind, at_s=14.0,
+                                             duration_s=0.5, node=0)))
+        job.run(30.0)
+        if manager is not None:
+            assert manager.detector.transitions == []
+            assert manager.migrations == []
+        replayed = {
+            (stage.name, node): flow.replayed_messages
+            for stage in job.stages
+            for node, flow in stage.flows.items()
+        }
+        return job.coordinator.restore_events, replayed
+
+    plain_restores, plain_replayed = crash("worker_crash", clustered=False)
+    restores, replayed = crash("node_crash", clustered=True)
+    assert plain_restores and sum(plain_replayed.values()) > 0
+    assert restores == plain_restores
+    assert replayed == plain_replayed
+
+
 def test_crash_during_migration_never_splits_ownership():
     """Satellite: crash the source while its partitions are in flight.
 

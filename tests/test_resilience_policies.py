@@ -1,5 +1,5 @@
 """Unit tests for the resilience primitives: retry, deadline, breaker,
-config, the error hierarchy, and the Kafka commit wrapper."""
+config, and the error hierarchy."""
 
 import random
 
@@ -10,14 +10,12 @@ from repro.errors import (
     OverloadError,
     ReproError,
     ResilienceError,
-    RetryExhaustedError,
     WatchdogError,
 )
 from repro.resilience import (
     CircuitBreaker,
     Deadline,
     ResilienceConfig,
-    ResilientKafkaCommitter,
     RetryPolicy,
 )
 
@@ -28,7 +26,7 @@ from repro.resilience import (
 
 
 def test_resilience_errors_are_repro_errors():
-    for exc in (OverloadError, RetryExhaustedError, WatchdogError):
+    for exc in (OverloadError, WatchdogError):
         assert issubclass(exc, ResilienceError)
         assert issubclass(exc, ReproError)
     assert not issubclass(ConfigurationError, ResilienceError)
@@ -54,41 +52,6 @@ def test_retry_jitter_is_bounded_and_seeded():
     # same seed, same delay: jitter draws only from the supplied rng
     assert len(set(delays)) == 1
     assert policy.delay_s(1) == 1.0  # no rng -> deterministic midpoint
-
-
-def test_retry_call_succeeds_after_transient_failures():
-    attempts = []
-    slept = []
-    noted = []
-
-    def flaky():
-        attempts.append(1)
-        if len(attempts) < 3:
-            raise RuntimeError("transient")
-        return "ok"
-
-    policy = RetryPolicy(max_attempts=4, base_delay_s=0.1, multiplier=2.0,
-                         jitter=0.0)
-    result = policy.call(flaky, sleep=slept.append,
-                         on_retry=lambda a, d, e: noted.append((a, d)))
-    assert result == "ok"
-    assert len(attempts) == 3
-    assert slept == [pytest.approx(0.1), pytest.approx(0.2)]
-    assert noted == [(1, pytest.approx(0.1)), (2, pytest.approx(0.2))]
-
-
-def test_retry_call_exhaustion_raises_with_cause():
-    policy = RetryPolicy(max_attempts=3, base_delay_s=0.0, jitter=0.0)
-    calls = []
-
-    def always_fails():
-        calls.append(1)
-        raise ValueError("boom")
-
-    with pytest.raises(RetryExhaustedError) as info:
-        policy.call(always_fails)
-    assert len(calls) == 3
-    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_retry_validation():
@@ -167,45 +130,6 @@ def test_breaker_validation():
         CircuitBreaker(failure_threshold=0)
     with pytest.raises(ConfigurationError):
         CircuitBreaker(reset_timeout_s=-1.0)
-
-
-# ----------------------------------------------------------------------
-# ResilientKafkaCommitter
-# ----------------------------------------------------------------------
-
-
-def test_committer_retries_then_raises_and_feeds_breaker():
-    failures = {"n": 0}
-
-    def commit(*args):
-        failures["n"] += 1
-        raise RuntimeError("broker unavailable")
-
-    breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=100.0)
-    committer = ResilientKafkaCommitter(
-        commit, RetryPolicy(max_attempts=2, base_delay_s=0.0, jitter=0.0),
-        breaker=breaker,
-    )
-    with pytest.raises(RetryExhaustedError):
-        committer.commit("g", "t", 0, 10)
-    assert failures["n"] == 2
-    assert committer.retries == 1
-    assert committer.failures == 1
-    # the breaker is now open: the next commit is rejected outright
-    with pytest.raises(OverloadError):
-        committer.commit("g", "t", 0, 11)
-    assert failures["n"] == 2
-
-
-def test_committer_passes_through_on_success():
-    log = []
-    committer = ResilientKafkaCommitter(
-        lambda *args: log.append(args), RetryPolicy(max_attempts=2)
-    )
-    committer.commit("g", "t", 1, 42)
-    assert log == [("g", "t", 1, 42)]
-    assert committer.commits == 1
-    assert committer.retries == 0
 
 
 # ----------------------------------------------------------------------

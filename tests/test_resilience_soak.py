@@ -76,6 +76,24 @@ def test_soak_report_aggregates_failures_and_raises():
         report.require_pass()
 
 
+def test_unguarded_soak_says_the_queue_bound_is_unchecked():
+    """Only the resilience guard samples the peak backlog.  Seed 6's
+    random plan breaks the 300 000-message bound with the layer on; with
+    it off the same run must not claim "queues bounded"."""
+    guarded, unguarded = (
+        run_soak(kind="baseline_traffic", seeds=(6,), random_faults=True,
+                 resilience=resilience, jobs=1, cache=False)
+        for resilience in (True, False)
+    )
+    assert any("queue blow-up" in f for f in guarded.failures)
+    assert "queues" not in guarded.runs[0]
+    (run,) = unguarded.runs
+    assert run["queues"] == "unchecked"
+    text = unguarded.render()
+    assert "queues unchecked" in text
+    assert "queues bounded" not in text
+
+
 def test_empty_soak_report_is_vacuously_ok():
     assert SoakReport().ok
     assert SoakReport().require_pass().runs == []

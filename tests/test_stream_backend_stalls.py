@@ -6,6 +6,7 @@ from repro.config import CheckpointConfig, ClusterConfig, CostModel
 from repro.core import MitigationPlan
 from repro.errors import SimulationError
 from repro.stream import ConstantSource, StageSpec, StreamJob
+from repro.stream.state_backend import stall_level
 
 
 def starved_job():
@@ -52,6 +53,11 @@ def test_stall_levels_follow_l0_triggers():
         instance.store.levels.add_l0(SSTable([], logical_bytes=10, level=0))
     job.backend._update_stall(instance)
     assert instance.stall_level == 1.0
+    # a restore re-derives the level from the rewound level structure
+    # (no checkpoint completed yet: a cold start with an empty L0)
+    info = job.coordinator.restore_instance(instance)
+    assert info["checkpoint_id"] is None
+    assert instance.stall_level == stall_level(instance.store) == 0.0
 
 
 def test_flush_of_stateless_instance_rejected():
