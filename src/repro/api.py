@@ -60,7 +60,7 @@ from .experiments.shard import (
     plan_shards,
 )
 from .experiments.runner import DEFAULT_SETTINGS, ExperimentSettings
-from .errors import OverloadError, WatchdogError
+from .errors import OverloadError
 from .experiments.report import render_series, render_table, render_tails
 from .experiments.summary import RunSummary, summarize_run
 from .faults import (
@@ -87,13 +87,10 @@ from .lsm import (
 )
 from .resilience import (
     CircuitBreaker,
-    Deadline,
     LoadShedder,
     ResilienceConfig,
-    ResilientUploader,
     RetryPolicy,
     SLOGuard,
-    Watchdog,
     install_resilience,
 )
 from .resilience.soak import SoakReport, run_soak
@@ -221,15 +218,11 @@ __all__ = [
     "SLOGuard",
     "LoadShedder",
     "RetryPolicy",
-    "Deadline",
     "CircuitBreaker",
-    "ResilientUploader",
-    "Watchdog",
     "install_resilience",
     "run_soak",
     "SoakReport",
     "OverloadError",
-    "WatchdogError",
     # reporting
     "render_tails",
     "render_series",

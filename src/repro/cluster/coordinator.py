@@ -15,7 +15,7 @@ on top of the sim kernel:
   nodes (engine topology grows mid-run) and drains/retires leaving
   ones, each followed by a keyed rebalance toward an even spread.
 * **State migration.**  Moving a partition means checkpoint-snapshot →
-  transfer (bandwidth-paced, with RetryPolicy backoff, a Deadline and
+  transfer (bandwidth-paced, with RetryPolicy backoff, a deadline and
   a per-destination CircuitBreaker from :mod:`repro.resilience`) →
   restore on the destination → atomic ownership flip (single event
   time: host maps, flows and the ownership log move together).
@@ -34,7 +34,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..resilience.policies import CircuitBreaker, Deadline
+from ..resilience.policies import CircuitBreaker
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
 from ..stream.checkpoint import snapshot_digest
@@ -547,15 +547,14 @@ class ClusterManager(Subsystem):
         )
         # stateless partitions flip instantly — nothing to ship
         if instance.store is None:
-            self._flip(record, instance, None, self.sim.now)
+            self._flip(record, instance, (None, self.sim.now, None))
             self._migration_done(record)
             return
         if record["kind"] == "failover":
-            entry = self.job.coordinator.latest_snapshot(record["partition"])
-            if entry is None:
-                snapshot, snapshot_time = None, 0.0
-            else:
-                snapshot, snapshot_time = entry[2], entry[1]
+            # the newest completed checkpoint, or a cold start
+            entry = (self.job.coordinator.latest_snapshot(record["partition"])
+                     or (None, 0.0, None))
+            _, snapshot_time, snapshot = entry
             nbytes = _snapshot_bytes(snapshot)
         else:
             # live snapshot: wait out any in-flight flush so no ack
@@ -567,11 +566,11 @@ class ClusterManager(Subsystem):
                     return
             snapshot = instance.store.snapshot_state()
             snapshot_time = self.sim.now
+            entry = (None, snapshot_time, snapshot)
             nbytes = instance.store.total_bytes()
         record["bytes"] = nbytes
         record["snapshot_time"] = snapshot_time
-        deadline = Deadline.after(self.sim.now, spec.transfer_deadline_s)
-        record["deadline"] = deadline.at
+        record["deadline"] = self.sim.now + spec.transfer_deadline_s
         failure = None
         while True:
             record["attempts"] += 1
@@ -589,9 +588,9 @@ class ClusterManager(Subsystem):
                     break
                 breaker.record_failure(self.sim.now)
                 failure = "endpoint-unhealthy"
-            if (record["attempts"] >= spec.retry.max_attempts
-                    or deadline.expired(self.sim.now)):
-                if deadline.expired(self.sim.now):
+            expired = self.sim.now >= record["deadline"]
+            if record["attempts"] >= spec.retry.max_attempts or expired:
+                if expired:
                     failure = "deadline-expired"
                 self._migration_failed(record, instance, failure)
                 self._migration_done(record)
@@ -607,7 +606,7 @@ class ClusterManager(Subsystem):
                 if record["status"] != "transferring":
                     self._migration_done(record)
                     return
-        self._flip(record, instance, snapshot, snapshot_time)
+        self._flip(record, instance, entry)
         self._migration_done(record)
 
     def _transfer_ok(self, record: dict) -> bool:
@@ -652,12 +651,16 @@ class ClusterManager(Subsystem):
         retry = self._enqueue_migration(instance, dest, "failover", plan)
         retry["redispatched"] = True
 
-    def _flip(self, record: dict, instance, snapshot: Optional[dict],
-              snapshot_time: float) -> None:
+    def _flip(self, record: dict, instance, entry: tuple) -> None:
         """The atomic ownership flip: at one event time the instance
-        changes host node, its store rewinds to the shipped snapshot,
-        the replay delta lands on the destination flow, and the owner
-        map + ownership log advance."""
+        changes host node, its store rewinds to the shipped
+        ``(checkpoint_id, snapshot_time, snapshot)`` *entry*, the replay
+        delta lands on the destination flow, and the owner map +
+        ownership log advance.  A failover restores through
+        :meth:`~repro.stream.checkpoint.CheckpointCoordinator.restore_instance`,
+        like any crash recovery; a live move rewinds to its own fresh
+        snapshot directly."""
+        _, snapshot_time, snapshot = entry
         job = self.job
         stage = job.stage(instance.spec.name)
         dest = self._node(record["dest"])
@@ -676,11 +679,14 @@ class ClusterManager(Subsystem):
         drained = job.relocate_instance(instance, dest)
         if instance.store is not None:
             record["digest_source"] = snapshot_digest(snapshot)
-            instance.store.restore_from_checkpoint(snapshot)
+            if record["kind"] == "failover":
+                job.coordinator.restore_instance(instance, entry)
+            else:
+                instance.store.restore_from_checkpoint(snapshot)
+                instance.stall_level = stall_level(instance.store)
             record["digest_restored"] = snapshot_digest(
                 {"levels": instance.store.levels.snapshot()}
             )
-            instance.stall_level = stall_level(instance.store)
         fence = self.fenced.get(record["source"])
         replay_until = now if fence is None else fence["start"]
         replay = per_instance * max(0.0, replay_until - snapshot_time)

@@ -49,6 +49,13 @@ class FrozenMemtableError(LSMError):
     """Raised when writing to a memtable that has been frozen for flush."""
 
 
+class WorkerCrashError(ReproError):
+    """Raised when a spawn worker process of the experiment executor
+    dies mid-run (killed, out of memory, or a driver script without an
+    ``if __name__ == "__main__"`` guard re-running itself in the child)
+    instead of returning its result."""
+
+
 class AnalysisError(ReproError):
     """Raised when an analysis routine receives degenerate input
     (e.g. fewer than three points for knee detection)."""
@@ -57,7 +64,7 @@ class AnalysisError(ReproError):
 class ResilienceError(ReproError):
     """Base class for errors raised by :mod:`repro.resilience` — the
     closed-loop overload-protection layer (SLO guard, load shedding,
-    retry/circuit-breaker policies, watchdog supervision)."""
+    retry/circuit-breaker policies)."""
 
 
 class OverloadError(ResilienceError):
@@ -66,8 +73,3 @@ class OverloadError(ResilienceError):
     window, an unshed queue blow-up, or an invariant violation under
     load.  See :meth:`repro.resilience.soak.SoakReport.require_pass`."""
 
-
-class WatchdogError(ResilienceError):
-    """Raised when the :class:`repro.resilience.watchdog.Watchdog` is
-    misused (installed twice, attached to a finished job) or when a
-    supervised restart cannot be performed."""

@@ -37,11 +37,11 @@ import multiprocessing
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from .. import __version__
 from ..serialize import canonical_json
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, WorkerCrashError
 from ..scenarios.run import resolve_scenario, run_scenario
 from ..scenarios.spec import ScenarioSpec
 from .runner import DEFAULT_SETTINGS, ExperimentSettings
@@ -122,6 +122,27 @@ def execute_spec(spec: RunSpec) -> RunSummary:
         label=spec.display_label,
         scenario=spec.scenario.name,
     )
+
+
+def spawn_map(function: Callable, payloads: list, workers: int) -> Iterator:
+    """Yield ``function(payload)`` for every payload, in completion
+    order, from *workers* spawn processes.
+
+    A worker process that dies raises :class:`WorkerCrashError` rather
+    than leaving the caller waiting on a result that never comes.
+    """
+    # imported here: serial runs (the common case) never pay for it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("spawn")
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(function, payload) for payload in payloads]
+            for future in as_completed(futures):
+                yield future.result()
+    except BrokenProcessPool as exc:
+        raise WorkerCrashError(f"a spawn worker process died: {exc}") from exc
 
 
 def _worker(payload):
@@ -293,11 +314,9 @@ def run_grid(
                 execute_spec(spec_list[index]).to_dict()
             )
     else:
-        context = multiprocessing.get_context("spawn")
         payloads = [(index, spec_list[index]) for index in missing]
-        with context.Pool(workers) as pool:
-            for index, data in pool.imap_unordered(_worker, payloads):
-                results[index] = RunSummary.from_dict(data)
+        for index, data in spawn_map(_worker, payloads, workers):
+            results[index] = RunSummary.from_dict(data)
 
     if use_cache:
         for index in missing:

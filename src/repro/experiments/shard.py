@@ -41,7 +41,6 @@ p99.9/max report the worst shard, p50 the shard mean.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -170,11 +169,11 @@ def execute_spec_sharded(
                 _execute_one_shard(spec, shards, index).to_dict()
             )
     else:
-        context = multiprocessing.get_context("spawn")
+        from .parallel import spawn_map
+
         payloads = [(spec, shards, index) for index in range(shards)]
-        with context.Pool(workers) as pool:
-            for index, data in pool.imap_unordered(_shard_worker, payloads):
-                parts[index] = RunSummary.from_dict(data)
+        for index, data in spawn_map(_shard_worker, payloads, workers):
+            parts[index] = RunSummary.from_dict(data)
     merged = merge_summaries(parts, label=spec.display_label, shards=shards)
     return ShardedResult(merged=merged, parts=parts, shards=shards)
 

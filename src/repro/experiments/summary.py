@@ -78,8 +78,7 @@ class RunSummary:
     #: :meth:`InvariantViolation.to_dict` records caught during the run.
     invariant_violations: List[dict] = field(default_factory=list)
     #: :meth:`ResilienceController.report` digest (``{}`` = layer off):
-    #: guard mode windows, trips, shed counts, watchdog restarts,
-    #: upload retries/sheds.
+    #: guard mode windows, trips, shed counts.
     resilience: Dict = field(default_factory=dict)
     #: :meth:`ClusterManager.report` digest (``{}`` = static topology):
     #: membership log, suspicions, migrations, ownership flips,

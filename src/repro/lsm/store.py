@@ -274,10 +274,11 @@ class LSMStore:
         self._check_open()
         if job.store is not self:
             raise LSMError("compaction job belongs to a different store")
-        if getattr(job, "generation", self.generation) != self.generation:
+        if job.generation != self.generation:
             # picked before a checkpoint restore: its inputs describe a
-            # level structure that no longer exists
-            self.levels.abandon_compaction(job.pick)
+            # level structure that no longer exists.  The restore already
+            # dropped its claims, and the restored levels may hold the
+            # same tables under a live job's claim: release nothing.
             return job.run(now) if job.output is None else job.output
         output = job.run(now) if job.output is None else job.output
         cap = self.options.live_data_cap_bytes

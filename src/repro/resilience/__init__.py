@@ -1,16 +1,17 @@
 """Closed-loop overload protection for simulated stream jobs.
 
-The package wires four cooperating pieces onto a built
+The package wires two cooperating pieces onto a built
 :class:`~repro.stream.engine.StreamJob`:
 
 * :class:`~repro.resilience.guard.SLOGuard` — samples queues, CPU and
-  estimated tail latency; trips into degraded mode with hysteresis;
+  estimated tail latency; trips into degraded mode with hysteresis,
+  where it throttles compaction and stretches the checkpoint interval;
 * :class:`~repro.resilience.shedding.LoadShedder` — token-bucket
-  admission control over the source rate while degraded;
-* :class:`~repro.resilience.uploads.ResilientUploader` — retry,
-  deadline and circuit breaking around checkpoint snapshot uploads;
-* :class:`~repro.resilience.watchdog.Watchdog` — restarts stuck pools
-  and hung workers through the checkpoint restore path.
+  admission control over the source rate while degraded.
+
+:class:`~repro.resilience.policies.RetryPolicy` and
+:class:`~repro.resilience.policies.CircuitBreaker` are mechanism-only
+primitives; the cluster layer's state transfers use them.
 
 Entry points: call :func:`install_resilience` on a built job, or set
 ``resilience=`` on a :class:`~repro.scenarios.spec.ScenarioSpec` /
@@ -25,10 +26,8 @@ from typing import List, Optional, Tuple, Union
 from ..stream.engine import Subsystem
 from .config import DEFAULT_RESILIENCE, ResilienceConfig
 from .guard import SLOGuard
-from .policies import CircuitBreaker, Deadline, RetryPolicy
+from .policies import CircuitBreaker, RetryPolicy
 from .shedding import LoadShedder
-from .uploads import ResilientUploader
-from .watchdog import Watchdog
 
 __all__ = [
     "ResilienceConfig",
@@ -36,10 +35,7 @@ __all__ = [
     "SLOGuard",
     "LoadShedder",
     "RetryPolicy",
-    "Deadline",
     "CircuitBreaker",
-    "ResilientUploader",
-    "Watchdog",
     "ResilienceController",
     "install_resilience",
     "load_resilience_config",
@@ -77,21 +73,11 @@ class ResilienceController(Subsystem):
         self.shedder = LoadShedder(job.sim, limit, burst_s=config.shed_burst_s)
         self.shedder.apply_rate = job._apply_source_rate
         self.guard = SLOGuard(job, config, self.shedder)
-        self.watchdog = Watchdog(job, config)
-        self.uploader = ResilientUploader(
-            job.sim,
-            job.hdfs,
-            config.retry_policy(),
-            config.circuit_breaker("hdfs-upload"),
-            config.upload_deadline_s,
-        )
 
     def install(self) -> ResilienceController:
         self.job.attach("resilience", self)
         self.job.admission = self.shedder
-        self.job.coordinator.uploader = self.uploader.upload
         self.guard.install()
-        self.watchdog.install()
         return self
 
     def finalize(self, now: float) -> None:
@@ -125,11 +111,6 @@ class ResilienceController(Subsystem):
                 "engagements": self.shedder.engagements,
                 "windows": [list(w) for w in self.shedder.windows],
             },
-            "watchdog": {
-                "pool_restarts": list(self.watchdog.pool_restarts),
-                "worker_restarts": list(self.watchdog.worker_restarts),
-            },
-            "uploads": self.uploader.report(),
         }
 
 

@@ -1,13 +1,13 @@
 """Configuration of the closed-loop overload-protection layer.
 
 One frozen :class:`ResilienceConfig` describes everything the layer
-does to a run: how the SLO guard samples and trips, what the degraded
-mode actuates (admission shedding, compaction throttling, checkpoint
-stretching), the retry/deadline/circuit-breaker policies applied to
-checkpoint uploads, and the watchdog deadlines.  It
-is plain data — it pickles through the parallel executor, hashes into
-the result-cache key, and round-trips through ``to_dict``/``from_dict`` —
-so a guarded run is exactly as reproducible as an unguarded one.
+does to a run: how the SLO guard samples and trips, and what the
+degraded mode actuates (admission shedding, compaction throttling,
+checkpoint stretching).  It is plain data — it pickles through the
+parallel executor, hashes into the result-cache key, and round-trips
+through ``to_dict``/``from_dict`` (which drops unknown keys, so specs
+stored with since-removed knobs still load) — so a guarded run is
+exactly as reproducible as an unguarded one.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ __all__ = ["ResilienceConfig", "DEFAULT_RESILIENCE"]
 
 @dataclass(frozen=True, kw_only=True)
 class ResilienceConfig:
-    """Knobs of the SLO guard, degradation actuators, policies, watchdog."""
+    """Knobs of the SLO guard and its degraded-mode actuators."""
 
     enabled: bool = True
 
@@ -34,12 +34,6 @@ class ResilienceConfig:
     #: The latency SLO: windowed-p99 estimated end-to-end latency above
     #: this marks a sample as overloaded.
     latency_slo_s: float = 1.5
-    #: Optional hard queue bound (total backlogged messages across all
-    #: stages); 0 disables the check.
-    queue_slo_messages: float = 0.0
-    #: CPU-saturation fraction recorded with every sample (diagnostic;
-    #: reported in trip actions).
-    cpu_saturation: float = 0.97
     #: Consecutive overloaded samples before tripping into degraded mode.
     trip_samples: int = 3
     #: Consecutive healthy samples (below ``recovery_factor`` × SLO)
@@ -63,40 +57,12 @@ class ResilienceConfig:
     #: Checkpoint-interval multiplier while degraded (> 1 stretches).
     checkpoint_stretch: float = 2.0
 
-    # --- retry / deadline / circuit breaker ---------------------------
-    retry_attempts: int = 4
-    retry_base_delay_s: float = 0.25
-    retry_multiplier: float = 2.0
-    retry_max_delay_s: float = 4.0
-    #: Relative jitter on each backoff delay, in [0, 1).
-    retry_jitter: float = 0.2
-    #: Per-attempt deadline for a checkpoint snapshot upload.
-    upload_deadline_s: float = 12.0
-    #: Consecutive failures that trip the upload circuit breaker.
-    breaker_failures: int = 3
-    #: Seconds an open breaker waits before admitting a half-open probe.
-    breaker_reset_s: float = 30.0
-
-    # --- watchdog ------------------------------------------------------
-    watchdog_poll_s: float = 1.0
-    #: A paused background pool with queued work older than this is
-    #: force-restarted.
-    watchdog_stuck_s: float = 5.0
-    #: An instance blocked in flush longer than this is restarted
-    #: through the checkpoint restore path.
-    watchdog_worker_stuck_s: float = 15.0
-    #: Minimum spacing between restarts of the same target.
-    watchdog_cooldown_s: float = 5.0
-
     def __post_init__(self) -> None:
         positive = (
             ("sample_interval_s", self.sample_interval_s),
             ("latency_window_s", self.latency_window_s),
             ("latency_slo_s", self.latency_slo_s),
             ("checkpoint_stretch", self.checkpoint_stretch),
-            ("watchdog_poll_s", self.watchdog_poll_s),
-            ("watchdog_stuck_s", self.watchdog_stuck_s),
-            ("watchdog_worker_stuck_s", self.watchdog_worker_stuck_s),
         )
         for name, value in positive:
             if value <= 0:
@@ -119,16 +85,6 @@ class ResilienceConfig:
             raise ConfigurationError(
                 "resilience: compaction_threads_degraded must be >= 1"
             )
-        if self.retry_attempts < 1:
-            raise ConfigurationError("resilience: retry_attempts must be >= 1")
-        if not 0.0 <= self.retry_jitter < 1.0:
-            raise ConfigurationError(
-                "resilience: retry_jitter must be in [0, 1)"
-            )
-        if self.breaker_failures < 1:
-            raise ConfigurationError(
-                "resilience: breaker_failures must be >= 1"
-            )
 
     def to_dict(self) -> dict:
         """Plain-data form (cache keys, logs)."""
@@ -138,29 +94,6 @@ class ResilienceConfig:
     def from_dict(cls, data: dict) -> ResilienceConfig:
         names = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in names})
-
-    def retry_policy(self):
-        """The :class:`~repro.resilience.policies.RetryPolicy` these
-        settings describe."""
-        from .policies import RetryPolicy
-
-        return RetryPolicy(
-            max_attempts=self.retry_attempts,
-            base_delay_s=self.retry_base_delay_s,
-            multiplier=self.retry_multiplier,
-            max_delay_s=self.retry_max_delay_s,
-            jitter=self.retry_jitter,
-        )
-
-    def circuit_breaker(self, name: str = "breaker"):
-        """A fresh :class:`~repro.resilience.policies.CircuitBreaker`."""
-        from .policies import CircuitBreaker
-
-        return CircuitBreaker(
-            failure_threshold=self.breaker_failures,
-            reset_timeout_s=self.breaker_reset_s,
-            name=name,
-        )
 
 
 DEFAULT_RESILIENCE = ResilienceConfig()

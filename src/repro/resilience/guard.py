@@ -138,8 +138,6 @@ class SLOGuard:
         }
         config = self.config
         overloaded = p99 > config.latency_slo_s
-        if config.queue_slo_messages > 0:
-            overloaded = overloaded or queue_total > config.queue_slo_messages
         if self.mode == "normal":
             self._overloaded_streak = self._overloaded_streak + 1 if overloaded else 0
             if self._overloaded_streak >= config.trip_samples:

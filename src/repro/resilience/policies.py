@@ -1,10 +1,9 @@
-"""Reusable resilience policies: retry with backoff, deadlines,
-circuit breaking.
+"""Reusable resilience policies: retry with backoff, circuit breaking.
 
 These are deliberately mechanism-only primitives — they know nothing
 about flushes or checkpoints.  The wiring (which operations retry,
-what trips the breaker) lives in :mod:`repro.resilience.uploads` and
-the guard.  All randomness (backoff jitter) comes from a caller-owned
+what trips the breaker) lives with the caller: the cluster layer's
+state transfers (:mod:`repro.cluster.coordinator`).  All randomness (backoff jitter) comes from a caller-owned
 ``random.Random`` so retries are exactly reproducible under the
 simulator's named RNG streams.
 """
@@ -16,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigurationError
 
-__all__ = ["RetryPolicy", "Deadline", "CircuitBreaker"]
+__all__ = ["RetryPolicy", "CircuitBreaker"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -65,28 +64,6 @@ class RetryPolicy:
     def from_dict(cls, data: dict) -> RetryPolicy:
         names = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in names})
-
-
-class Deadline:
-    """An absolute point in (simulated) time an operation must beat."""
-
-    __slots__ = ("at",)
-
-    def __init__(self, at: float) -> None:
-        self.at = at
-
-    @classmethod
-    def after(cls, now: float, delay_s: float) -> Deadline:
-        return cls(now + delay_s)
-
-    def remaining(self, now: float) -> float:
-        return self.at - now
-
-    def expired(self, now: float) -> bool:
-        return now >= self.at
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Deadline at={self.at:.3f}>"
 
 
 class CircuitBreaker:

@@ -87,15 +87,6 @@ SYNC_CATALOG: Tuple[SyncPrimitive, ...] = (
                   "pool-stall wait edge",
     ),
     SyncPrimitive(
-        name="threadpool.restart",
-        owner="SimThreadPool",
-        method="restart",
-        kind="gate",
-        edge_kinds=("pool-stall",),
-        rationale="watchdog recovery clears outstanding pauses and "
-                  "terminates a pool-stall edge early",
-    ),
-    SyncPrimitive(
         name="checkpoint.trigger",
         owner="CheckpointCoordinator",
         method="trigger",
@@ -161,7 +152,7 @@ SYNC_CATALOG: Tuple[SyncPrimitive, ...] = (
         owner="CircuitBreaker",
         method="allow",
         kind="breaker",
-        rationale="open breakers reject uploads/commits instead of "
+        rationale="open breakers reject transfers instead of "
                   "queueing them; a deliberate fail-fast sync point",
     ),
     SyncPrimitive(
@@ -203,6 +194,8 @@ SYNC_CATALOG: Tuple[SyncPrimitive, ...] = (
 DECLARED_SYNC_MODULES: Dict[str, str] = {
     "multiprocessing": "experiment executor / shard fan-out: process "
                        "pools live outside the simulated clock",
+    "concurrent": "experiment executor / shard fan-out: the spawn "
+                  "ProcessPoolExecutor lives outside the simulated clock",
 }
 
 #: Attributes written by more than one class *by design* — the ownership
@@ -213,7 +206,7 @@ OWNERSHIP_TRANSFERS: Dict[str, str] = {
                "engine only reads it",
     "flush_in_flight": "flush reference count: incremented at submit, "
                        "decremented by the completion callback of the "
-                       "same flush (epoch-guarded against restarts)",
+                       "same flush (epoch-guarded against abandoned flushes)",
     "stall_level": "write-stall level is re-derived from the store's "
                    "L0 count by state_backend.stall_level, after every "
                    "flush/compaction completion and every restore; "

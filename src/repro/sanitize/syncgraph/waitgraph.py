@@ -7,7 +7,7 @@ with total blocked time and the windows where the blocking happened:
 
 * ``pool-queue`` — jobs queued behind busy pool threads
   (``queued:NAME`` spans);
-* ``pool-stall`` — pause..resume/restart intervals freezing a pool;
+* ``pool-stall`` — pause..resume intervals freezing a pool;
 * ``checkpoint-barrier`` — trigger→complete barrier holds
   (``checkpoint-N`` spans);
 * ``flush-block`` — instances blocked while a flush drains
@@ -157,14 +157,10 @@ def extract_wait_graph(events: Iterable) -> List[SyncEdge]:
         elif e.ph == "i" and e.cat == "pool":
             if e.name.startswith("pause:"):
                 open_pauses.setdefault(e.tid, []).append(e.ts)
-            elif e.name.startswith(("resume:", "restart:")):
+            elif e.name.startswith("resume:"):
                 stack = open_pauses.get(e.tid)
                 if stack:
                     start = stack.pop()
-                    if e.name.startswith("restart:"):
-                        # A watchdog restart clears every pause at once.
-                        while stack:
-                            stack.pop()
                     builder.add(
                         "pool-stall",
                         f"pool:{e.tid}",

@@ -101,11 +101,6 @@ class SimThreadPool:
         self._active: List[SimJob] = []
         #: Pause depth (fault injection): > 0 freezes new job starts.
         self._paused = 0
-        #: Outstanding pauses forgiven by :meth:`restart` — matching
-        #: late :meth:`resume` calls are absorbed instead of raising.
-        self._forgiven = 0
-        #: Times at which the pool was force-restarted (watchdog).
-        self.restarts: List[float] = []
         #: Observers called with (job, "submitted" | "start" | "end").
         self.observers: List[Callable[[SimJob, str], None]] = []
         self.completed_jobs: List[SimJob] = []
@@ -173,11 +168,6 @@ class SimThreadPool:
 
     def resume(self) -> None:
         if self._paused == 0:
-            if self._forgiven > 0:
-                # this pause was cleared early by a watchdog restart();
-                # absorb the matching late resume silently
-                self._forgiven -= 1
-                return
             raise SimulationError(f"pool {self.name!r} is not paused")
         self._paused -= 1
         if self.tracer.enabled:
@@ -187,28 +177,6 @@ class SimThreadPool:
             )
         if self._paused == 0:
             self._maybe_start()
-
-    def restart(self) -> int:
-        """Force the pool back into a runnable state (watchdog recovery).
-
-        Clears every outstanding pause — each cleared pause is
-        *forgiven*, so a fault-injection cleanup that later calls
-        :meth:`resume` on the already-restarted pool is absorbed rather
-        than raising.  Running jobs are untouched (they complete on
-        their resources); queued jobs start immediately.  Returns the
-        number of pauses cleared.
-        """
-        cleared = self._paused
-        self._paused = 0
-        self._forgiven += cleared
-        self.restarts.append(self.sim.now)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                f"restart:{self.name}", "pool", self.sim.now,
-                tid=self.name, cleared=cleared, backlog=self.backlog,
-            )
-        self._maybe_start()
-        return cleared
 
     # ------------------------------------------------------------------
     # internals

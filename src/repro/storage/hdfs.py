@@ -9,7 +9,7 @@ copy lags) is used by one of the examples.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.resource import ProcessorSharingResource, ResourceTask
@@ -35,24 +35,12 @@ class HdfsBackup:
         self.completed: List[Tuple[int, int, float, float]] = []
         self._pending = 0
 
-    def backup(
-        self,
-        checkpoint_id: int,
-        nbytes: int,
-        on_done: Optional[Callable[[int], None]] = None,
-    ) -> None:
-        """Ship *nbytes* of SSTables for *checkpoint_id* asynchronously.
-
-        *on_done*, when given, is called with the checkpoint id once the
-        transfer completes — the hook the resilience layer uses to race
-        an upload against its deadline.
-        """
+    def backup(self, checkpoint_id: int, nbytes: int) -> None:
+        """Ship *nbytes* of SSTables for *checkpoint_id* asynchronously."""
         if nbytes <= 0:
             self.completed.append(
                 (checkpoint_id, 0, self.sim.now, self.sim.now)
             )
-            if on_done is not None:
-                self.sim.call_soon(on_done, checkpoint_id)
             return
         submit = self.sim.now
         self._pending += 1
@@ -60,8 +48,6 @@ class HdfsBackup:
         def done(_task: ResourceTask) -> None:
             self._pending -= 1
             self.completed.append((checkpoint_id, nbytes, submit, self.sim.now))
-            if on_done is not None:
-                on_done(checkpoint_id)
 
         work_mb = nbytes * self.replication / 1e6
         self._uplink.submit(

@@ -119,10 +119,6 @@ class CheckpointCoordinator:
         #: 1.0 normally; the resilience guard stretches it (> 1.0) in
         #: degraded mode to shed checkpoint-induced flush load.
         self.interval_scale: float = 1.0
-        #: Optional hook replacing the direct HDFS upload of a completed
-        #: checkpoint: called with ``(record)``.  The resilience layer
-        #: installs a retry/deadline/circuit-breaker wrapper here.
-        self.uploader = None
         #: instance name -> (checkpoint_id, triggered_at, snapshot) of
         #: the newest *completed* checkpoint covering that instance.
         self._latest_snapshot: Dict[str, Tuple[int, float, dict]] = {}
@@ -266,9 +262,7 @@ class CheckpointCoordinator:
                 bytes=record.bytes,
                 flushes=record.flushes,
             )
-        if self.uploader is not None:
-            self.uploader(record)
-        elif self.hdfs is not None:
+        if self.hdfs is not None:
             self.hdfs.backup(record.checkpoint_id, record.bytes)
 
     # ------------------------------------------------------------------
@@ -318,34 +312,36 @@ class CheckpointCoordinator:
         done = [r.triggered_at for r in self.records if r.state == "completed"]
         return max(done) if done else 0.0
 
-    def restore_instance(self, instance: StageInstance) -> dict:
+    def restore_instance(
+        self,
+        instance: StageInstance,
+        entry: Optional[Tuple[Optional[int], float, Optional[dict]]] = None,
+    ) -> dict:
         """Rewind *instance*'s store to its newest completed snapshot.
 
-        A store that was never covered by a completed checkpoint is reset
-        to a cold start (empty levels; WAL replay still applies).  The
-        store object is mutated **in place** — the engine's accounting
-        loops keep their references — and the instance's write-stall
-        level is re-derived from the restored level structure.  Returns
-        a restore-info dict with ``checkpoint_id`` (``None`` = cold
-        start) and ``snapshot_time``.
+        *entry* overrides which ``(checkpoint_id, snapshot_time,
+        snapshot)`` is restored — a failover restores the one it shipped.
+        A store that was never covered by a completed checkpoint (or an
+        entry with no snapshot) is reset to a cold start (empty levels;
+        WAL replay still applies).  The store object is mutated **in
+        place** — the engine's accounting loops keep their references —
+        and the instance's write-stall level is re-derived from the
+        restored level structure.  Returns a restore-info dict with
+        ``checkpoint_id`` (``None`` = cold start) and ``snapshot_time``.
         """
         store = instance.store
-        entry = self._latest_snapshot.get(instance.name)
+        if entry is None:
+            entry = self._latest_snapshot.get(instance.name, (None, 0.0, None))
+        checkpoint_id, snapshot_time, snapshot = entry
         if store is None:
             info = {"instance": instance.name, "checkpoint_id": None,
                     "snapshot_time": self.last_completed_time(),
                     "restored": False}
-        elif entry is None:
-            store.restore_from_checkpoint(None)
-            info = {"instance": instance.name, "checkpoint_id": None,
-                    "snapshot_time": 0.0, "restored": True}
         else:
-            checkpoint_id, triggered_at, snapshot = entry
             store.restore_from_checkpoint(snapshot)
-            info = {"instance": instance.name, "checkpoint_id": checkpoint_id,
-                    "snapshot_time": triggered_at, "restored": True}
-        if store is not None:
             instance.stall_level = stall_level(store)
+            info = {"instance": instance.name, "checkpoint_id": checkpoint_id,
+                    "snapshot_time": snapshot_time, "restored": True}
         self.restore_events.append(dict(info, time=self.sim.now))
         tracer = self.sim.tracer
         if tracer.enabled:

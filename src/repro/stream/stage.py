@@ -160,10 +160,10 @@ class StageInstance:
         return f"{self.spec.name}/{self.index}"
 
     def abandon_flushes(self) -> None:
-        """Disown every in-flight flush (a restart, or a move off a dead
-        host): a zombie flush still holds its pool slot, so bump the
-        epoch and the state backend discards its completion instead of
-        corrupting the reset bookkeeping."""
+        """Disown every in-flight flush (a move off a dead host): a
+        zombie flush still holds its pool slot, so bump the epoch and
+        the state backend discards its completion instead of corrupting
+        the reset bookkeeping."""
         self.restart_epoch += 1
         self.flush_in_flight = 0
         self.blocked = False

@@ -163,10 +163,10 @@ class LSMStateBackend:
         def complete(_job: SimJob, flush: FlushJob = flush) -> None:
             store.finish_flush(flush, now=self.sim.now)
             if instance.restart_epoch != epoch:
-                # the watchdog force-restarted this instance while the
-                # flush was in flight: its bookkeeping was already
-                # reset, and the flush's output was orphaned by the
-                # store restore — drop the completion
+                # the instance abandoned its flushes (it moved off a
+                # dead host) while this one was in flight: its
+                # bookkeeping was already reset, and the flush's output
+                # was orphaned by the store restore — drop the completion
                 return
             instance.flush_in_flight -= 1
             if instance.flush_in_flight == 0:

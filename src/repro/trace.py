@@ -22,9 +22,7 @@ Events carry a category (``cat``): ``"flush"``/``"compaction"`` spans,
 ``"checkpoint"`` lifecycle, per-node ``"cpu"`` counters, ``"fault"``
 injection instants, and ``"resilience"`` — every overload-protection
 action (``slo-trip``/``slo-recover``, ``shed-engage``/``shed-exhausted``/
-``shed-disengage``, ``upload-retry``/``upload-timeout``/``upload-shed``/
-``retry-exhausted``/``breaker-open``, ``watchdog-pool-restart``/
-``watchdog-worker-restart``) as instants on the acting component's tid.
+``shed-disengage``) as instants on the acting component's tid.
 
 Timestamps are simulation seconds.  Export formats:
 

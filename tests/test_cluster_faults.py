@@ -4,7 +4,6 @@ node flap, network partition, and the plan/preset/shrink plumbing."""
 import pytest
 
 from repro.cluster import ClusterSpec, MembershipEvent, install_cluster
-from repro.config import CheckpointConfig, ClusterConfig
 from repro.errors import ConfigurationError
 from repro.faults import (
     ALL_FAULT_KINDS,
@@ -16,6 +15,7 @@ from repro.faults import (
     preset_plan,
     shrink_failing,
 )
+from repro.trace import Tracer
 
 from .test_cluster_membership import cluster_spec, hosted_partitions, small_job
 
@@ -92,6 +92,30 @@ def test_unsuspected_node_crash_recovers_like_a_worker_crash():
     assert plain_restores and sum(plain_replayed.values()) > 0
     assert restores == plain_restores
     assert replayed == plain_replayed
+
+
+def test_failover_restores_through_the_checkpoint_seam():
+    """A crash long enough to be suspected fails every hosted partition
+    over; each restore of its shipped snapshot is a restore event and a
+    ``checkpoint-restore`` instant, like an in-place recovery."""
+    job = small_job(tracer=Tracer())
+    manager = install_cluster(job, cluster_spec())
+    inject_faults(job, plan_of(FaultSpec(kind="node_crash", at_s=14.0,
+                                         duration_s=2.0, node=0)))
+    job.run(30.0)
+    failovers = [m for m in manager.migrations if m["kind"] == "failover"]
+    assert len(failovers) == 4
+    restores = job.coordinator.restore_events
+    assert len(restores) == 4
+    assert sorted(r["instance"] for r in restores) == sorted(
+        m["partition"] for m in failovers
+    )
+    assert all(r["snapshot_time"] == 12.0 and r["checkpoint_id"] is not None
+               for r in restores)
+    for m in failovers:
+        assert m["digest_restored"] == m["digest_source"]
+    instants = job.sim.tracer.select(cat="checkpoint", name="checkpoint-restore")
+    assert len(instants) == 4
 
 
 def test_crash_during_migration_never_splits_ownership():

@@ -1,9 +1,15 @@
 """Tests for the parallel experiment executor and RunSummary."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import (
     RunSpec,
@@ -117,3 +123,24 @@ def test_resolve_jobs():
     assert _resolve_jobs(3) == 3
     assert _resolve_jobs(0) >= 1
     assert _resolve_jobs(-1) >= 1
+
+
+def test_a_dead_spawn_worker_fails_run_grid_instead_of_hanging(tmp_path):
+    """A driver script without a ``__main__`` guard re-runs itself in
+    every spawn child, and the child dies starting a pool of its own.
+    The parent must fail with a typed error, not wait forever."""
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""
+        from repro.experiments.parallel import RunSpec, run_grid
+        from repro.experiments.runner import ExperimentSettings
+
+        specs = [RunSpec(settings=ExperimentSettings(
+            duration_s=4.0, warmup_s=1.0, seed=seed)) for seed in (1, 2)]
+        run_grid(specs, jobs=2, cache=False)
+    """))
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, str(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode != 0
+    assert "WorkerCrashError" in proc.stderr

@@ -245,9 +245,9 @@ def test_checkpoint_timeout_during_kafka_backpressure():
 
 def test_crash_inside_flush_stall_window():
     """Interaction: a worker crashes while its flush pool is stalled.
-    The crash restarts the pool (clearing the stall's pause early); the
-    stall's late resume must be absorbed, not unbalance the pool, and
-    recovery must still rewind to the last completed checkpoint."""
+    The crash's pause nests inside the stall's; each resume must match
+    its own pause, not unbalance the pool, and recovery must still
+    rewind to the last completed checkpoint."""
     plan = plan_of(
         FaultSpec(kind="flush_stall", at_s=13.0, duration_s=6.0, node=0),
         FaultSpec(kind="worker_crash", at_s=15.0, duration_s=1.0, node=0),
@@ -260,8 +260,7 @@ def test_crash_inside_flush_stall_window():
     assert crash["restores"]
     assert crash["rewound_to_s"] == pytest.approx(12.0)
     # after both windows the pool is running: neither the stall's pause
-    # nor the crash's pause survived, and the stall's resume at t=19
-    # (after the restart) was forgiven rather than double-resumed
+    # nor the crash's pause survived
     pool = job.nodes[0].flush_pool
     assert not pool.paused
     assert not job.nodes[0].crashed
@@ -283,3 +282,23 @@ def test_identical_seed_and_plan_reproduce_event_for_event():
         tails.append(result.tail_summary(start=20.0))
     assert events[0] == events[1]
     assert tails[0] == tails[1]
+
+
+def test_worker_crash_mid_compaction_completes_on_windowed_join():
+    """Seed 7 crashes node 0 while a compaction picked before the
+    restore is still running; the restored L0 holds the same tables a
+    post-restore job claims.  The run used to stop with "compaction
+    input ... is not installed"."""
+    from repro.experiments.runner import ExperimentSettings
+    from repro.scenarios import scenario
+    from repro.scenarios.run import run_scenario
+
+    plan = plan_of(FaultSpec(kind="worker_crash", at_s=71.138,
+                             duration_s=1.27, node=0))
+    result = run_scenario(
+        scenario("windowed_join", faults=plan),
+        settings=ExperimentSettings(duration_s=130.0, warmup_s=20.0, seed=7),
+    )
+    crash = next(e for e in result.fault_events if e["kind"] == "worker_crash")
+    assert crash["restores"]
+    assert not result.invariant_violations

@@ -207,3 +207,27 @@ def test_cancel_compaction_releases_inputs():
     assert job is not None
     store.cancel_compaction(job)
     assert store.pick_compaction() is not None
+
+
+def test_stale_compaction_releases_no_claim_of_a_live_job():
+    """A restore keeps the same SSTable objects in L0.  A job picked
+    after the restore claims them again; the pre-restore job finishing
+    must not release those claims, or a third pick takes the same
+    inputs and the live job's install fails."""
+    store = small_store(l0_compaction_trigger=2)
+    for i in range(2):
+        store.put(f"k{i}".encode(), b"v")
+        flush(store)
+    snapshot = store.snapshot_state()
+    stale = store.pick_compaction()
+    store.restore_from_checkpoint(snapshot)
+    live = store.pick_compaction()
+    assert stale is not None and live is not None
+    assert [t.table_id for t in live.pick.inputs] == [
+        t.table_id for t in stale.pick.inputs
+    ]
+    store.finish_compaction(stale)
+    assert store.pick_compaction() is None  # the live claims still hold
+    store.finish_compaction(live)
+    assert store.l0_file_count == 0
+    store.check_invariants()

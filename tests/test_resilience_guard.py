@@ -1,11 +1,10 @@
 """Behavioural tests for the overload-protection loop: token-bucket
-shedding, SLO-guard trip/recovery with its actuators, watchdog
-supervision, and upload retry/circuit-breaking — on a small job."""
+shedding and SLO-guard trip/recovery with its actuators — on a small
+job."""
 
 import pytest
 
 from repro.config import CheckpointConfig, ClusterConfig
-from repro.faults import FaultPlan, FaultSpec, inject_faults
 from repro.resilience import ResilienceConfig, install_resilience
 from repro.resilience.shedding import LoadShedder
 from repro.sim import Simulator
@@ -17,7 +16,7 @@ from repro.trace import Tracer
 DURATION = 60.0
 
 
-def small_job(seed=3, faults=None, tracer=None, resilience=None):
+def small_job(seed=3, tracer=None, resilience=None):
     job = StreamJob(
         stages=[
             StageSpec(name="a", parallelism=2, state_entry_bytes=600.0,
@@ -31,15 +30,9 @@ def small_job(seed=3, faults=None, tracer=None, resilience=None):
         seed=seed,
         tracer=tracer,
     )
-    if faults is not None:
-        inject_faults(job, faults)
     if resilience is not None:
         install_resilience(job, resilience)
     return job
-
-
-def plan_of(*faults) -> FaultPlan:
-    return FaultPlan(name="test", faults=tuple(faults))
 
 
 # ----------------------------------------------------------------------
@@ -159,94 +152,6 @@ def test_guard_is_inert_when_healthy():
     assert guard.trips == 0
     assert guard.samples_taken > 200
     assert guarded_job.subsystems["resilience"].shedder.shed_messages == 0.0
-
-
-# ----------------------------------------------------------------------
-# watchdog (integration)
-# ----------------------------------------------------------------------
-
-
-def test_watchdog_restarts_stuck_flush_pool():
-    plan = plan_of(FaultSpec(kind="flush_stall", at_s=10.0, duration_s=12.0,
-                             node=0))
-    tracer = Tracer()
-    config = ResilienceConfig(watchdog_stuck_s=3.0, watchdog_cooldown_s=100.0)
-    job = small_job(faults=plan, tracer=tracer, resilience=config)
-    job.run(DURATION)
-    pool = job.nodes[0].flush_pool
-    assert pool.restarts  # the watchdog force-restarted it mid-stall
-    assert 13.0 <= pool.restarts[0] <= 16.0
-    assert not pool.paused  # the fault's late resume was forgiven
-    restarts = job.subsystems["resilience"].watchdog.pool_restarts
-    assert restarts and restarts[0]["target"] == "node0-flush"
-    assert restarts[0]["cleared_pauses"] == 1
-    instants = tracer.select(cat="resilience", name="watchdog-pool-restart")
-    assert [e.ts for e in instants] == [pytest.approx(pool.restarts[0])]
-    assert not job.subsystems["invariants"].violations
-
-
-def test_watchdog_restarts_hung_worker_through_restore_path():
-    """A flush submitted into a stalled pool leaves its instance blocked
-    (a hung worker).  With the pool check effectively disabled, the
-    worker check must restart the instance through the restore path and
-    the zombie flush's eventual completion must be discarded."""
-    plan = plan_of(FaultSpec(kind="flush_stall", at_s=10.0, duration_s=20.0,
-                             node=0))
-    tracer = Tracer()
-    config = ResilienceConfig(watchdog_stuck_s=1000.0,
-                              watchdog_worker_stuck_s=4.0)
-    job = small_job(faults=plan, tracer=tracer, resilience=config)
-    # probe after the stall clears (t=30) but before the run-final
-    # checkpoint leaves fresh flushes legitimately in flight
-    recovered = {}
-    job.sim.schedule(35.0, lambda: recovered.update(
-        (inst.name, inst.blocked)
-        for inst in job.nodes[0].instances
-    ))
-    result = job.run(DURATION)
-    actions = job.subsystems["resilience"].watchdog.worker_restarts
-    assert actions
-    first = actions[0]
-    restarted = next(
-        inst for node in job.nodes for inst in node.instances
-        if inst.name == first["target"]
-    )
-    assert restarted.node.name == "node0"
-    assert restarted.restart_epoch >= 1
-    assert first["stuck_s"] >= 4.0
-    assert first["restored_checkpoint"] >= 1  # rewound to a real snapshot
-    # the zombie flushes drained once the stall lifted; nobody is hung
-    assert recovered and not any(recovered.values())
-    instants = tracer.select(cat="resilience", name="watchdog-worker-restart")
-    assert [e.ts for e in instants][0] == pytest.approx(first["time"])
-    assert result.invariant_violations == []
-
-
-# ----------------------------------------------------------------------
-# resilient uploads (integration)
-# ----------------------------------------------------------------------
-
-
-def test_upload_deadline_misses_retry_then_trip_breaker():
-    tracer = Tracer()
-    config = ResilienceConfig(upload_deadline_s=1e-6, retry_attempts=2,
-                              retry_base_delay_s=0.05, breaker_failures=3,
-                              breaker_reset_s=1000.0)
-    job = small_job(tracer=tracer, resilience=config)
-    result = job.run(DURATION)
-    uploads = job.subsystems["resilience"].uploader.report()
-    assert uploads["timeouts"] >= 3
-    assert uploads["retries"] >= 1
-    assert uploads["exhausted"]  # some checkpoint spent every attempt
-    assert uploads["breaker_state"] == "open"
-    assert uploads["shed"]  # later uploads rejected outright
-    assert tracer.select(cat="resilience", name="upload-timeout")
-    assert tracer.select(cat="resilience", name="upload-retry")
-    assert tracer.select(cat="resilience", name="retry-exhausted")
-    assert tracer.select(cat="resilience", name="breaker-open")
-    assert tracer.select(cat="resilience", name="upload-shed")
-    # shedding uploads must not corrupt the run itself
-    assert result.invariant_violations == []
 
 
 # ----------------------------------------------------------------------

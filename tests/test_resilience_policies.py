@@ -1,5 +1,5 @@
-"""Unit tests for the resilience primitives: retry, deadline, breaker,
-config, and the error hierarchy."""
+"""Unit tests for the resilience primitives: retry, breaker, config,
+and the error hierarchy."""
 
 import random
 
@@ -10,11 +10,9 @@ from repro.errors import (
     OverloadError,
     ReproError,
     ResilienceError,
-    WatchdogError,
 )
 from repro.resilience import (
     CircuitBreaker,
-    Deadline,
     ResilienceConfig,
     RetryPolicy,
 )
@@ -26,9 +24,8 @@ from repro.resilience import (
 
 
 def test_resilience_errors_are_repro_errors():
-    for exc in (OverloadError, WatchdogError):
-        assert issubclass(exc, ResilienceError)
-        assert issubclass(exc, ReproError)
+    assert issubclass(OverloadError, ResilienceError)
+    assert issubclass(OverloadError, ReproError)
     assert not issubclass(ConfigurationError, ResilienceError)
 
 
@@ -63,19 +60,6 @@ def test_retry_validation():
         RetryPolicy(multiplier=0.5)
     with pytest.raises(ConfigurationError):
         RetryPolicy().delay_s(0)
-
-
-# ----------------------------------------------------------------------
-# Deadline
-# ----------------------------------------------------------------------
-
-
-def test_deadline_arithmetic():
-    deadline = Deadline.after(10.0, 2.5)
-    assert deadline.at == 12.5
-    assert deadline.remaining(11.0) == pytest.approx(1.5)
-    assert not deadline.expired(12.4)
-    assert deadline.expired(12.5)
 
 
 # ----------------------------------------------------------------------
@@ -153,17 +137,15 @@ def test_config_validation():
         ResilienceConfig(recovery_factor=0.0)
     with pytest.raises(ConfigurationError):
         ResilienceConfig(compaction_threads_degraded=0)
-    with pytest.raises(ConfigurationError):
-        ResilienceConfig(retry_jitter=1.0)
 
 
-def test_config_builds_matching_policy_objects():
-    config = ResilienceConfig(retry_attempts=7, retry_base_delay_s=0.5,
-                              breaker_failures=5, breaker_reset_s=60.0)
-    policy = config.retry_policy()
-    assert policy.max_attempts == 7
-    assert policy.base_delay_s == 0.5
-    breaker = config.circuit_breaker("uploads")
-    assert breaker.failure_threshold == 5
-    assert breaker.reset_timeout_s == 60.0
-    assert breaker.name == "uploads"
+def test_config_from_dict_drops_knobs_it_no_longer_has():
+    """Specs stored while the config still carried the upload-retry,
+    breaker and watchdog knobs load as the same guard and shedder."""
+    stored = dict(ResilienceConfig(latency_slo_s=2.0).to_dict(),
+                  retry_attempts=7, upload_deadline_s=12.0,
+                  breaker_failures=5, watchdog_poll_s=1.0,
+                  cpu_saturation=0.97, queue_slo_messages=0.0)
+    assert ResilienceConfig.from_dict(stored) == ResilienceConfig(
+        latency_slo_s=2.0)
+    assert len(ResilienceConfig().to_dict()) == 11

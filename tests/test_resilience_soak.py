@@ -94,6 +94,28 @@ def test_unguarded_soak_says_the_queue_bound_is_unchecked():
     assert "queues bounded" not in text
 
 
+def test_soak_without_a_pre_fault_sample_says_recovery_is_unchecked():
+    """Seed 2's random plan opens its only window at 3.9 s, inside the
+    warm-up: no coarse sample precedes it, the baseline is 0.0, and the
+    window "recovers" at its first sample without being compared to
+    anything.  The verdict must say so instead of "all windows
+    recovered"."""
+    report = short_soak(kind="baseline_traffic", seeds=(2,), duration_s=40.0,
+                        random_faults=True)
+    assert report.ok
+    (run,) = report.runs
+    assert run["baseline_p999_s"] == 0.0
+    assert run["windows"] and run["windows"][0]["start"] < 10.0
+    assert run["recovery"] == "unchecked"
+    text = report.render()
+    assert "recovery unchecked" in text
+    assert "all windows recovered" not in text
+    # a soak with a pre-fault sample checks its windows
+    checked = short_soak()
+    assert "recovery" not in checked.runs[0]
+    assert "all windows recovered" in checked.render()
+
+
 def test_empty_soak_report_is_vacuously_ok():
     assert SoakReport().ok
     assert SoakReport().require_pass().runs == []

@@ -158,7 +158,7 @@ SAMPLES = {
     "RaceReport": _race_report,
     "ResilienceConfig": lambda: ResilienceConfig(
         latency_slo_s=2.0, shed_rate_factor=0.5, trip_samples=2,
-        checkpoint_stretch=3.0, watchdog_cooldown_s=7.0),
+        checkpoint_stretch=3.0, recovery_samples=5),
     "RetryPolicy": _retry,
     "RunSummary": _run_summary,
     "SanitizeReport": lambda: SanitizeReport(

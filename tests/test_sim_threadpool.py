@@ -146,33 +146,3 @@ def test_pause_freezes_starts_and_nests():
     assert pool.active_count == 1
     with pytest.raises(SimulationError):
         pool.resume()  # unbalanced
-
-
-def test_restart_clears_pauses_and_forgives_late_resumes():
-    sim, cpu, pool = setup_pool(size=1)
-    pool.pause()
-    pool.pause()
-    pool.submit(job(cpu, "stuck", work=1.0))
-    assert pool.restart() == 2
-    assert not pool.paused
-    assert pool.active_count == 1  # queued job started immediately
-    assert pool.restarts == [pytest.approx(sim.now)]
-    # the fault cleanup's late resumes are absorbed, not an error...
-    pool.resume()
-    pool.resume()
-    assert not pool.paused
-    # ...but forgiveness is bounded by what was cleared
-    with pytest.raises(SimulationError):
-        pool.resume()
-
-
-def test_restart_emits_trace_instant():
-    from repro.trace import Tracer
-
-    sim = Simulator(tracer=Tracer(categories={"pool"}))
-    cpu = ProcessorSharingResource(sim, "cpu", 100.0)
-    pool = SimThreadPool(sim, "pool", 1)
-    pool.pause()
-    pool.restart()
-    (instant,) = sim.tracer.select(cat="pool", name="restart:pool")
-    assert instant.args["cleared"] == 1
