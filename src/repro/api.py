@@ -38,7 +38,6 @@ from .cluster import (
     ClusterManager,
     ClusterSpec,
     MembershipEvent,
-    NodeSpec,
     PhiAccrualDetector,
     install_cluster,
 )
@@ -86,10 +85,8 @@ from .lsm import (
     register_policy,
 )
 from .resilience import (
-    CircuitBreaker,
     LoadShedder,
     ResilienceConfig,
-    RetryPolicy,
     SLOGuard,
     install_resilience,
 )
@@ -195,7 +192,6 @@ __all__ = [
     "TuneReport",
     # elastic cluster layer (membership, failover, migration)
     "ClusterSpec",
-    "NodeSpec",
     "MembershipEvent",
     "ClusterManager",
     "PhiAccrualDetector",
@@ -217,8 +213,6 @@ __all__ = [
     "ResilienceConfig",
     "SLOGuard",
     "LoadShedder",
-    "RetryPolicy",
-    "CircuitBreaker",
     "install_resilience",
     "run_soak",
     "SoakReport",

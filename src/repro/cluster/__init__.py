@@ -13,14 +13,13 @@ a built job with::
 
 from .coordinator import ClusterManager, install_cluster
 from .detector import PhiAccrualDetector
-from .spec import MEMBERSHIP_ACTIONS, ClusterSpec, MembershipEvent, NodeSpec
+from .spec import MEMBERSHIP_ACTIONS, ClusterSpec, MembershipEvent
 
 __all__ = [
     "MEMBERSHIP_ACTIONS",
     "ClusterManager",
     "ClusterSpec",
     "MembershipEvent",
-    "NodeSpec",
     "PhiAccrualDetector",
     "install_cluster",
 ]

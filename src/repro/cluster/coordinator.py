@@ -15,16 +15,17 @@ on top of the sim kernel:
   nodes (engine topology grows mid-run) and drains/retires leaving
   ones, each followed by a keyed rebalance toward an even spread.
 * **State migration.**  Moving a partition means checkpoint-snapshot →
-  transfer (bandwidth-paced, with RetryPolicy backoff, a deadline and
-  a per-destination CircuitBreaker from :mod:`repro.resilience`) →
-  restore on the destination → atomic ownership flip (single event
-  time: host maps, flows and the ownership log move together).
+  one bandwidth-paced transfer → restore on the destination → atomic
+  ownership flip (single event time: host maps, flows and the ownership
+  log move together).  A transfer whose endpoint is unhealthy when it
+  lands fails the migration; a failed failover is re-dispatched once
+  to another healthy node.
   Planned migrations (rebalance/drain) ship a live snapshot; failover
   ships the newest *completed* checkpoint from the durable store and
   replays the delta since its trigger time, exactly like crash
   recovery.
 
-Every decision runs on the sim clock with a named RNG stream, so an
+Every decision runs on the sim clock and draws no randomness, so an
 elastic run is as deterministic and byte-stable as a static one.
 """
 
@@ -34,7 +35,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..resilience.policies import CircuitBreaker
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
 from ..stream.checkpoint import snapshot_digest
@@ -78,7 +78,6 @@ class ClusterManager(Subsystem):
             spec.min_std_s,
             spec.history_window,
         )
-        self._rng = self.sim.rng.stream("cluster")
         #: Names of nodes currently part of the cluster.
         self.live: List[str] = [node.name for node in job.nodes]
         self.retired: List[str] = []
@@ -97,13 +96,12 @@ class ClusterManager(Subsystem):
         #: entry's ``to`` for that partition (audited by the
         #: single-owner invariant).
         self.ownership_log: List[dict] = []
-        #: One dict per migration attempt chain (see _new_migration).
+        #: One dict per migration (see _enqueue_migration).
         self.migrations: List[dict] = []
         #: ``(label, start, end)`` rebalance/failover windows for
         #: millibottleneck spike attribution.
         self.windows: List[Tuple[str, float, float]] = []
         self.membership_log: List[dict] = []
-        self._breakers: Dict[str, CircuitBreaker] = {}
         self._active_migrations = 0
         self._migration_queue: Deque[dict] = deque()
         self._plans: Dict[int, dict] = {}
@@ -203,17 +201,6 @@ class ClusterManager(Subsystem):
                 best = (load, name)
         return None if best is None else best[1]
 
-    def _breaker(self, dest: str) -> CircuitBreaker:
-        breaker = self._breakers.get(dest)
-        if breaker is None:
-            breaker = CircuitBreaker(
-                failure_threshold=self.spec.breaker_failures,
-                reset_timeout_s=self.spec.breaker_reset_s,
-                name=f"transfer-to-{dest}",
-            )
-            self._breakers[dest] = breaker
-        return breaker
-
     def _instant(self, name: str, tid: str, **fields) -> None:
         tracer = self.sim.tracer
         if tracer.enabled:
@@ -235,7 +222,7 @@ class ClusterManager(Subsystem):
         for _ in range(count):
             name = f"node{self._node_seq}"
             self._node_seq += 1
-            cores = self.spec.node.cores or self.job.cluster.cores_per_node
+            cores = self.job.cluster.cores_per_node
             self.job.add_worker_node(name, cores)
             self.live.append(name)
             self.detector.register(name, self.sim.now)
@@ -412,7 +399,7 @@ class ClusterManager(Subsystem):
     def _on_revive(self, name: str) -> None:
         self._instant("node-revive", name)
         self._unfence(name)
-        if self.spec.rebalance_on_rejoin and name not in self.retiring:
+        if name not in self.retiring:
             self.rebalance(f"rejoin:{name}")
 
     def _fence(self, name: str) -> None:
@@ -507,7 +494,6 @@ class ClusterManager(Subsystem):
             "status": "pending",
             "start": self.sim.now,
             "end": None,
-            "attempts": 0,
             "bytes": 0,
             "snapshot_time": None,
             "replayed_messages": 0.0,
@@ -570,35 +556,16 @@ class ClusterManager(Subsystem):
             nbytes = instance.store.total_bytes()
         record["bytes"] = nbytes
         record["snapshot_time"] = snapshot_time
+        # the invariant checker flags a transfer stuck past this
         record["deadline"] = self.sim.now + spec.transfer_deadline_s
-        failure = None
-        while True:
-            record["attempts"] += 1
-            breaker = self._breaker(record["dest"])
-            if not breaker.allow(self.sim.now):
-                failure = "breaker-open"
-            else:
-                transfer_s = nbytes / (spec.migration_bandwidth_mb_s * 1e6)
-                yield max(transfer_s, 1e-3)
-                if record["status"] != "transferring":
-                    self._migration_done(record)
-                    return
-                if self._transfer_ok(record):
-                    breaker.record_success(self.sim.now)
-                    break
-                breaker.record_failure(self.sim.now)
-                failure = "endpoint-unhealthy"
-            expired = self.sim.now >= record["deadline"]
-            if record["attempts"] >= spec.retry.max_attempts or expired:
-                if expired:
-                    failure = "deadline-expired"
-                self._migration_failed(record, instance, failure)
-                self._migration_done(record)
-                return
-            yield spec.retry.delay_s(record["attempts"], self._rng)
-            if record["status"] != "transferring":
-                self._migration_done(record)
-                return
+        yield max(nbytes / (spec.migration_bandwidth_mb_s * 1e6), 1e-3)
+        if record["status"] != "transferring":
+            self._migration_done(record)
+            return
+        if not self._transfer_ok(record):
+            self._migration_failed(record, instance, "endpoint-unhealthy")
+            self._migration_done(record)
+            return
         if record["kind"] != "failover":
             # a checkpoint may have started a flush during the transfer
             while instance.flush_in_flight > 0:
@@ -624,14 +591,13 @@ class ClusterManager(Subsystem):
         )
         return dest_ok and source_ok
 
-    def _migration_failed(self, record: dict, instance,
-                          reason: Optional[str]) -> None:
+    def _migration_failed(self, record: dict, instance, reason: str) -> None:
         record["status"] = "failed"
         record["reason"] = reason
         record["end"] = self.sim.now
         self._instant(
             "migrate-failed", record["partition"],
-            kind=record["kind"], dest=record["dest"], reason=reason or "",
+            kind=record["kind"], dest=record["dest"], reason=reason,
         )
         if record["kind"] != "failover":
             return

@@ -3,12 +3,14 @@
 A :class:`ClusterSpec` describes everything the elastic cluster layer
 needs as plain, frozen data: how often nodes heartbeat, when the
 phi-accrual failure detector suspects a silent node, how partition
-transfers are paced (bandwidth, retry policy, deadline, circuit
-breaker), and the scheduled membership events (scale-out joins and
-graceful leaves).  Like every other spec in this repo it round-trips
-through its ``to_dict``/``from_dict`` and hashes into the experiment cache
-key, so an elastic run is exactly as reproducible and cacheable as a
-static one.
+transfers are paced (bandwidth, deadline, concurrency cap), and the
+scheduled membership events (scale-out joins and graceful leaves).
+Joined nodes take the job's per-node core count, and a node that comes
+back from a crash or a healed partition is always rebalanced onto.
+Like every other spec in this repo it round-trips through its
+``to_dict``/``from_dict`` and hashes into the experiment cache key, so
+an elastic run is exactly as reproducible and cacheable as a static
+one.
 """
 
 from __future__ import annotations
@@ -17,34 +19,11 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import ConfigurationError
-from ..resilience.policies import RetryPolicy
 
-__all__ = ["MEMBERSHIP_ACTIONS", "NodeSpec", "MembershipEvent", "ClusterSpec"]
+__all__ = ["MEMBERSHIP_ACTIONS", "MembershipEvent", "ClusterSpec"]
 
 #: Supported scheduled membership actions.
 MEMBERSHIP_ACTIONS = ("join", "leave")
-
-
-@dataclass(frozen=True, kw_only=True)
-class NodeSpec:
-    """Shape of the worker nodes a scale-out event adds.
-
-    ``cores = 0`` inherits the job's :class:`~repro.config.ClusterConfig`
-    core count, so homogeneous scale-out needs no configuration.
-    """
-
-    cores: int = 0
-
-    def __post_init__(self) -> None:
-        if self.cores < 0:
-            raise ConfigurationError(f"node cores must be >= 0, got {self.cores}")
-
-    def to_dict(self) -> dict:
-        return {"cores": self.cores}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NodeSpec":
-        return cls(cores=int(data.get("cores", 0)))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -87,8 +66,6 @@ class ClusterSpec:
     #: Expected node count at install time; 0 accepts whatever the app
     #: built (the paper's 4-node layout for the traffic app).
     initial_nodes: int = 0
-    #: Shape of nodes added by ``join`` events.
-    node: NodeSpec = NodeSpec()
     #: Heartbeat cadence; the detector samples on the same tick.
     heartbeat_interval_s: float = 0.5
     #: Phi-accrual suspicion threshold (Akka's default neighborhood);
@@ -107,23 +84,11 @@ class ClusterSpec:
     #: Stop-the-world pause at the ownership flip (the destination
     #: replays the delta and opens its local store).
     handover_pause_s: float = 0.05
-    #: Per-migration transfer deadline (the whole retry loop must beat
-    #: it); expired transfers fail the migration.
+    #: Per-migration transfer deadline: a transfer still in flight well
+    #: past it is flagged by the ``migration-no-lost-state`` invariant.
     transfer_deadline_s: float = 15.0
-    #: Backoff policy for failed transfer attempts.
-    retry: RetryPolicy = RetryPolicy(
-        max_attempts=4, base_delay_s=0.25, multiplier=2.0,
-        max_delay_s=4.0, jitter=0.2,
-    )
-    #: Per-destination circuit breaker: this many consecutive transfer
-    #: failures stop new attempts toward that node until the reset.
-    breaker_failures: int = 3
-    breaker_reset_s: float = 5.0
     #: Concurrency cap on in-flight partition migrations.
     max_parallel_migrations: int = 4
-    #: Rebalance partitions back onto a node that rejoins after a crash
-    #: or a healed partition (scale-out joins always rebalance).
-    rebalance_on_rejoin: bool = True
     #: Scheduled membership changes.
     events: Tuple[MembershipEvent, ...] = ()
 
@@ -144,16 +109,8 @@ class ClusterSpec:
             raise ConfigurationError("handover_pause_s must be >= 0")
         if self.transfer_deadline_s <= 0:
             raise ConfigurationError("transfer_deadline_s must be > 0")
-        if self.breaker_failures < 1:
-            raise ConfigurationError("breaker_failures must be >= 1")
-        if self.breaker_reset_s < 0:
-            raise ConfigurationError("breaker_reset_s must be >= 0")
         if self.max_parallel_migrations < 1:
             raise ConfigurationError("max_parallel_migrations must be >= 1")
-        if isinstance(self.node, dict):
-            object.__setattr__(self, "node", NodeSpec.from_dict(self.node))
-        if isinstance(self.retry, dict):
-            object.__setattr__(self, "retry", RetryPolicy.from_dict(self.retry))
         coerced = tuple(
             event if isinstance(event, MembershipEvent)
             else MembershipEvent.from_dict(dict(event))
@@ -164,7 +121,6 @@ class ClusterSpec:
     def to_dict(self) -> dict:
         return {
             "initial_nodes": self.initial_nodes,
-            "node": self.node.to_dict(),
             "heartbeat_interval_s": self.heartbeat_interval_s,
             "phi_threshold": self.phi_threshold,
             "min_std_s": self.min_std_s,
@@ -172,11 +128,7 @@ class ClusterSpec:
             "migration_bandwidth_mb_s": self.migration_bandwidth_mb_s,
             "handover_pause_s": self.handover_pause_s,
             "transfer_deadline_s": self.transfer_deadline_s,
-            "retry": self.retry.to_dict(),
-            "breaker_failures": self.breaker_failures,
-            "breaker_reset_s": self.breaker_reset_s,
             "max_parallel_migrations": self.max_parallel_migrations,
-            "rebalance_on_rejoin": self.rebalance_on_rejoin,
             "events": [event.to_dict() for event in self.events],
         }
 

@@ -63,8 +63,8 @@ class AnalysisError(ReproError):
 
 class ResilienceError(ReproError):
     """Base class for errors raised by :mod:`repro.resilience` — the
-    closed-loop overload-protection layer (SLO guard, load shedding,
-    retry/circuit-breaker policies)."""
+    closed-loop overload-protection layer (SLO guard and load
+    shedding)."""
 
 
 class OverloadError(ResilienceError):

@@ -9,10 +9,6 @@ The package wires two cooperating pieces onto a built
 * :class:`~repro.resilience.shedding.LoadShedder` — token-bucket
   admission control over the source rate while degraded.
 
-:class:`~repro.resilience.policies.RetryPolicy` and
-:class:`~repro.resilience.policies.CircuitBreaker` are mechanism-only
-primitives; the cluster layer's state transfers use them.
-
 Entry points: call :func:`install_resilience` on a built job, or set
 ``resilience=`` on a :class:`~repro.scenarios.spec.ScenarioSpec` /
 :class:`~repro.experiments.parallel.RunSpec`.  The chaos-soak harness
@@ -26,7 +22,6 @@ from typing import List, Optional, Tuple, Union
 from ..stream.engine import Subsystem
 from .config import DEFAULT_RESILIENCE, ResilienceConfig
 from .guard import SLOGuard
-from .policies import CircuitBreaker, RetryPolicy
 from .shedding import LoadShedder
 
 __all__ = [
@@ -34,8 +29,6 @@ __all__ = [
     "DEFAULT_RESILIENCE",
     "SLOGuard",
     "LoadShedder",
-    "RetryPolicy",
-    "CircuitBreaker",
     "ResilienceController",
     "install_resilience",
     "load_resilience_config",

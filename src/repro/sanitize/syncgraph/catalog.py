@@ -37,7 +37,7 @@ class SyncPrimitive:
     owner: str
     #: Method that exercises the primitive; ``None`` for module grants.
     method: Optional[str]
-    #: "queue" | "gate" | "barrier" | "hold" | "breaker" | "fence" | "shadow"
+    #: "queue" | "gate" | "barrier" | "hold" | "fence" | "shadow"
     kind: str
     #: True when a call can block/suspend other progress.
     blocking: bool = False
@@ -146,14 +146,6 @@ SYNC_CATALOG: Tuple[SyncPrimitive, ...] = (
         method="build_level_pick",
         kind="gate",
         rationale="level_claimed gate for L1+ picks",
-    ),
-    SyncPrimitive(
-        name="breaker.allow",
-        owner="CircuitBreaker",
-        method="allow",
-        kind="breaker",
-        rationale="open breakers reject transfers instead of "
-                  "queueing them; a deliberate fail-fast sync point",
     ),
     SyncPrimitive(
         name="cluster.fence",

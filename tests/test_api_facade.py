@@ -29,6 +29,9 @@ def test_facade_covers_the_advertised_surface():
     assert not {"ResilientKafkaCommitter", "RetryExhaustedError"} & set(
         api.__all__
     )
+    # no state transfer ever retried, tripped a breaker or joined a
+    # node of its own shape
+    assert not {"RetryPolicy", "CircuitBreaker", "NodeSpec"} & set(api.__all__)
 
 
 def test_facade_reexports_are_the_implementation_objects():

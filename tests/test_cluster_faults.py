@@ -186,6 +186,85 @@ def test_crash_during_migration_never_splits_ownership():
     assert served(job) <= served(ref_job) + replayed + 1.0
 
 
+def landed_after_one_transfer(record, spec):
+    """The record ended exactly one paced transfer after its transfer
+    began (the deadline is stamped when the transfer begins)."""
+    began = record["deadline"] - spec.transfer_deadline_s
+    paced = max(record["bytes"] / (spec.migration_bandwidth_mb_s * 1e6), 1e-3)
+    return record["end"] == pytest.approx(began + paced)
+
+
+def test_failover_to_a_crashed_destination_is_redispatched_once():
+    """node1 dies and fails over onto node2, which dies before the
+    transfers land: each fails after one transfer and is re-dispatched
+    once, to node0, the only healthy node left."""
+    spec = ClusterSpec(migration_bandwidth_mb_s=0.1, transfer_deadline_s=60.0)
+    plan = plan_of(
+        FaultSpec(kind="node_crash", at_s=14.0, duration_s=50.0, node=1),
+        FaultSpec(kind="node_crash", at_s=16.0, duration_s=50.0, node=2),
+    )
+    job = small_job(nodes=3)
+    manager = install_cluster(job, spec)
+    inject_faults(job, plan)
+    result = job.run(60.0)
+
+    failed = [m for m in manager.migrations if m["status"] == "failed"]
+    assert failed and {m["kind"] for m in failed} == {"failover"}
+    for record in failed:
+        assert record["reason"] == "endpoint-unhealthy"
+        assert (record["source"], record["dest"]) == ("node1", "node2")
+        assert landed_after_one_transfer(record, spec)
+        (again,) = [m for m in manager.migrations
+                    if m["partition"] == record["partition"]
+                    and m["id"] > record["id"]]
+        assert again["kind"] == "failover" and again["redispatched"]
+        assert again["plan_id"] == record["plan_id"]
+        assert again["start"] == record["end"]
+        assert again["dest"] == "node0"
+        assert again["status"] == "completed"
+        assert again["digest_restored"] == again["digest_source"]
+        assert manager.owner[record["partition"]] == "node0"
+    assert manager.unowned_partitions() == []
+    assert manager.in_flight_migrations() == 0
+    assert not [v for v in result.invariant_violations
+                if v["invariant"] in ("single-owner-per-partition",
+                                      "migration-no-lost-state")]
+
+
+def test_planned_move_to_a_crashed_destination_stays_with_its_source():
+    """A drain whose destination dies mid-transfer fails after one
+    transfer and is not re-dispatched: the partition stays on the
+    leaving node, which therefore does not retire."""
+    spec = ClusterSpec(
+        migration_bandwidth_mb_s=0.05,
+        transfer_deadline_s=60.0,
+        events=(MembershipEvent(action="leave", at_s=20.0, count=1),),
+    )
+    plan = plan_of(FaultSpec(kind="node_crash", at_s=21.0, duration_s=50.0,
+                             node=1))
+    job = small_job(nodes=3)
+    manager = install_cluster(job, spec)
+    inject_faults(job, plan)
+    result = job.run(60.0)
+
+    drains = [m for m in manager.migrations if m["kind"] == "drain"]
+    assert drains
+    for record in drains:
+        assert (record["source"], record["dest"]) == ("node2", "node1")
+        assert record["status"] == "failed"
+        assert record["reason"] == "endpoint-unhealthy"
+        assert landed_after_one_transfer(record, spec)
+        assert not record.get("redispatched")
+        assert manager.owner[record["partition"]] == "node2"
+        assert hosted_partitions(job)[record["partition"]] == "node2"
+    moved = {flip["partition"] for flip in manager.ownership_log}
+    assert not moved & {record["partition"] for record in drains}
+    assert "node2" in manager.retiring and manager.retired == []
+    assert not [v for v in result.invariant_violations
+                if v["invariant"] in ("single-owner-per-partition",
+                                      "migration-no-lost-state")]
+
+
 # ----------------------------------------------------------------------
 # node_flap / network_partition
 # ----------------------------------------------------------------------

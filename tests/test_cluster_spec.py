@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterSpec, MembershipEvent, NodeSpec
+from repro.cluster import ClusterSpec, MembershipEvent
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import cache_key_from_dict
 from repro.scenarios import ScenarioSpec, scenario
@@ -16,11 +16,6 @@ GOLDEN_KEYS = Path(__file__).parent / "data" / "scenario_cache_keys.json"
 # ----------------------------------------------------------------------
 # validation
 # ----------------------------------------------------------------------
-
-
-def test_node_spec_rejects_negative_cores():
-    with pytest.raises(ConfigurationError):
-        NodeSpec(cores=-1)
 
 
 def test_membership_event_rejects_unknown_action():
@@ -40,8 +35,8 @@ def test_membership_event_rejects_zero_count():
     {"history_window": 1},
     {"migration_bandwidth_mb_s": 0.0},
     {"transfer_deadline_s": 0.0},
-    {"breaker_failures": 0},
     {"max_parallel_migrations": 0},
+    {"handover_pause_s": -1.0},
 ])
 def test_cluster_spec_rejects_bad_knobs(kwargs):
     with pytest.raises(ConfigurationError):
@@ -50,12 +45,8 @@ def test_cluster_spec_rejects_bad_knobs(kwargs):
 
 def test_cluster_spec_coerces_nested_dicts():
     spec = ClusterSpec(
-        node={"cores": 8},
-        retry={"max_attempts": 2, "base_delay_s": 0.1},
         events=[{"action": "join", "at_s": 10.0, "count": 2}],
     )
-    assert spec.node == NodeSpec(cores=8)
-    assert spec.retry.max_attempts == 2
     assert spec.events == (MembershipEvent(action="join", at_s=10.0, count=2),)
 
 
@@ -77,6 +68,22 @@ def test_cluster_spec_roundtrips():
     assert ClusterSpec.from_dict(
         json.loads(json.dumps(spec.to_dict()))
     ) == spec
+
+
+def test_cluster_spec_from_dict_drops_knobs_it_no_longer_has():
+    """Specs stored while transfers still retried behind a breaker,
+    and joins and rejoins still had their own knobs, load as the same
+    spec."""
+    spec = ClusterSpec(phi_threshold=6.0, events=(MembershipEvent(at_s=5.0),))
+    stored = dict(
+        spec.to_dict(),
+        node={"cores": 0},
+        retry={"max_attempts": 4, "base_delay_s": 0.25, "multiplier": 2.0,
+               "max_delay_s": 4.0, "jitter": 0.2},
+        breaker_failures=3, breaker_reset_s=5.0, rebalance_on_rejoin=True,
+    )
+    assert ClusterSpec.from_dict(stored) == spec
+    assert len(ClusterSpec().to_dict()) == 10
 
 
 def test_cluster_spec_registered_with_serializer():

@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.analysis.millibottleneck import MillibottleneckReport, SpikeAttribution
 from repro.analysis.overlap import OverlapReport
-from repro.cluster.spec import ClusterSpec, MembershipEvent, NodeSpec
+from repro.cluster.spec import ClusterSpec, MembershipEvent
 from repro.core.autotuner import TunedConfig, TuneReport
 from repro.core.mitigation import MitigationPlan
 from repro.experiments.runner import ExperimentSettings
@@ -21,7 +21,6 @@ from repro.faults.invariants import InvariantViolation
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.metrics.collector import CheckpointStats
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.policies import RetryPolicy
 from repro.sanitize import SanitizeReport
 from repro.sanitize.ordering import OrderingCheck, OrderingReport
 from repro.sanitize.racedetect import RaceDivergence, RaceReport
@@ -66,11 +65,6 @@ def _spike():
     )
 
 
-def _retry():
-    return RetryPolicy(max_attempts=5, base_delay_s=0.5, multiplier=3.0,
-                       max_delay_s=8.0, jitter=0.1)
-
-
 def _workload():
     return WorkloadSpec(arrival="diurnal", rate=5000.0, period_s=120.0,
                         trough_factor=0.5, bursts=((10.0, 5.0, 2.0),),
@@ -86,9 +80,8 @@ def _fault_plan():
 
 def _cluster():
     return ClusterSpec(
-        initial_nodes=4, node=NodeSpec(cores=8), heartbeat_interval_s=0.25,
-        phi_threshold=6.0, history_window=8, retry=_retry(),
-        rebalance_on_rejoin=False,
+        initial_nodes=4, heartbeat_interval_s=0.25, phi_threshold=6.0,
+        history_window=8, transfer_deadline_s=30.0,
         events=(MembershipEvent(action="join", at_s=20.0, count=2),
                 MembershipEvent(action="leave", at_s=60.0)),
     )
@@ -152,14 +145,12 @@ SAMPLES = {
         window_s=0.05, threshold_s=0.8, spikes=[_spike()],
         saturation_windows=[(47.0, 49.0)], alignment=0.75,
         classification="statistical"),
-    "NodeSpec": lambda: NodeSpec(cores=16),
     "OrderingReport": _ordering_report,
     "OverlapReport": _overlap_report,
     "RaceReport": _race_report,
     "ResilienceConfig": lambda: ResilienceConfig(
         latency_slo_s=2.0, shed_rate_factor=0.5, trip_samples=2,
         checkpoint_stretch=3.0, recovery_samples=5),
-    "RetryPolicy": _retry,
     "RunSummary": _run_summary,
     "SanitizeReport": lambda: SanitizeReport(
         kind="traffic", duration_s=16.0, window_s=2.0, seed=4,
