@@ -14,7 +14,7 @@ Run:  python examples/other_shadowsync_sources.py
 
 import math
 
-from repro.api import MitigationPlan, build_traffic_job, render_tails
+from repro.api import MitigationPlan, build_scenario_job, render_tails, scenario
 from repro.faults.capacity import capacity_dip
 from repro.sim.process import spawn
 
@@ -58,12 +58,8 @@ def dvfs_throttling(job, windows, mean_interval_s=25.0, duration_s=0.6,
 
 
 def run(name, *injectors):
-    job = build_traffic_job(
-        checkpoint_interval_s=8.0,
-        initial_l0="aligned",
-        seed=1,
-        mitigation=MitigationPlan.paper_solution(),
-    )
+    spec = scenario("baseline_traffic", mitigation=MitigationPlan.paper_solution())
+    job = build_scenario_job(spec, seed=1)
     windows = []
     for injector in injectors:
         injector(job, windows)

@@ -11,9 +11,10 @@ Run:  python examples/quickstart.py
 
 from repro.api import (
     MitigationPlan,
-    build_traffic_job,
+    build_scenario_job,
     render_series,
     render_tails,
+    scenario,
 )
 
 RUN_SECONDS = 160.0
@@ -21,12 +22,9 @@ WARMUP = 40.0
 
 
 def run(name, mitigation):
-    job = build_traffic_job(
-        checkpoint_interval_s=8.0,
-        initial_l0="aligned",  # §3.3's statistical worst case
-        mitigation=mitigation,
-        seed=1,
-    )
+    # 8 s checkpoints, L0 counters aligned: §3.3's statistical worst case
+    spec = scenario("baseline_traffic", mitigation=mitigation)
+    job = build_scenario_job(spec, seed=1)
     result = job.run(RUN_SECONDS)
     times, p999 = result.latency_timeline(0.999, window=0.5, start=WARMUP)
     print()

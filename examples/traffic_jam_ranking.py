@@ -17,7 +17,7 @@ Run:  python examples/traffic_jam_ranking.py
 
 import json
 
-from repro.api import LSMOptions, LSMStore, build_traffic_job
+from repro.api import LSMOptions, LSMStore, build_scenario_job
 from repro.stream.kafka import KafkaBroker
 from repro.workloads import TrafficModel
 
@@ -67,7 +67,7 @@ def main():
         print(f"  {street.decode():24s} {count}")
 
     print("\n== control plane: what latency does this cost? ==")
-    job = build_traffic_job(checkpoint_interval_s=8.0, initial_l0="aligned", seed=1)
+    job = build_scenario_job("baseline_traffic", seed=1)
     result = job.run(120.0)
     tails = result.tail_summary(start=40.0)
     print(

@@ -19,11 +19,12 @@ import numpy as np
 from repro.api import (
     MitigationPlan,
     analyze_result,
-    build_traffic_job,
+    build_scenario_job,
     estimate_drain_time,
     recommend_compaction_threads,
     recommend_flush_threads,
     render_tails,
+    scenario,
 )
 from repro.core import concurrency_latency_curve
 
@@ -32,7 +33,7 @@ WARMUP, RUN = 40.0, 240.0
 
 def main():
     print("step 1: run the baseline and diagnose")
-    job = build_traffic_job(checkpoint_interval_s=8.0, initial_l0="aligned", seed=1)
+    job = build_scenario_job("baseline_traffic", seed=1)
     result = job.run(RUN)
     report = analyze_result(result, start=WARMUP)
     print(f"  spikes found: {report.spike_count}  attributed to "
@@ -50,9 +51,10 @@ def main():
     )
     flush_threads = recommend_flush_threads(cores_per_node=16)
     # Kneedle needs varied concurrency; use a randomized-trigger run.
-    probe = build_traffic_job(
-        checkpoint_interval_s=8.0, initial_l0="aligned", seed=1,
-        mitigation=MitigationPlan(randomize_compaction_trigger=True),
+    probe = build_scenario_job(
+        scenario("baseline_traffic",
+                 mitigation=MitigationPlan(randomize_compaction_trigger=True)),
+        seed=1,
     ).run(RUN)
     wt, wl = probe.latency_timeline(0.999, window=0.05, start=WARMUP)
     ct, cc = probe.concurrency("compaction", WARMUP, RUN, dt=0.05)
@@ -70,8 +72,8 @@ def main():
         flush_threads=flush_threads,
         compaction_threads=compaction_threads,
     )
-    tuned = build_traffic_job(
-        checkpoint_interval_s=8.0, initial_l0="aligned", seed=1, mitigation=plan
+    tuned = build_scenario_job(
+        scenario("baseline_traffic", mitigation=plan), seed=1
     ).run(RUN)
     tails = {
         "baseline": result.tail_summary(start=WARMUP),

@@ -13,8 +13,9 @@ from repro.api import (
     LSMOptions,
     LSMStore,
     MitigationPlan,
-    build_wordcount_job,
+    build_scenario_job,
     render_tails,
+    scenario,
 )
 from repro.stream.kafka import KafkaBroker
 from repro.workloads import SentenceGenerator, count_words
@@ -63,7 +64,9 @@ def main():
     print("\n== control plane: Figure 17's comparison ==")
     tails = {}
     for name, plan in (("baseline", None), ("solution", MitigationPlan.paper_solution())):
-        job = build_wordcount_job(seed=2, mitigation=plan)
+        job = build_scenario_job(
+            scenario("baseline_wordcount", mitigation=plan), seed=2
+        )
         result = job.run(160.0)
         tails[name] = result.tail_summary(start=40.0)
     print(render_tails(tails))

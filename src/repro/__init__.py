@@ -9,15 +9,17 @@ harness regenerating every table and figure of the evaluation.
 
 Quickstart::
 
-    from repro import build_traffic_job, MitigationPlan
+    from repro.api import MitigationPlan, build_scenario_job, scenario
 
-    job = build_traffic_job(checkpoint_interval_s=8.0,
-                            mitigation=MitigationPlan.paper_solution())
-    result = job.run(200.0)
+    spec = scenario("baseline_traffic",
+                    mitigation=MitigationPlan.paper_solution())
+    result = build_scenario_job(spec, seed=1).run(200.0)
     print(result.tail_summary(start=40.0))
+
+The benchmark apps (traffic, WordCount, windowed join) are rows of
+:data:`repro.apps.APPS`; :mod:`repro.api` is the stable import surface.
 """
 
-from .apps import build_traffic_job, build_wordcount_job
 from .config import CheckpointConfig, ClusterConfig, CostModel
 from .core import (
     MitigationPlan,
@@ -36,8 +38,6 @@ from .stream import ConstantSource, StageSpec, StreamJob, StreamJobResult
 __version__ = "5.0.0"
 
 __all__ = [
-    "build_traffic_job",
-    "build_wordcount_job",
     "CheckpointConfig",
     "ClusterConfig",
     "CostModel",

@@ -31,9 +31,6 @@ from .analysis.millibottleneck import (
     analyze_summary,
     analyze_trace,
 )
-from .apps.join_job import build_join_job
-from .apps.traffic_job import build_traffic_job
-from .apps.wordcount_job import build_wordcount_job
 from .cluster import (
     ClusterManager,
     ClusterSpec,
@@ -160,9 +157,6 @@ __all__ = [
     "execute_spec_sharded",
     "merge_summaries",
     # jobs
-    "build_traffic_job",
-    "build_wordcount_job",
-    "build_join_job",
     "StreamJob",
     "StreamJobResult",
     "StageSpec",

@@ -19,7 +19,6 @@ import numpy as np
 from ..analysis.longtail import find_spikes, reduction_ratio, spike_period
 from ..analysis.millibottleneck import analyze_result, default_threshold
 from ..analysis.overlap import burst_alignment
-from ..apps.traffic_job import build_traffic_job
 from ..config import CheckpointConfig, ClusterConfig, CostModel
 from ..core.allocation import (
     concurrency_latency_curve,
@@ -29,7 +28,7 @@ from ..core.mitigation import MitigationPlan
 from ..core.silk import SilkPolicy, install_silk_pauses
 from ..faults.capacity import capacity_dip
 from ..scenarios.library import scenario
-from ..scenarios.run import run_scenario
+from ..scenarios.run import build_scenario_job, run_scenario
 from ..sim.process import spawn
 from ..stream import ConstantSource, StageSpec, StreamJob
 from .parallel import RunSpec, run_grid
@@ -542,9 +541,8 @@ def ablation_mitigations(
 def _live_traffic(settings: ExperimentSettings, plan=None, cost=None, prepare=None):
     """One live ``baseline_traffic`` deployment; *prepare* hooks the
     built job before it runs."""
-    job = build_traffic_job(
-        checkpoint_interval_s=8.0, initial_l0="aligned", seed=settings.seed,
-        mitigation=plan, cost=cost,
+    job = build_scenario_job(
+        scenario("baseline_traffic", mitigation=plan), seed=settings.seed, cost=cost
     )
     if prepare is not None:
         prepare(job)

@@ -15,7 +15,7 @@ The subsystem has four parts:
 
 Most callers only need :func:`inject_faults`::
 
-    job = build_traffic_job(seed=7)
+    job = build_scenario_job("baseline_traffic", seed=7)
     inject_faults(job, "crash")          # preset name, dict, file, ...
     result = job.run(120.0)
     result.fault_events, result.invariant_violations

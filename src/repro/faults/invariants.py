@@ -18,8 +18,10 @@ Registered invariants:
     moves backwards between samples.
 ``checkpoint-barriers``
     No lost barriers: checkpoint ids strictly increase, every record is
-    in a legal state with consistent timestamps, and the coordinator's
-    in-flight counter matches the records.
+    in a legal state with consistent timestamps, the coordinator's
+    in-flight counter matches the records, and every completed
+    checkpoint holds a snapshot of each stateful instance with a store
+    (each record is judged once, when it stops being in flight).
 ``lsm-consistency``
     Every store's level structure is valid (level claims, L1+
     non-overlap) and no deep level has run away past 50× its size
@@ -124,6 +126,8 @@ class InvariantChecker(Subsystem):
         self.job = None
         #: flow name -> last observed cumulative served count.
         self._watermarks: Dict[str, float] = {}
+        #: Checkpoint records before this index are judged for snapshots.
+        self._checkpoints_judged = 0
 
     def install(self, job) -> InvariantChecker:
         if self.job is not None:
@@ -259,6 +263,27 @@ def _checkpoint_barriers(checker: InvariantChecker, job):
             {"records_in_flight": in_flight,
              "coordinator_in_flight": coordinator.in_flight},
         )
+    while (checker._checkpoints_judged < len(records)
+           and records[checker._checkpoints_judged].state != "in-flight"):
+        record = records[checker._checkpoints_judged]
+        checker._checkpoints_judged += 1
+        if record.state != "completed":
+            continue
+        missing = [
+            instance.name
+            for stage in job.stages
+            if stage.spec.stateful
+            for instance in stage.instances
+            if instance.store is not None
+            and instance.name not in record.snapshots
+        ]
+        if missing:
+            yield (
+                f"checkpoint #{record.checkpoint_id} completed without "
+                f"snapshots of {len(missing)} instance(s)",
+                {"checkpoint_id": record.checkpoint_id,
+                 "missing": missing},
+            )
 
 
 @invariant("lsm-consistency")

@@ -20,10 +20,9 @@ from .run import (
     run_scenario,
     scenario_shard_unit,
 )
-from .spec import APPS, ARRIVALS, ScenarioSpec, WorkloadSpec
+from .spec import ARRIVALS, ScenarioSpec, WorkloadSpec
 
 __all__ = [
-    "APPS",
     "ARRIVALS",
     "SCENARIOS",
     "SOAK_POOL",

@@ -11,8 +11,12 @@ sharded path, the race sanitizer and the soak all come through here.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Union
 
+from ..apps import APPS
+from ..apps.tenancy import tenant_initial_l0, tenantize
+from ..config import CheckpointConfig, ClusterConfig, CostModel
 from ..errors import ConfigurationError
 from ..storage.backend import profile_by_name
 from ..stream.engine import StreamJob, StreamJobResult
@@ -41,49 +45,79 @@ def resolve_scenario(spec: Union[ScenarioSpec, str, dict]) -> ScenarioSpec:
     )
 
 
+def _app_stages(spec: ScenarioSpec):
+    """The app row's stage table, windowed and tenantized for *spec*."""
+    app = APPS[spec.app]
+    stages = app.stages
+    if app.window_stage is not None:
+        keys = int(spec.workload.steady_rate() * spec.window_s)
+        stages = tuple(
+            replace(stage, distinct_keys=keys)
+            if stage.name == app.window_stage
+            else stage
+            for stage in stages
+        )
+    return app, tenantize(stages, spec.tenants)
+
+
 def build_scenario_job(
     spec: Union[ScenarioSpec, str, dict],
     seed: int = 0,
     tracer: Optional[Tracer] = None,
     tie_break: str = "fifo",
     scale: int = 1,
+    cost: Optional[CostModel] = None,
 ) -> StreamJob:
     """Assemble the :class:`StreamJob` a scenario describes.
 
-    ``scale = G`` builds the 1/G cluster slice a sharded worker runs.
+    The deployment comes from the scenario's :class:`~repro.apps.App`
+    row.  ``scale = G`` builds the 1/G cluster slice a sharded worker
+    runs: nodes (or, on a single node, cores), stage parallelism, key
+    spaces and the source rate all shrink by G, so per-node and
+    per-instance load match the full deployment exactly.  ``cost``
+    overrides the app's calibrated :class:`CostModel`.
     """
     spec = resolve_scenario(spec)
-    workload = spec.workload
-    common = dict(
-        mitigation=spec.mitigation,
-        storage=profile_by_name(spec.storage),
-        seed=seed,
-        tracer=tracer,
-        tie_break=tie_break,
-        scale=scale,
-        source=workload.make_source(scale),
-        skew=workload.skew,
-        tenants=spec.tenants,
-    )
-    if spec.app == "traffic":
-        from ..apps.traffic_job import build_traffic_job
-
-        return build_traffic_job(
-            checkpoint_interval_s=spec.interval_s,
-            initial_l0=spec.initial_l0,
-            **common,
+    app, stages = _app_stages(spec)
+    whole, what = app.shard_unit()
+    if scale < 1:
+        raise ConfigurationError(f"scale must be >= 1, got {scale}")
+    if whole % scale != 0:
+        raise ConfigurationError(
+            f"{spec.app} job: {whole} {what} not divisible into {scale} shards"
         )
-    if spec.app == "wordcount":
-        from ..apps.wordcount_job import build_wordcount_job
-
-        return build_wordcount_job(commit_interval_s=spec.interval_s, **common)
-    from ..apps.join_job import build_join_job
-
-    return build_join_job(
-        checkpoint_interval_s=spec.interval_s,
-        message_rate=workload.steady_rate(),
-        window_s=spec.window_s,
-        **common,
+    initial_l0 = spec.initial_l0
+    if isinstance(initial_l0, str):
+        try:
+            initial_l0 = app.initial_l0[initial_l0]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown initial_l0 preset {initial_l0!r} for the {spec.app} "
+                f"app; available: {sorted(app.initial_l0)}"
+            ) from None
+    num_nodes, cores_per_node = app.num_nodes, app.cores_per_node
+    if num_nodes > 1:
+        num_nodes //= scale
+    else:
+        cores_per_node //= scale
+    return StreamJob(
+        stages=tuple(stage.scaled(scale) for stage in stages),
+        source=spec.workload.make_source(scale),
+        cluster=ClusterConfig(
+            num_nodes=num_nodes,
+            cores_per_node=cores_per_node,
+            storage=profile_by_name(spec.storage),
+        ),
+        cost=cost or app.cost,
+        checkpoint=CheckpointConfig(
+            interval_s=spec.interval_s, first_at_s=spec.interval_s
+        ),
+        mitigation=spec.mitigation,
+        tracer=tracer,
+        initial_l0=tenant_initial_l0(initial_l0, spec.tenants),
+        seed=seed,
+        tie_break=tie_break,
+        skew=spec.workload.skew,
     )
 
 
@@ -142,21 +176,11 @@ def scenario_shard_unit(spec: Union[ScenarioSpec, str, dict]):
     for error messages, and the (tenantized) stage tuple whose
     parallelism :func:`~repro.experiments.shard.plan_shards` checks.
     """
-    from ..apps.join_job import JOIN_STAGES
-    from ..apps.tenancy import tenantize
-    from ..apps.traffic_job import TRAFFIC_STAGES
-    from ..apps.wordcount_job import WORDCOUNT_STAGES
-
     spec = resolve_scenario(spec)
     if spec.cluster is not None:
         raise ConfigurationError(
             f"scenario {spec.name or '<ad hoc>'} uses the elastic cluster "
             "layer and cannot be sharded"
         )
-    if spec.app == "wordcount":
-        whole, what, stages = 16, "cores", WORDCOUNT_STAGES
-    elif spec.app == "join":
-        whole, what, stages = 4, "node groups", JOIN_STAGES
-    else:
-        whole, what, stages = 4, "node groups", TRAFFIC_STAGES
-    return whole, what, tenantize(stages, spec.tenants)
+    app, stages = _app_stages(spec)
+    return (*app.shard_unit(), stages)

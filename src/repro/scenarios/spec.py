@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Tuple, Union
 
+from ..apps import APPS
 from ..cluster.spec import ClusterSpec
 from ..core.mitigation import MitigationPlan
 from ..errors import ConfigurationError
@@ -34,13 +35,10 @@ from ..stream.sources import (
     PiecewiseSource,
 )
 
-__all__ = ["ARRIVALS", "APPS", "WorkloadSpec", "ScenarioSpec"]
+__all__ = ["ARRIVALS", "WorkloadSpec", "ScenarioSpec"]
 
 #: Supported arrival processes.
 ARRIVALS = ("constant", "piecewise", "diurnal", "closed_loop")
-
-#: Supported app topologies.
-APPS = ("traffic", "wordcount", "join")
 
 
 def _tupled(entries) -> tuple:
@@ -152,6 +150,7 @@ class ScenarioSpec:
     """One named experiment situation, fully described by plain data."""
 
     name: str = ""
+    #: A row of :data:`repro.apps.APPS`.
     app: str = "traffic"
     #: Presentation only — excluded from the cache key, like
     #: :attr:`RunSpec.label`.
@@ -159,7 +158,8 @@ class ScenarioSpec:
     workload: WorkloadSpec = WorkloadSpec()
     #: Checkpoint (traffic/join) or commit (wordcount) interval.
     interval_s: float = 8.0
-    #: Initial L0 phase; only the traffic app consumes it.
+    #: Initial L0 phase: one of the app row's named presets, or
+    #: per-stage L0 file counts.
     initial_l0: Union[str, Dict[str, int]] = "aligned"
     storage: str = "tmpfs"
     mitigation: Optional[MitigationPlan] = None
@@ -178,7 +178,7 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.app not in APPS:
             raise ConfigurationError(
-                f"unknown app {self.app!r}; expected one of {APPS}"
+                f"unknown app {self.app!r}; expected one of {tuple(APPS)}"
             )
         profile_by_name(self.storage)  # raises on unknown profiles
         if self.tenants < 1:

@@ -10,9 +10,9 @@ import os
 
 import pytest
 
-from repro.apps import build_traffic_job, build_wordcount_job
 from repro.core import MitigationPlan
 from repro.experiments.parallel import CACHE_DIR_ENV
+from repro.scenarios import build_scenario_job, scenario
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -37,38 +37,31 @@ DURATION = 160.0
 
 @pytest.fixture(scope="session")
 def traffic_baseline():
-    job = build_traffic_job(
-        checkpoint_interval_s=8.0, initial_l0="aligned", seed=1
-    )
-    return job.run(DURATION)
+    return build_scenario_job("baseline_traffic", seed=1).run(DURATION)
 
 
 @pytest.fixture(scope="session")
 def traffic_solution():
-    job = build_traffic_job(
-        checkpoint_interval_s=8.0,
-        initial_l0="aligned",
-        seed=1,
-        mitigation=MitigationPlan.paper_solution(),
+    spec = scenario(
+        "baseline_traffic", mitigation=MitigationPlan.paper_solution()
     )
-    return job.run(DURATION)
+    return build_scenario_job(spec, seed=1).run(DURATION)
 
 
 @pytest.fixture(scope="session")
 def traffic_staggered_16s():
-    job = build_traffic_job(
-        checkpoint_interval_s=16.0, initial_l0="staggered", seed=1
-    )
-    return job.run(200.0)
+    spec = scenario("baseline_traffic", interval_s=16.0, initial_l0="staggered")
+    return build_scenario_job(spec, seed=1).run(200.0)
 
 
 @pytest.fixture(scope="session")
 def wordcount_baseline():
-    return build_wordcount_job(seed=2).run(DURATION)
+    return build_scenario_job("baseline_wordcount", seed=2).run(DURATION)
 
 
 @pytest.fixture(scope="session")
 def wordcount_solution():
-    return build_wordcount_job(
-        seed=2, mitigation=MitigationPlan.paper_solution()
-    ).run(DURATION)
+    spec = scenario(
+        "baseline_wordcount", mitigation=MitigationPlan.paper_solution()
+    )
+    return build_scenario_job(spec, seed=2).run(DURATION)

@@ -19,10 +19,14 @@ def test_facade_covers_the_advertised_surface():
     expected = {
         "run_scenario", "run_grid",
         "ExperimentSettings", "RunSpec", "RunSummary", "MitigationPlan",
-        "Tracer", "NullTracer", "build_traffic_job", "build_wordcount_job",
+        "Tracer", "NullTracer", "build_scenario_job", "scenario",
         "analyze_result", "analyze_summary", "analyze_trace",
     }
     assert expected <= set(api.__all__)
+    # an app is a row of repro.apps.APPS: one builder serves them all
+    assert [n for n in api.__all__ if n.startswith("build_")] == [
+        "build_scenario_job"
+    ]
     # per-layer time is perfbench's, function-level hotspots cProfile's
     assert not {"profile", "profile_run", "ProfileReport"} & set(api.__all__)
     # no run ever installed the Kafka commit wrapper

@@ -1,27 +1,21 @@
-"""Unit tests for the application builders."""
+"""Unit tests for the app table and the jobs built from its rows."""
 
 import pytest
 
-from repro.apps import (
-    INITIAL_L0_PRESETS,
-    TRAFFIC_STAGES,
-    WORDCOUNT_STAGES,
-    build_traffic_job,
-    build_wordcount_job,
-)
+from repro.apps import APPS
+from repro.core import MitigationPlan
 from repro.errors import ConfigurationError
-from repro.storage import NVME_SSD
+from repro.scenarios import build_scenario_job, scenario
 
 
 def test_traffic_stage_shape_matches_paper():
-    parallelism = [s.parallelism for s in TRAFFIC_STAGES]
-    assert parallelism == [64, 64, 1]
-    names = [s.name for s in TRAFFIC_STAGES]
-    assert names == ["s0", "s1", "s2"]
+    stages = APPS["traffic"].stages
+    assert [s.parallelism for s in stages] == [64, 64, 1]
+    assert [s.name for s in stages] == ["s0", "s1", "s2"]
 
 
 def test_traffic_deployment_matches_figure4():
-    job = build_traffic_job()
+    job = build_scenario_job("baseline_traffic")
     assert len(job.nodes) == 4
     assert all(node.cores == 16 for node in job.nodes)
     assert job.cluster.storage.name == "tmpfs"
@@ -30,28 +24,39 @@ def test_traffic_deployment_matches_figure4():
 
 
 def test_traffic_presets():
-    aligned = build_traffic_job(initial_l0="aligned")
+    aligned = build_scenario_job(scenario("baseline_traffic", initial_l0="aligned"))
     for instance in aligned.stage("s0").instances:
         assert instance.store.l0_file_count == 0
-    staggered = build_traffic_job(initial_l0="staggered")
+    staggered = build_scenario_job(
+        scenario("baseline_traffic", initial_l0="staggered")
+    )
     assert staggered.stage("s0").instances[0].store.l0_file_count == 2
     assert staggered.stage("s1").instances[0].store.l0_file_count == 0
-    assert set(INITIAL_L0_PRESETS) == {"aligned", "staggered"}
+    assert set(APPS["traffic"].initial_l0) == {"aligned", "staggered"}
 
 
-def test_traffic_unknown_preset_rejected():
-    with pytest.raises(ConfigurationError):
-        build_traffic_job(initial_l0="diagonal")
+@pytest.mark.parametrize(
+    "name, preset",
+    [
+        ("baseline_traffic", "diagonal"),
+        ("baseline_wordcount", "staggered"),  # a traffic-only preset
+        ("windowed_join", "diagonal"),
+    ],
+    ids=["baseline_traffic", "baseline_wordcount", "windowed_join"],
+)
+def test_unknown_initial_l0_preset_is_rejected_for_every_app(name, preset):
+    with pytest.raises(ConfigurationError, match="initial_l0 preset"):
+        build_scenario_job(scenario(name, initial_l0=preset))
 
 
 def test_traffic_storage_override():
-    job = build_traffic_job(storage=NVME_SSD)
+    job = build_scenario_job(scenario("baseline_traffic", storage="nvme"))
     assert all(node.storage.name == "nvme" for node in job.nodes)
 
 
 def test_traffic_steady_utilization_calibration():
     """DESIGN.md §5: message processing needs ~12 of 16 cores/node."""
-    job = build_traffic_job()
+    job = build_scenario_job("baseline_traffic")
     per_node_rate = 60000.0 / 4
     s0 = job.stage("s0").spec
     s1 = job.stage("s1").spec
@@ -62,26 +67,35 @@ def test_traffic_steady_utilization_calibration():
 
 
 def test_wordcount_deployment_matches_section52():
-    job = build_wordcount_job()
+    job = build_scenario_job("baseline_wordcount")
     assert len(job.nodes) == 1
     assert job.nodes[0].cores == 16
-    names = [s.name for s in WORDCOUNT_STAGES]
-    assert names == ["split", "count"]
-    assert all(s.parallelism == 64 for s in WORDCOUNT_STAGES)
-    assert not WORDCOUNT_STAGES[0].stateful
+    stages = APPS["wordcount"].stages
+    assert [s.name for s in stages] == ["split", "count"]
+    assert all(s.parallelism == 64 for s in stages)
+    assert not stages[0].stateful
 
 
 def test_wordcount_cost_targets_70_percent_cpu():
-    job = build_wordcount_job(sentence_rate=25000.0)
+    job = build_scenario_job("baseline_wordcount")
+    assert job.source.steady_rate() == 25000.0
     cores = 2 * 25000.0 * job.cost.cpu_seconds_per_message
     assert cores == pytest.approx(16 * 0.70, rel=0.01)
 
 
 def test_seed_changes_run_outcome_deterministically():
-    a = build_traffic_job(seed=1).run(30.0)
-    b = build_traffic_job(seed=1).run(30.0)
-    c = build_traffic_job(seed=2).run(30.0)
-    tails_a = a.tail_summary(start=10.0)
-    tails_b = b.tail_summary(start=10.0)
+    # the randomized compaction trigger draws from the seeded RNG; the
+    # baseline draws nothing, so its seeds would be indistinguishable
+    spec = scenario(
+        "baseline_traffic",
+        mitigation=MitigationPlan(randomize_compaction_trigger=True),
+    )
+
+    def tails(seed):
+        result = build_scenario_job(spec, seed=seed).run(60.0)
+        return result.tail_summary(start=20.0)
+
+    tails_a, tails_b, tails_c = tails(1), tails(1), tails(2)
     assert tails_a == tails_b  # bit-for-bit deterministic
     assert tails_a is not tails_b
+    assert tails_a != tails_c

@@ -23,12 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.traffic_job import build_traffic_job
 from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentSettings
 from repro.experiments.summary import summarize_run
 from repro.sanitize.racedetect import digest_hash, state_digest
-from repro.scenarios import build_scenario_job, run_scenario
+from repro.scenarios import build_scenario_job, run_scenario, scenario
 from repro.serialize import canonical_json
 from repro.sim import FluidFlow, ProcessorSharingResource, ResourceTask
 from repro.sim.kernel import Simulator
@@ -107,7 +106,7 @@ def accounting_golden() -> dict:
     traffic job, and ``elastic_scale``, whose node joins (60 s) and
     leaves (150 s) make the batched loop rebuild its per-instance
     entries mid-run."""
-    traffic = build_traffic_job(seed=5)
+    traffic = build_scenario_job("baseline_traffic", seed=5)
     traffic.run(DURATION)
     elastic = run_scenario("elastic_scale", ELASTIC_SCALE)
     return {
@@ -176,8 +175,9 @@ def test_policy_runs_are_digest_identical(policy):
     bit-identical engine state."""
     digests = []
     for _ in range(2):
-        job = build_traffic_job(
-            seed=5, mitigation=MitigationPlan(compaction_policy=policy))
+        spec = scenario("baseline_traffic",
+                        mitigation=MitigationPlan(compaction_policy=policy))
+        job = build_scenario_job(spec, seed=5)
         job.run(DURATION)
         digests.append(_digest(job))
     assert digests[0] == digests[1]

@@ -1,7 +1,9 @@
 """Behavioural tests for the fault injector and invariant checker on a
 small two-node, two-stage job."""
 
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -212,6 +214,48 @@ def test_halt_on_violation_aborts_the_simulation():
         assert job.sim.now < DURATION
     finally:
         del INVARIANTS["test-always-fails"]
+
+
+@pytest.fixture
+def early_completing_checkpoints(monkeypatch):
+    """A coordinator that completes each checkpoint one ack early (the
+    ``pending[0] == 1`` mutant), planted as a patched method: the last
+    instance's ack lands on a completed record and is dropped, snapshot
+    included."""
+    from repro.stream import checkpoint
+
+    method = checkpoint.CheckpointCoordinator.trigger
+    source = textwrap.dedent(inspect.getsource(method))
+    mutant = source.replace("if pending[0] == 0:", "if pending[0] == 1:")
+    assert mutant != source
+    namespace = {}
+    exec(compile(mutant, inspect.getsourcefile(method), "exec"),
+         vars(checkpoint), namespace)
+    monkeypatch.setattr(
+        checkpoint.CheckpointCoordinator, "trigger", namespace["trigger"]
+    )
+
+
+def _barrier_violations(job):
+    checker = InvariantChecker(names=["checkpoint-barriers"]).install(job)
+    job.run(DURATION)
+    return checker.violations
+
+
+def test_checkpoint_missing_a_snapshot_is_a_violation(
+    early_completing_checkpoints,
+):
+    job = small_job()
+    violations = _barrier_violations(job)
+    completed = [r for r in job.coordinator.records if r.state == "completed"]
+    assert completed
+    # every completed checkpoint is reported once, not on every sample
+    assert [v.details["checkpoint_id"] for v in violations] == [
+        r.checkpoint_id for r in completed
+    ]
+    for violation in violations:
+        assert "without snapshots of 1 instance(s)" in violation.message
+        assert len(violation.details["missing"]) == 1
 
 
 def test_checkpoint_timeout_during_kafka_backpressure():

@@ -4,7 +4,7 @@ windowed-join exactly-once invariants under a crash-and-restore plan."""
 
 import pytest
 
-from repro.apps.join_job import JOIN_STAGES, build_join_job
+from repro.apps import APPS
 from repro.apps.tenancy import tenant_initial_l0, tenantize
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentSettings
@@ -66,7 +66,7 @@ def test_piecewise_workload_builds_piecewise_source():
 
 
 def test_join_job_has_a_two_input_stage():
-    job = build_join_job(seed=1)
+    job = build_scenario_job("windowed_join", seed=1)
     names = [stage.spec.name for stage in job.stages]
     assert names == ["impressions", "clicks", "join", "sessions"]
     join_index = names.index("join")
@@ -79,7 +79,12 @@ def test_join_job_has_a_two_input_stage():
 
 
 def test_join_window_sizes_the_join_state():
-    job = build_join_job(message_rate=10000.0, window_s=5.0, seed=1)
+    spec = scenario(
+        "windowed_join",
+        workload=WorkloadSpec(arrival="constant", rate=10000.0),
+        window_s=5.0,
+    )
+    job = build_scenario_job(spec, seed=1)
     join = next(s for s in job.stages if s.spec.name == "join")
     assert join.spec.distinct_keys == 50000
 
@@ -92,14 +97,15 @@ def test_multi_tenant_job_replicates_the_chain():
 
 
 def test_tenantize_wires_chains_independently():
-    stages = tenantize(JOIN_STAGES, 2)
+    join_stages = APPS["join"].stages
+    stages = tenantize(join_stages, 2)
     by_name = {s.name: s for s in stages}
     assert by_name["t1.join"].inputs == ("t1.impressions", "t1.clicks")
     assert by_name["t0.sessions"].inputs == ("t0.join",)
     assert by_name["t0.impressions"].inputs == (SOURCE_INPUT,)
     # each tenant receives its share of the source
     assert by_name["t0.impressions"].source_fraction == pytest.approx(
-        JOIN_STAGES[0].source_fraction / 2
+        join_stages[0].source_fraction / 2
     )
     assert tenant_initial_l0({"join": 3}, 2) == {"t0.join": 3, "t1.join": 3}
 
