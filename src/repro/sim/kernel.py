@@ -86,6 +86,10 @@ class Simulator:
         self._events_fired = 0
         self._aborted = False
         self._abort_reason = ""
+        # Resources mutated by the running callback; run() reallocates
+        # each once after the callback returns (see
+        # ProcessorSharingResource._mark).
+        self._unsettled: list = []
         self.rng = RngRegistry(seed)
         self.tracer = ensure_tracer(tracer)
         self._trace_dispatch = self.tracer.enabled and self.tracer.wants("kernel")
@@ -183,6 +187,12 @@ class Simulator:
         The loop works on the heap entries directly (one ``heappop`` per
         dispatched or cancelled event, ordering by tuple comparison) —
         this is the simulation's hottest code.
+
+        A processor-sharing resource mutated by a callback (task submits
+        and completions) is enlisted rather than reallocated on the
+        spot; the loop reallocates every enlisted resource once, in
+        enlistment order, right after the callback returns.  A burst of
+        same-callback mutations therefore costs one reallocation.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
@@ -202,6 +212,7 @@ class Simulator:
         bound = None if until is None else until + 1e-12
         tracer = self.tracer
         trace = self._trace_dispatch
+        unsettled = self._unsettled
         try:
             while heap and not self._aborted:
                 entry = heap[0]
@@ -238,10 +249,18 @@ class Simulator:
                         priority=event.priority,
                     )
                 event.callback(*event.args)
+                if unsettled:
+                    for resource in unsettled:
+                        resource._enlisted = False
+                        resource.reallocate()
+                    unsettled.clear()
             if until is not None and until > self._now and not self._aborted:
                 self._now = until
         finally:
             self._running = False
+            for resource in unsettled:
+                resource._enlisted = False
+            unsettled.clear()
             if gc_was_enabled:
                 gc.enable()
 

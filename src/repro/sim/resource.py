@@ -129,11 +129,15 @@ class ProcessorSharingResource:
         # sets it.
         self._dirty = True
         self._last_realloc_time: Optional[float] = None
+        # In the simulator's settle list (see _mark).
+        self._enlisted = False
         # Completion wheel: one pending kernel event per resource, aimed
         # at the earliest task finish, instead of one event per task.  A
         # reallocation that changes every task's rate then cancels and
         # pushes a single event rather than N — the bulk of all heap
-        # traffic in flush/compaction-heavy runs.
+        # traffic in flush/compaction-heavy runs.  The event completes
+        # every task that finishes at its instant (a checkpoint's flush
+        # burst), so such a burst is one event and one reallocation.
         self._wheel_event: Optional[Event] = None
         self._wheel_task: Optional[ResourceTask] = None
 
@@ -155,14 +159,25 @@ class ProcessorSharingResource:
         self._tasks.append(task)
         for observer in self.task_observers:
             observer(task, "start")
-        self._dirty = True
-        self.reallocate()
+        self._mark()
         return task
 
-    def running_count(self, kind: Optional[str] = None) -> int:
-        if kind is None:
-            return len(self._tasks)
-        return sum(1 for t in self._tasks if t.kind == kind)
+    def _mark(self) -> None:
+        """Note a task mutation: settle after the running callback.
+
+        Inside :meth:`Simulator.run` the resource is enlisted and the
+        loop reallocates it once after the dispatched callback returns,
+        however many tasks that callback submitted or completed.
+        Outside ``run()`` (job construction, unit tests) it reallocates
+        at once.
+        """
+        self._dirty = True
+        sim = self.sim
+        if not sim._running:
+            self.reallocate()
+        elif not self._enlisted:
+            self._enlisted = True
+            sim._unsettled.append(self)
 
     # ------------------------------------------------------------------
     # allocation
@@ -196,7 +211,9 @@ class ProcessorSharingResource:
     def reallocate(self) -> None:
         """Recompute every consumer's share; reschedule completions.
 
-        Called whenever the consumer set or any demand changes.
+        Called whenever the consumer set or any demand changes: at once
+        for flows and capacity, after the dispatched callback for task
+        submits and completions (see :meth:`_mark`).
         """
         now = self.sim.now
         if not self._dirty and now == self._last_realloc_time:
@@ -227,8 +244,9 @@ class ProcessorSharingResource:
         the escalation of underserved flows, each flow's serve rate and
         recorded segment, its queue-empty wake-up and the downstream
         rate notification.  It is one flat pass over the flows, without
-        per-flow method calls, because it runs after nearly every
-        kernel event.
+        per-flow method calls, because it runs once per dispatched event
+        that touched this resource's tasks, plus once per coalesced flow
+        update.
         """
         flows = self._flows
         tasks = self._tasks
@@ -397,37 +415,39 @@ class ProcessorSharingResource:
         self._wheel_event = self.sim._queue.push(best, self._wheel_fire)
 
     def _wheel_fire(self) -> None:
-        task = self._wheel_task
+        """Complete the wheel's task and every task finishing with it.
+
+        A task belongs to the burst when its finish, synced to ``now``
+        and computed as in :meth:`_rewheel`, is ``now`` itself; burst
+        members complete in task-list order after the wheel's task.  The
+        kernel settles the resource once after the whole burst.
+        """
+        first = self._wheel_task
         self._wheel_event = None
         self._wheel_task = None
-        self._complete(task)
-
-    def _complete(self, task: ResourceTask) -> None:
         now = self.sim.now
         self._sync_tasks(now)
+        tasks = self._tasks
+        burst = [first]
+        for task in tasks:
+            rate = task.rate
+            if task is not first and rate > 0 and now + task.remaining / rate == now:
+                burst.append(task)
+        for task in burst:
+            # an earlier on_complete may have removed a burst member
+            if task in tasks:
+                self._complete(task)
+
+    def _complete(self, task: ResourceTask) -> None:
         task.remaining = 0.0
-        task.end_time = now
+        task.end_time = self.sim.now
         task.rate = 0.0
         self._tasks.remove(task)
-        self._dirty = True
         for observer in self.task_observers:
             observer(task, "end")
         if task.on_complete is not None:
             task.on_complete(task)
-        self.reallocate()
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def utilization_at(self, time: float) -> float:
-        """Units in use at *time* (0 before the first segment)."""
-        result = 0.0
-        for seg_time, used in self.util_segments:
-            if seg_time > time:
-                break
-            result = used
-        return result
+        self._mark()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

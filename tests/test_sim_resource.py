@@ -82,8 +82,7 @@ def test_utilization_segments_record_usage():
     sim, cpu = make_cpu(capacity=4.0)
     cpu.submit(ResourceTask("t", "x", work=2.0, demand=2.0))
     sim.run()
-    assert cpu.utilization_at(0.5) == pytest.approx(2.0)
-    assert cpu.utilization_at(1.5) == pytest.approx(0.0)
+    assert cpu.util_segments == [(0.0, 2.0), (1.0, 0.0)]
 
 
 def test_task_observers_see_start_and_end():
@@ -95,14 +94,12 @@ def test_task_observers_see_start_and_end():
     assert events == [("t", "start"), ("t", "end")]
 
 
-def test_running_count_by_kind():
-    sim, cpu = make_cpu()
-    cpu.submit(ResourceTask("f", "flush", work=10.0))
-    cpu.submit(ResourceTask("c", "compaction", work=10.0))
-    cpu.submit(ResourceTask("c2", "compaction", work=10.0))
-    assert cpu.running_count() == 3
-    assert cpu.running_count("compaction") == 2
-    assert cpu.running_count("flush") == 1
+def test_submit_outside_run_sets_rates_at_once():
+    sim, cpu = make_cpu(capacity=4.0)
+    tasks = [cpu.submit(ResourceTask(f"t{i}", "x", work=10.0)) for i in range(8)]
+    assert [t.rate for t in tasks] == [0.5] * 8
+    assert cpu.util_segments == [(0.0, 4.0)]
+    assert not sim._unsettled
 
 
 def test_invalid_task_parameters_raise():
@@ -123,3 +120,59 @@ def test_task_metadata_and_times():
     assert task.start_time == 0.0
     assert task.end_time == pytest.approx(1.0)
     assert task.done
+
+
+def test_same_instant_burst_completes_in_one_dispatch():
+    sim, cpu = make_cpu(capacity=4.0)
+    done = []
+    for i in range(16):  # 16 identical flushes: rate 0.25 each, all finish at 4.0
+        cpu.submit(ResourceTask(f"t{i}", "flush", work=1.0,
+                                on_complete=lambda t: done.append((t.name, sim.now))))
+    sim.run()
+    assert done == [(f"t{i}", 4.0) for i in range(16)]
+    assert sim.events_fired == 1
+    assert cpu.util_segments == [(0.0, 4.0), (4.0, 0.0)]
+
+
+def test_callback_that_raises_leaves_no_resource_enlisted():
+    sim, cpu = make_cpu(capacity=4.0)
+
+    def submit_then_fail():
+        cpu.submit(ResourceTask("t", "x", work=1.0))
+        raise ValueError("boom")
+
+    sim.schedule(1.0, submit_then_fail)
+    with pytest.raises(ValueError):
+        sim.run()
+    assert sim._unsettled == []
+    assert not cpu._enlisted
+    # the next mutation outside run() settles the whole pool at once
+    late = cpu.submit(ResourceTask("late", "x", work=1.0))
+    assert late.rate == 1.0
+    sim.run()
+    assert late.end_time == pytest.approx(2.0)
+
+
+def test_on_complete_removing_a_burst_member_does_not_complete_it():
+    sim, cpu = make_cpu(capacity=4.0)
+    done = []
+    tasks = []
+
+    def on_complete(task):
+        done.append(task.name)
+        if task.name == "t0":
+            cpu._tasks.remove(tasks[2])
+
+    for i in range(4):
+        tasks.append(cpu.submit(ResourceTask(f"t{i}", "x", work=1.0,
+                                             on_complete=on_complete)))
+    sim.run()
+    assert done == ["t0", "t1", "t3"]
+    assert tasks[2].end_time is None
+    assert sim.events_fired == 1
+
+
+def test_traffic_baseline_event_budget(traffic_baseline):
+    # Each flush/compaction burst completes in one wheel event; one event
+    # per finished task would put this back near 7 400.
+    assert traffic_baseline.job.sim.events_fired == 2275

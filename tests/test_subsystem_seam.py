@@ -54,9 +54,14 @@ def composed_digest(result) -> dict:
     }
 
 
-def test_composed_run_matches_the_golden_recorded_before_the_refactor():
+@pytest.fixture(scope="module")
+def composed():
+    return composed_run()
+
+
+def test_composed_run_matches_the_golden_recorded_before_the_refactor(composed):
     golden = json.loads(COMPOSED_GOLDEN.read_text())
-    digest = composed_digest(composed_run())
+    digest = composed_digest(composed)
     assert digest["analysis"] == golden["analysis"]
     assert digest["summary_sha256"] == golden["summary_sha256"]
     # all three attribution channels are live in this run
@@ -70,6 +75,20 @@ def test_composed_run_matches_the_golden_recorded_before_the_refactor():
     (scale_in,) = [s for s in spikes if s["peak_time"] == pytest.approx(45.05)]
     assert not scale_in["attributed"]
     assert "scale-in:-4" in scale_in["cluster"]
+
+
+def test_composed_run_utilization_has_no_redundant_breakpoints(composed):
+    # Every breakpoint is a change of value: intermediate same-instant
+    # reallocations must not leave one equal to its predecessor (such a
+    # breakpoint on node4-7 at 33.26 s shifts mean_cpu_cores by one ulp).
+    job = composed.job
+    resources = [job.hdfs._uplink]
+    for node in job.nodes:
+        resources += [node.cpu, node.device]
+    for resource in resources:
+        values = [used for _, used in resource.util_segments]
+        repeats = [i for i in range(1, len(values)) if values[i] == values[i - 1]]
+        assert not repeats, (resource.name, repeats)
 
 
 # ----------------------------------------------------------------------
