@@ -5,7 +5,7 @@
 on top of the sim kernel:
 
 * **Heartbeats + failure detection.**  One kernel event per
-  ``heartbeat_interval_s`` samples every live node into the
+  ``HEARTBEAT_INTERVAL_S`` samples every live node into the
   phi-accrual detector; a node silenced by a crash or network
   partition accrues suspicion and is *fenced* (checkpoints aborted,
   data plane frozen, queued inputs shed) once phi crosses the
@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from ..errors import ConfigurationError
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
 from ..stream.checkpoint import snapshot_digest
@@ -45,6 +44,24 @@ from .spec import ClusterSpec, MembershipEvent
 
 __all__ = ["ClusterManager", "install_cluster"]
 
+#: Heartbeat cadence; the detector samples on the same tick.
+HEARTBEAT_INTERVAL_S = 0.5
+#: Phi-accrual suspicion threshold (Akka's default neighborhood): phi 8
+#: means the silence had probability 1e-8 under the observed
+#: inter-arrival distribution.
+PHI_THRESHOLD = 8.0
+#: Regularized lower bound on the inter-arrival stddev: with jitterless
+#: simulated heartbeats the sample stddev is zero and phi would be a
+#: step function.
+MIN_STD_S = 0.05
+#: Heartbeat history window per node.
+HISTORY_WINDOW = 16
+#: Stop-the-world pause at the ownership flip (the destination replays
+#: the delta and opens its local store).
+HANDOVER_PAUSE_S = 0.05
+#: Concurrency cap on in-flight partition migrations.
+MAX_PARALLEL_MIGRATIONS = 4
+
 #: Poll step while waiting for an instance's in-flight flush to drain
 #: before an ownership flip.
 _FLUSH_DRAIN_POLL_S = 0.05
@@ -53,11 +70,6 @@ _FLUSH_DRAIN_POLL_S = 0.05
 def install_cluster(job, spec: ClusterSpec) -> "ClusterManager":
     """Install the elastic cluster layer on a built (unstarted) job
     (filed under ``job.subsystems["cluster"]``)."""
-    if spec.initial_nodes and spec.initial_nodes != len(job.nodes):
-        raise ConfigurationError(
-            f"ClusterSpec.initial_nodes={spec.initial_nodes} but the job "
-            f"was built with {len(job.nodes)} nodes"
-        )
     manager = ClusterManager(job, spec)
     manager.start()
     return manager
@@ -73,10 +85,7 @@ class ClusterManager(Subsystem):
         self.sim = job.sim
         self.spec = spec
         self.detector = PhiAccrualDetector(
-            spec.heartbeat_interval_s,
-            spec.phi_threshold,
-            spec.min_std_s,
-            spec.history_window,
+            HEARTBEAT_INTERVAL_S, PHI_THRESHOLD, MIN_STD_S, HISTORY_WINDOW
         )
         #: Names of nodes currently part of the cluster.
         self.live: List[str] = [node.name for node in job.nodes]
@@ -134,9 +143,8 @@ class ClusterManager(Subsystem):
         )
 
     def _membership_loop(self):
-        interval = self.spec.heartbeat_interval_s
         while True:
-            yield interval
+            yield HEARTBEAT_INTERVAL_S
             now = self.sim.now
             for name in sorted(self.live):
                 if self._heartbeating(name):
@@ -505,7 +513,7 @@ class ClusterManager(Subsystem):
         self.migrations.append(record)
         plan["pending"].add(instance.name)
         task = {"record": record, "instance": instance}
-        if self._active_migrations >= self.spec.max_parallel_migrations:
+        if self._active_migrations >= MAX_PARALLEL_MIGRATIONS:
             self._migration_queue.append(task)
         else:
             self._start_migration(task)
@@ -673,11 +681,11 @@ class ClusterManager(Subsystem):
             "ownership-flip", record["partition"],
             source=record["source"], dest=dest.name, kind=record["kind"],
         )
-        if self.spec.handover_pause_s > 0 and instance.store is not None:
+        if instance.store is not None:
             instance.blocked = True
             stage.update_blocked(dest.name)
             self.sim.schedule_after(
-                self.spec.handover_pause_s, self._end_handover,
+                HANDOVER_PAUSE_S, self._end_handover,
                 instance, stage,
             )
         record["status"] = "completed"
@@ -697,7 +705,7 @@ class ClusterManager(Subsystem):
         if record["kind"] == "drain":
             self._retire_if_empty(record["source"])
         while (self._migration_queue
-               and self._active_migrations < self.spec.max_parallel_migrations):
+               and self._active_migrations < MAX_PARALLEL_MIGRATIONS):
             self._start_migration(self._migration_queue.popleft())
 
     # ------------------------------------------------------------------

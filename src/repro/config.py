@@ -11,7 +11,6 @@ below, whose values are ordinary for the hardware class in Figure 4(c).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ConfigurationError
 from .storage.backend import StorageProfile, TMPFS
@@ -100,9 +99,6 @@ class CheckpointConfig:
     interval_s: float = 8.0
     #: Offset of the first checkpoint from run start.
     first_at_s: float = 8.0
-    #: Whether a checkpoint may fire while the previous one still has
-    #: unfinished flushes (Flink allows it by default).
-    allow_overlap: bool = True
     #: Incremental checkpoints (RocksDB backend default): each
     #: checkpoint only flushes the memtable delta.  ``False`` models a
     #: full-snapshot backend that serializes the *entire* keyed state
@@ -110,17 +106,9 @@ class CheckpointConfig:
     #: avoidance is one reason LSM backends are popular, and which makes
     #: every ShadowSync window proportionally heavier.
     incremental: bool = True
-    #: Abort a checkpoint whose flushes have not all acked within this
-    #: many seconds of its trigger (Flink's checkpoint timeout).  ``None``
-    #: (the default) never times out — aborts then only happen on worker
-    #: crashes, keeping fault-free runs byte-identical to earlier
-    #: versions.
-    timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.interval_s <= 0:
             raise ConfigurationError("checkpoint interval must be positive")
         if self.first_at_s < 0:
             raise ConfigurationError("first checkpoint cannot be negative")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigurationError("checkpoint timeout must be positive")

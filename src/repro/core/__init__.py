@@ -6,7 +6,7 @@ from .allocation import (
     recommend_flush_threads,
 )
 from .autotuner import TunedConfig, TuneReport, tune
-from .delay import DelayedCompactionPolicy, estimate_drain_time
+from .delay import estimate_drain_time
 from .mitigation import MitigationPlan
 from .silk import SilkPolicy, install_silk_pauses
 from .thresholds import RandomizedL0Trigger, StaticL0Trigger
@@ -18,7 +18,6 @@ __all__ = [
     "TunedConfig",
     "TuneReport",
     "tune",
-    "DelayedCompactionPolicy",
     "estimate_drain_time",
     "MitigationPlan",
     "SilkPolicy",

@@ -24,7 +24,7 @@ class TunedConfig:
 
     ``mitigation`` is the plain-dict form of the winning
     :class:`~repro.core.mitigation.MitigationPlan` — feed it back with
-    ``MitigationPlan(**config.mitigation)``.
+    :meth:`plan`.
     """
 
     scenario: str = "baseline_traffic"
@@ -50,7 +50,7 @@ class TunedConfig:
 
     def plan(self) -> MitigationPlan:
         """The winning plan, ready to run."""
-        return MitigationPlan(**self.mitigation)
+        return MitigationPlan.from_dict(self.mitigation)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -9,16 +9,16 @@ queue compounds; postponing it by the drain-out time (Eq. 2)
 lets the backlog empty first.  ``C_drain`` is the rate at which queued
 messages disappear once flushing ends — the processing capability left
 after steady arrivals are served.  The paper measures λ, Δt and C online
-and lands on T ≈ 0.8–1 s, rounding to a 1 s delay.
+and lands on T ≈ 0.8–1 s, rounding to a 1 s delay.  Here the state
+backend always waits the fixed ``MitigationPlan.compaction_delay_s``;
+:func:`estimate_drain_time` computes the T to choose for it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..errors import ConfigurationError
 
-__all__ = ["estimate_drain_time", "DelayedCompactionPolicy"]
+__all__ = ["estimate_drain_time"]
 
 
 def estimate_drain_time(
@@ -49,43 +49,3 @@ def estimate_drain_time(
         raise ConfigurationError("drain rate must be positive")
     queued = arrival_rate * blocked_fraction * flush_duration
     return queued / drain_rate
-
-
-class DelayedCompactionPolicy:
-    """Decides how long to postpone compactions after their triggering
-    flush completes.
-
-    ``fixed`` mode always waits :attr:`delay_s`; ``auto`` mode waits the
-    drain time estimated from the most recent observed flush phase
-    (falling back to :attr:`delay_s` until an observation exists).
-    """
-
-    def __init__(self, delay_s: float = 0.0, auto: bool = False) -> None:
-        if delay_s < 0:
-            raise ConfigurationError("delay must be non-negative")
-        self.delay_s = delay_s
-        self.auto = auto
-        self._last_estimate: Optional[float] = None
-
-    def observe_flush_phase(
-        self, arrival_rate: float, flush_duration: float,
-        drain_rate: float, blocked_fraction: float = 1.0,
-    ) -> float:
-        """Feed an observed flush phase; returns the new estimate."""
-        self._last_estimate = estimate_drain_time(
-            arrival_rate, flush_duration, drain_rate, blocked_fraction
-        )
-        return self._last_estimate
-
-    def current_delay(self) -> float:
-        if self.auto and self._last_estimate is not None:
-            return self._last_estimate
-        return self.delay_s
-
-    @property
-    def enabled(self) -> bool:
-        return self.auto or self.delay_s > 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "auto" if self.auto else "fixed"
-        return f"DelayedCompactionPolicy({mode}, delay={self.current_delay():.3f}s)"

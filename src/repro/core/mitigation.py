@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError
-from .delay import DelayedCompactionPolicy
 from .thresholds import RandomizedL0Trigger, StaticL0Trigger
 
 __all__ = ["MitigationPlan"]
@@ -37,9 +36,6 @@ class MitigationPlan:
     #: Seconds to postpone compactions after their triggering flush
     #: (0 disables; the paper recommends the drain time, ≈1 s).
     compaction_delay_s: float = 0.0
-    #: Estimate the delay online from observed flush phases instead of
-    #: using the fixed value.
-    auto_delay: bool = False
     #: Flush pool size per node (None keeps the RocksDB default of 16).
     flush_threads: Optional[int] = None
     #: Compaction pool size per node (None keeps the default of 16).
@@ -62,6 +58,13 @@ class MitigationPlan:
         from ..lsm.policies import policy_class
 
         policy_class(self.compaction_policy)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> MitigationPlan:
+        """The plan of an ``asdict`` form; keys of since-removed fields
+        (``auto_delay``) are dropped, so stored specs still load."""
+        names = {f for f in cls.__dataclass_fields__}
+        return cls(**{k: v for k, v in data.items() if k in names})
 
     # ------------------------------------------------------------------
     # canned configurations
@@ -98,9 +101,6 @@ class MitigationPlan:
         if self.randomize_compaction_trigger:
             return RandomizedL0Trigger(base, self.trigger_spread, rng)
         return StaticL0Trigger(base)
-
-    def delay_policy(self) -> DelayedCompactionPolicy:
-        return DelayedCompactionPolicy(self.compaction_delay_s, auto=self.auto_delay)
 
     def pool_sizes(self, default_flush: int, default_compaction: int):
         """(flush, compaction) pool sizes after applying overrides."""

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..cluster import coordinator
 from ..errors import ConfigurationError, ReproError
 from ..scenarios.library import scenario
 from ..scenarios.spec import ScenarioSpec
@@ -613,14 +614,14 @@ def _cluster_command(args) -> int:
             _emit_json(payload)
             return 0
         print(f"== cluster spec of {spec.name} ==")
-        print(f"heartbeat {payload['heartbeat_interval_s']}s, "
-              f"phi threshold {payload['phi_threshold']}, "
-              f"min std {payload['min_std_s']}s, "
-              f"window {payload['history_window']} samples")
+        print(f"heartbeat {coordinator.HEARTBEAT_INTERVAL_S}s, "
+              f"phi threshold {coordinator.PHI_THRESHOLD}, "
+              f"min std {coordinator.MIN_STD_S}s, "
+              f"window {coordinator.HISTORY_WINDOW} samples")
         print(f"migration: {payload['migration_bandwidth_mb_s']} MB/s, "
               f"deadline {payload['transfer_deadline_s']}s, "
-              f"handover pause {payload['handover_pause_s']}s, "
-              f"max parallel {payload['max_parallel_migrations']}")
+              f"handover pause {coordinator.HANDOVER_PAUSE_S}s, "
+              f"max parallel {coordinator.MAX_PARALLEL_MIGRATIONS}")
         if payload.get("events"):
             headers = ["action", "at [s]", "count"]
             rows = [[e["action"], f"{e['at_s']:.1f}", e["count"]]

@@ -70,7 +70,6 @@ class FaultInjector(Subsystem):
         self.windows: List[Tuple[str, float, float]] = []
         # stacks for overlapping global faults
         self._backpressure: List[float] = []
-        self._base_timeout = job.coordinator.timeout_s
         self._timeouts: List[float] = []
 
     # ------------------------------------------------------------------
@@ -189,7 +188,7 @@ class FaultInjector(Subsystem):
         def clear() -> None:
             self._timeouts.remove(spec.factor)
             self.job.coordinator.timeout_s = (
-                self._timeouts[-1] if self._timeouts else self._base_timeout
+                self._timeouts[-1] if self._timeouts else None
             )
 
         return clear

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
+from ..errors import ConfigurationError
 from ..stream.engine import Subsystem
 from .config import DEFAULT_RESILIENCE, ResilienceConfig
 from .guard import SLOGuard
-from .shedding import LoadShedder
+from .shedding import SHED_RATE_FACTOR, LoadShedder
 
 __all__ = [
     "ResilienceConfig",
@@ -51,7 +52,9 @@ def load_resilience_config(
         return value
     if isinstance(value, dict):
         return ResilienceConfig.from_dict(value)
-    raise TypeError(f"cannot interpret {value!r} as a resilience config")
+    raise ConfigurationError(
+        f"cannot interpret {value!r} as a resilience config"
+    )
 
 
 class ResilienceController(Subsystem):
@@ -62,8 +65,8 @@ class ResilienceController(Subsystem):
     def __init__(self, job, config: ResilienceConfig) -> None:
         self.job = job
         self.config = config
-        limit = config.shed_rate_factor * job.source.steady_rate()
-        self.shedder = LoadShedder(job.sim, limit, burst_s=config.shed_burst_s)
+        limit = SHED_RATE_FACTOR * job.source.steady_rate()
+        self.shedder = LoadShedder(job.sim, limit)
         self.shedder.apply_rate = job._apply_source_rate
         self.guard = SLOGuard(job, config, self.shedder)
 
@@ -114,6 +117,6 @@ def install_resilience(job, config=True) -> Optional[ResilienceController]:
     or ``None`` when *config* disables the layer.
     """
     resolved = load_resilience_config(config)
-    if resolved is None or not resolved.enabled:
+    if resolved is None:
         return None
     return ResilienceController(job, resolved).install()

@@ -1,10 +1,10 @@
 """The SLO guard: closed-loop overload detection and graceful degradation.
 
-:class:`SLOGuard` samples the running job every ``sample_interval_s``:
+:class:`SLOGuard` samples the running job every ``SAMPLE_INTERVAL_S``:
 total queue depth across all stage flows, per-node CPU saturation, and
 an *estimated* end-to-end latency (per-stage backlog over effective
 drain rate).  The windowed p99 of that estimate, compared against
-``latency_slo_s`` with consecutive-sample hysteresis, drives a two-mode
+``LATENCY_SLO_S`` with consecutive-sample hysteresis, drives a two-mode
 state machine:
 
 ``normal`` → ``degraded`` (trip)
@@ -13,7 +13,8 @@ state machine:
     checkpoint interval by ``checkpoint_stretch``;
 ``degraded`` → ``normal`` (recover)
     undo all three, automatically, once the tail has stayed below
-    ``recovery_factor × SLO`` for ``recovery_samples`` samples.
+    ``RECOVERY_FACTOR × LATENCY_SLO_S`` for ``RECOVERY_SAMPLES``
+    samples.
 
 Every sample is a pure read (``FluidFlow.queue`` is computed live
 without mutation), so a guard that never trips leaves the simulated
@@ -30,6 +31,21 @@ from .config import ResilienceConfig
 from .shedding import LoadShedder
 
 __all__ = ["SLOGuard"]
+
+#: Seconds between guard samples (queue depths, CPU, est. latency).
+SAMPLE_INTERVAL_S = 0.25
+#: Width of the sliding window the p99 latency estimate is taken over.
+LATENCY_WINDOW_S = 5.0
+#: The latency SLO: windowed-p99 estimated end-to-end latency above
+#: this marks a sample as overloaded.
+LATENCY_SLO_S = 1.5
+#: Consecutive overloaded samples before tripping into degraded mode.
+TRIP_SAMPLES = 3
+#: Consecutive healthy samples before recovering to normal mode.
+RECOVERY_SAMPLES = 8
+#: Hysteresis: recovery requires the windowed p99 to fall below
+#: ``RECOVERY_FACTOR * LATENCY_SLO_S``, not merely below the SLO.
+RECOVERY_FACTOR = 0.5
 
 
 class SLOGuard:
@@ -66,7 +82,7 @@ class SLOGuard:
 
     def _loop(self):
         while True:
-            yield self.config.sample_interval_s
+            yield SAMPLE_INTERVAL_S
             self._sample()
 
     # ------------------------------------------------------------------
@@ -111,7 +127,7 @@ class SLOGuard:
         return worst
 
     def _windowed_p99(self, now: float) -> float:
-        horizon = now - self.config.latency_window_s
+        horizon = now - LATENCY_WINDOW_S
         while self._window and self._window[0][0] < horizon:
             self._window.popleft()
         if not self._window:
@@ -136,16 +152,15 @@ class SLOGuard:
             "queue_messages": queue_total,
             "cpu_fraction": cpu,
         }
-        config = self.config
-        overloaded = p99 > config.latency_slo_s
         if self.mode == "normal":
+            overloaded = p99 > LATENCY_SLO_S
             self._overloaded_streak = self._overloaded_streak + 1 if overloaded else 0
-            if self._overloaded_streak >= config.trip_samples:
+            if self._overloaded_streak >= TRIP_SAMPLES:
                 self._trip(now)
         else:
-            healthy = p99 < config.recovery_factor * config.latency_slo_s
+            healthy = p99 < RECOVERY_FACTOR * LATENCY_SLO_S
             self._healthy_streak = self._healthy_streak + 1 if healthy else 0
-            if self._healthy_streak >= config.recovery_samples:
+            if self._healthy_streak >= RECOVERY_SAMPLES:
                 self._recover(now)
 
     # ------------------------------------------------------------------

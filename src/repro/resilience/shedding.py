@@ -21,7 +21,14 @@ from typing import Callable, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 
-__all__ = ["LoadShedder"]
+__all__ = ["SHED_RATE_FACTOR", "SHED_BURST_S", "LoadShedder"]
+
+#: Token-bucket fill rate while engaged, as a fraction of the source's
+#: steady rate.
+SHED_RATE_FACTOR = 0.6
+#: Bucket capacity in seconds of the fill rate (the burst admitted at
+#: the full offered rate before shedding starts).
+SHED_BURST_S = 1.0
 
 
 class LoadShedder:
@@ -31,7 +38,7 @@ class LoadShedder:
         self,
         sim: Simulator,
         limit_rate: float,
-        burst_s: float = 1.0,
+        burst_s: float = SHED_BURST_S,
         name: str = "admission",
     ) -> None:
         self.sim = sim

@@ -26,6 +26,7 @@ from ..cluster.spec import ClusterSpec
 from ..core.mitigation import MitigationPlan
 from ..errors import ConfigurationError
 from ..faults.plan import FaultPlan
+from ..resilience import load_resilience_config
 from ..resilience.config import ResilienceConfig
 from ..storage.backend import profile_by_name
 from ..stream.sources import (
@@ -39,6 +40,19 @@ __all__ = ["ARRIVALS", "WorkloadSpec", "ScenarioSpec"]
 
 #: Supported arrival processes.
 ARRIVALS = ("constant", "piecewise", "diurnal", "closed_loop")
+
+
+def _layer(name: str, value, cls):
+    """*value* as a *cls* layer spec: ``None``, an instance, or its
+    dict form; anything else is a :class:`ConfigurationError`."""
+    if value is None or isinstance(value, cls):
+        return value
+    if isinstance(value, dict):
+        return cls.from_dict(value)
+    raise ConfigurationError(
+        f"{name} must be a {cls.__name__}, its dict form or None, "
+        f"got {value!r}"
+    )
 
 
 def _tupled(entries) -> tuple:
@@ -164,16 +178,17 @@ class ScenarioSpec:
     storage: str = "tmpfs"
     mitigation: Optional[MitigationPlan] = None
     faults: Optional[FaultPlan] = None
+    #: ``True`` is the default config, ``False`` the same as ``None``.
     resilience: Optional[ResilienceConfig] = None
     #: Copies of the app chain sharing the nodes (repro.apps.tenancy).
     tenants: int = 1
     #: Join-app buffering horizon (its state size is rate x window).
     window_s: float = 30.0
-    #: Elastic cluster layer (repro.cluster): membership schedule,
-    #: failure detector and migration pacing.  ``None`` = static
-    #: topology; serialized (and cache-keyed) only when set, so legacy
-    #: scenario keys are untouched.
-    cluster: Optional["ClusterSpec"] = None
+    #: Elastic cluster layer (repro.cluster): membership schedule and
+    #: migration pacing.  ``None`` = static topology; serialized (and
+    #: cache-keyed) only when set, so legacy scenario keys are
+    #: untouched.
+    cluster: Optional[ClusterSpec] = None
 
     def __post_init__(self) -> None:
         if self.app not in APPS:
@@ -185,35 +200,14 @@ class ScenarioSpec:
             raise ConfigurationError("tenants must be >= 1")
         if self.window_s <= 0:
             raise ConfigurationError("window_s must be > 0")
-        if isinstance(self.workload, dict):
-            object.__setattr__(
-                self, "workload", WorkloadSpec.from_dict(self.workload)
-            )
-        if isinstance(self.mitigation, dict):
-            names = {f for f in MitigationPlan.__dataclass_fields__}
-            object.__setattr__(
-                self,
-                "mitigation",
-                MitigationPlan(
-                    **{k: v for k, v in self.mitigation.items() if k in names}
-                ),
-            )
-        if isinstance(self.faults, dict):
-            object.__setattr__(self, "faults", FaultPlan.from_dict(self.faults))
-        if isinstance(self.resilience, dict):
-            object.__setattr__(
-                self, "resilience", ResilienceConfig.from_dict(self.resilience)
-            )
-        elif self.resilience is True:
-            from ..resilience.config import DEFAULT_RESILIENCE
-
-            object.__setattr__(self, "resilience", DEFAULT_RESILIENCE)
-        if isinstance(self.cluster, dict):
-            from ..cluster.spec import ClusterSpec
-
-            object.__setattr__(
-                self, "cluster", ClusterSpec.from_dict(self.cluster)
-            )
+        if self.workload is None:
+            raise ConfigurationError("workload must be a WorkloadSpec or its dict form")
+        for name, cls in (("workload", WorkloadSpec), ("mitigation", MitigationPlan),
+                          ("faults", FaultPlan), ("cluster", ClusterSpec)):
+            object.__setattr__(self, name, _layer(name, getattr(self, name), cls))
+        object.__setattr__(
+            self, "resilience", load_resilience_config(self.resilience)
+        )
 
     def to_dict(self) -> dict:
         payload = {

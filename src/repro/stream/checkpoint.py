@@ -13,9 +13,10 @@ injection: each instance's ack captures a state snapshot (level
 structure + WAL frontier), a completed checkpoint promotes those
 snapshots to the instance's restore point, and
 :meth:`CheckpointCoordinator.restore_instance` rewinds a crashed
-instance's store to it in place.  Checkpoints caught by a crash (or by
-the configured ``timeout_s``) are *aborted*: late acks are dropped and
-their snapshots are never restored from.
+instance's store to it in place.  Checkpoints caught by a crash (or,
+under a ``checkpoint_timeout`` fault, by :attr:`timeout_s`) are
+*aborted*: late acks are dropped and their snapshots are never restored
+from.  Checkpoints may overlap, as Flink allows by default.
 """
 
 from __future__ import annotations
@@ -111,10 +112,10 @@ class CheckpointCoordinator:
         self.records: List[CheckpointRecord] = []
         self._next_id = 0
         self._in_flight = 0
-        self.skipped_overlapping = 0
-        #: Checkpoint timeout in effect for *future* triggers; starts as
-        #: the config value and may be changed by fault injection.
-        self.timeout_s: Optional[float] = config.timeout_s
+        #: Checkpoint timeout in effect for *future* triggers (Flink's
+        #: checkpoint timeout); ``None`` never times out.  Only the
+        #: ``checkpoint_timeout`` fault sets it.
+        self.timeout_s: Optional[float] = None
         #: Multiplier on the configured interval for *future* triggers.
         #: 1.0 normally; the resilience guard stretches it (> 1.0) in
         #: degraded mode to shed checkpoint-induced flush load.
@@ -152,21 +153,9 @@ class CheckpointCoordinator:
 
     # ------------------------------------------------------------------
 
-    def trigger(self) -> Optional[CheckpointRecord]:
-        """Fire one checkpoint now; returns its record (or ``None`` when
-        an overlapping checkpoint was rejected by configuration)."""
+    def trigger(self) -> CheckpointRecord:
+        """Fire one checkpoint now; returns its record."""
         tracer = self.sim.tracer
-        if not self.config.allow_overlap and self._in_flight > 0:
-            self.skipped_overlapping += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "checkpoint-skipped",
-                    "checkpoint",
-                    self.sim.now,
-                    tid="coordinator",
-                    in_flight=self._in_flight,
-                )
-            return None
         self._next_id += 1
         record = CheckpointRecord(self._next_id, self.sim.now)
         self.records.append(record)

@@ -64,7 +64,6 @@ class LSMStateBackend:
         self.mitigation = mitigation
         self.incremental_checkpoints = incremental_checkpoints
         self._stage_of: Dict[str, Stage] = {}
-        self._delay_policy = mitigation.delay_policy()
         #: Lifetime counters for experiment reporting.
         self.flush_jobs_started = 0
         self.compaction_jobs_started = 0
@@ -93,10 +92,6 @@ class LSMStateBackend:
         plan_policy = getattr(self.mitigation, "compaction_policy", "reference")
         if plan_policy != "reference" and store.policy.name != plan_policy:
             store.install_compaction_policy(plan_policy)
-
-    @property
-    def delay_policy(self):
-        return self._delay_policy
 
     # ------------------------------------------------------------------
     # flush
@@ -210,7 +205,7 @@ class LSMStateBackend:
     # ------------------------------------------------------------------
 
     def _after_flush(self, instance: StageInstance) -> None:
-        delay = self._delay_policy.current_delay()
+        delay = self.mitigation.compaction_delay_s
         tracer = self.sim.tracer
         if tracer.enabled and instance.store is not None:
             tracer.instant(

@@ -327,7 +327,7 @@ def test_cluster_show_json_roundtrips(capsys):
     assert main(["cluster", "show", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [e["action"] for e in payload["events"]] == ["join", "leave"]
-    assert payload["phi_threshold"] > 0
+    assert payload["migration_bandwidth_mb_s"] > 0
 
 
 def test_cluster_rejects_scenarios_without_a_cluster_layer(capsys):

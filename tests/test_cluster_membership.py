@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ClusterSpec, MembershipEvent, install_cluster
 from repro.config import CheckpointConfig, ClusterConfig
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.serialize import canonical_json
 from repro.stream.engine import StreamJob
 from repro.stream.sources import ConstantSource
@@ -53,12 +53,6 @@ def test_install_sets_manager_and_rejects_double_install():
     assert sorted(manager.live) == ["node0", "node1"]
     with pytest.raises(SimulationError):
         install_cluster(job, cluster_spec())
-
-
-def test_initial_nodes_mismatch_raises():
-    job = small_job()
-    with pytest.raises(ConfigurationError):
-        install_cluster(job, cluster_spec(initial_nodes=3))
 
 
 def test_scheduled_join_adds_a_node_and_rebalances():

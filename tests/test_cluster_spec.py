@@ -29,14 +29,14 @@ def test_membership_event_rejects_zero_count():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"heartbeat_interval_s": 0.0},
-    {"phi_threshold": -1.0},
-    {"min_std_s": 0.0},
-    {"history_window": 1},
     {"migration_bandwidth_mb_s": 0.0},
+    {"migration_bandwidth_mb_s": -1.0},
     {"transfer_deadline_s": 0.0},
-    {"max_parallel_migrations": 0},
-    {"handover_pause_s": -1.0},
+    {"transfer_deadline_s": -1.0},
+    {"events": [{"action": "reboot"}]},
+    {"events": [{"action": "join", "count": 0}]},
+    {"events": [{"action": "leave", "at_s": -1.0}]},
+    {"events": [MembershipEvent(), {"action": "join", "count": -2}]},
 ])
 def test_cluster_spec_rejects_bad_knobs(kwargs):
     with pytest.raises(ConfigurationError):
@@ -57,8 +57,8 @@ def test_cluster_spec_coerces_nested_dicts():
 
 def test_cluster_spec_roundtrips():
     spec = ClusterSpec(
-        heartbeat_interval_s=0.25,
-        phi_threshold=10.0,
+        migration_bandwidth_mb_s=40.0,
+        transfer_deadline_s=30.0,
         events=(
             MembershipEvent(action="join", at_s=20.0, count=2),
             MembershipEvent(action="leave", at_s=80.0, count=2),
@@ -72,18 +72,23 @@ def test_cluster_spec_roundtrips():
 
 def test_cluster_spec_from_dict_drops_knobs_it_no_longer_has():
     """Specs stored while transfers still retried behind a breaker,
-    and joins and rejoins still had their own knobs, load as the same
-    spec."""
-    spec = ClusterSpec(phi_threshold=6.0, events=(MembershipEvent(at_s=5.0),))
+    joins and rejoins still had their own knobs, and the detector,
+    handover and concurrency constants were still fields, load as the
+    same spec."""
+    spec = ClusterSpec(migration_bandwidth_mb_s=0.05,
+                       events=(MembershipEvent(at_s=5.0),))
     stored = dict(
         spec.to_dict(),
         node={"cores": 0},
         retry={"max_attempts": 4, "base_delay_s": 0.25, "multiplier": 2.0,
                "max_delay_s": 4.0, "jitter": 0.2},
         breaker_failures=3, breaker_reset_s=5.0, rebalance_on_rejoin=True,
+        initial_nodes=4, heartbeat_interval_s=0.25, phi_threshold=6.0,
+        min_std_s=0.1, history_window=8, handover_pause_s=0.1,
+        max_parallel_migrations=2,
     )
     assert ClusterSpec.from_dict(stored) == spec
-    assert len(ClusterSpec().to_dict()) == 10
+    assert len(ClusterSpec().to_dict()) == 3
 
 
 def test_cluster_spec_registered_with_serializer():
@@ -119,9 +124,10 @@ def test_cluster_enters_the_cache_key():
             != cache_key_from_dict(elastic.key_dict()))
 
 
-def test_detector_tuning_changes_the_cache_key():
-    a = ScenarioSpec(name="x", cluster=ClusterSpec(phi_threshold=8.0))
-    b = ScenarioSpec(name="x", cluster=ClusterSpec(phi_threshold=12.0))
+def test_migration_pacing_changes_the_cache_key():
+    a = ScenarioSpec(name="x", cluster=ClusterSpec())
+    b = ScenarioSpec(name="x",
+                     cluster=ClusterSpec(migration_bandwidth_mb_s=0.05))
     assert (cache_key_from_dict(a.key_dict())
             != cache_key_from_dict(b.key_dict()))
 

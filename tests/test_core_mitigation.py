@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.core import (
-    DelayedCompactionPolicy,
     MitigationPlan,
     RandomizedL0Trigger,
     StaticL0Trigger,
@@ -77,24 +76,6 @@ def test_drain_time_validation():
         estimate_drain_time(-1.0, 1.0, 1.0)
     with pytest.raises(ConfigurationError):
         estimate_drain_time(1.0, 1.0, 0.0)
-
-
-def test_fixed_delay_policy():
-    policy = DelayedCompactionPolicy(1.0)
-    assert policy.current_delay() == 1.0
-    assert policy.enabled
-
-
-def test_auto_delay_policy_uses_observation():
-    policy = DelayedCompactionPolicy(0.5, auto=True)
-    assert policy.current_delay() == 0.5  # fallback before observations
-    estimate = policy.observe_flush_phase(15000.0, 0.7, 5000.0, 0.5)
-    assert policy.current_delay() == pytest.approx(estimate)
-
-
-def test_disabled_policy():
-    policy = DelayedCompactionPolicy(0.0)
-    assert not policy.enabled
 
 
 # ---------------------------------------------------------------- plan

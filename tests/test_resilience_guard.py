@@ -1,10 +1,16 @@
 """Behavioural tests for the overload-protection loop: token-bucket
 shedding and SLO-guard trip/recovery with its actuators — on a small
-job."""
+job — plus the layer's config and error hierarchy."""
 
 import pytest
 
 from repro.config import CheckpointConfig, ClusterConfig
+from repro.errors import (
+    ConfigurationError,
+    OverloadError,
+    ReproError,
+    ResilienceError,
+)
 from repro.resilience import ResilienceConfig, install_resilience
 from repro.resilience.shedding import LoadShedder
 from repro.sim import Simulator
@@ -92,16 +98,9 @@ def test_shedder_under_limit_offers_pass_untouched():
 # ----------------------------------------------------------------------
 
 
-def overload_config(**overrides):
-    base = dict(latency_slo_s=1.5, trip_samples=3, recovery_samples=8,
-                recovery_factor=0.5)
-    base.update(overrides)
-    return ResilienceConfig(**base)
-
-
-def run_overloaded_job(tracer=None, config=None):
+def run_overloaded_job(tracer=None):
     """Drive the source far above capacity for a few seconds mid-run."""
-    job = small_job(tracer=tracer, resilience=config or overload_config())
+    job = small_job(tracer=tracer, resilience=ResilienceConfig())
     sim = job.sim
     sim.schedule(10.0, lambda: job.set_source_rate(30000.0))
     sim.schedule(16.0, lambda: job.set_source_rate(1500.0))
@@ -166,7 +165,7 @@ def test_result_summary_carries_resilience_digest():
     assert digest["trips"] == 1
     assert digest["mode"] == "normal"
     assert digest["shed"]["messages"] > 0
-    assert digest["config"]["latency_slo_s"] == 1.5
+    assert digest["config"] == ResilienceConfig().to_dict()
     windows = result.windows()["resilience"]  # degraded + load-shed spans
     labels = {label for label, _s, _e in windows}
     assert labels == {"degraded", "load-shed"}
@@ -177,3 +176,44 @@ def test_unguarded_summary_has_no_resilience_key():
     assert "resilience" not in result.summary()
     assert result.reports() == {}
     assert result.windows() == {}
+
+
+# ----------------------------------------------------------------------
+# ResilienceConfig and the error hierarchy
+# ----------------------------------------------------------------------
+
+
+def test_resilience_errors_are_repro_errors():
+    assert issubclass(OverloadError, ResilienceError)
+    assert issubclass(OverloadError, ReproError)
+    assert not issubclass(ConfigurationError, ResilienceError)
+
+
+def test_config_roundtrips_through_serialize_registry():
+    config = ResilienceConfig(compaction_threads_degraded=2,
+                              checkpoint_stretch=3.0)
+    assert ResilienceConfig.from_dict(config.to_dict()) == config
+
+
+def test_config_validation():
+    with pytest.raises(ConfigurationError):
+        ResilienceConfig(checkpoint_stretch=0.0)
+    with pytest.raises(ConfigurationError):
+        ResilienceConfig(compaction_threads_degraded=0)
+
+
+def test_config_from_dict_drops_knobs_it_no_longer_has():
+    """Specs stored while the config still carried the upload-retry,
+    breaker and watchdog knobs, the on/off switch, and the guard's and
+    shedder's constants load as the same guard and shedder."""
+    stored = dict(ResilienceConfig(checkpoint_stretch=3.0).to_dict(),
+                  retry_attempts=7, upload_deadline_s=12.0,
+                  breaker_failures=5, watchdog_poll_s=1.0,
+                  cpu_saturation=0.97, queue_slo_messages=0.0,
+                  enabled=True, sample_interval_s=0.5, latency_window_s=10.0,
+                  latency_slo_s=2.0, trip_samples=2, recovery_samples=4,
+                  recovery_factor=0.25, shed_rate_factor=0.5,
+                  shed_burst_s=2.0)
+    assert ResilienceConfig.from_dict(stored) == ResilienceConfig(
+        checkpoint_stretch=3.0)
+    assert len(ResilienceConfig().to_dict()) == 2

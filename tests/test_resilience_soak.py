@@ -139,7 +139,7 @@ def test_cache_key_distinguishes_resilience_configs():
 
     unguarded = spec_cache_key(spec(None))
     default = spec_cache_key(spec(True))
-    custom = spec_cache_key(spec(ResilienceConfig(latency_slo_s=2.0)))
+    custom = spec_cache_key(spec(ResilienceConfig(checkpoint_stretch=3.0)))
     assert len({unguarded, default, custom}) == 3
     # True coerces to the default config: same content, same address
     assert default == spec_cache_key(spec(ResilienceConfig()))

@@ -2,11 +2,12 @@
 cache-key stability goldens for every library scenario."""
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
+from repro.core import MitigationPlan, TuneReport
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import RunSpec, cache_key_from_dict
 from repro.experiments.runner import ExperimentSettings
@@ -75,6 +76,28 @@ def test_scenario_coerces_nested_dicts():
     assert spec.resilience == DEFAULT_RESILIENCE
 
 
+@pytest.mark.parametrize("layer, value", [
+    ("workload", "constant"),
+    ("workload", None),
+    ("resilience", "on"),
+    ("faults", "crash"),
+    ("cluster", True),
+    ("mitigation", "x"),
+])
+def test_scenario_rejects_a_layer_of_the_wrong_type(layer, value):
+    """A layer that is neither its spec, its dict form nor None (the
+    workload: nor a missing one) is a typed error at construction, not a
+    crash in ``key_dict()``."""
+    with pytest.raises(ConfigurationError, match=layer):
+        scenario("baseline_traffic", **{layer: value})
+
+
+def test_scenario_resilience_false_is_no_layer():
+    spec = scenario("baseline_traffic", resilience=False)
+    assert spec.resilience is None
+    assert spec.key_dict() == scenario("baseline_traffic").key_dict()
+
+
 def test_unknown_library_scenario_is_an_error():
     with pytest.raises(ConfigurationError):
         scenario("no-such-scenario")
@@ -119,6 +142,24 @@ def test_workload_roundtrip_preserves_tuples():
     assert again == wl
     assert isinstance(again.schedule, tuple)
     assert isinstance(again.skew, tuple)
+
+
+def test_stored_mitigation_with_auto_delay_loads_as_the_same_plan():
+    """Scenario dicts and tune artifacts stored while the plan still had
+    ``auto_delay`` load, and hash, like the plan without it."""
+    plan = MitigationPlan.paper_solution()
+    stored = dict(asdict(plan), auto_delay=False)
+    fresh = scenario("baseline_traffic", mitigation=plan)
+    loaded = ScenarioSpec.from_dict(dict(fresh.to_dict(), mitigation=stored))
+    assert loaded == fresh
+    assert (cache_key_from_dict(loaded.key_dict())
+            == cache_key_from_dict(fresh.key_dict()))
+    report = TuneReport.from_dict({"best": {"mitigation": stored}})
+    revived = scenario("baseline_traffic", mitigation=report.best.plan())
+    assert revived.mitigation == plan
+    assert (cache_key_from_dict(revived.key_dict())
+            == cache_key_from_dict(fresh.key_dict()))
+    assert len(fields(MitigationPlan)) == 6
 
 
 # ----------------------------------------------------------------------

@@ -80,8 +80,7 @@ def _fault_plan():
 
 def _cluster():
     return ClusterSpec(
-        initial_nodes=4, heartbeat_interval_s=0.25, phi_threshold=6.0,
-        history_window=8, transfer_deadline_s=30.0,
+        migration_bandwidth_mb_s=40.0, transfer_deadline_s=30.0,
         events=(MembershipEvent(action="join", at_s=20.0, count=2),
                 MembershipEvent(action="leave", at_s=60.0)),
     )
@@ -149,8 +148,7 @@ SAMPLES = {
     "OverlapReport": _overlap_report,
     "RaceReport": _race_report,
     "ResilienceConfig": lambda: ResilienceConfig(
-        latency_slo_s=2.0, shed_rate_factor=0.5, trip_samples=2,
-        checkpoint_stretch=3.0, recovery_samples=5),
+        compaction_threads_degraded=2, checkpoint_stretch=3.0),
     "RunSummary": _run_summary,
     "SanitizeReport": lambda: SanitizeReport(
         kind="traffic", duration_s=16.0, window_s=2.0, seed=4,

@@ -6,7 +6,7 @@ from repro.core import MitigationPlan
 from repro.stream import ConstantSource, StageSpec, StreamJob
 
 
-def make_job(interval=4.0, allow_overlap=True, mitigation=None, rate=2000.0):
+def make_job(interval=4.0, mitigation=None, rate=2000.0):
     return StreamJob(
         stages=[
             StageSpec("s", parallelism=4, state_entry_bytes=200.0,
@@ -14,8 +14,7 @@ def make_job(interval=4.0, allow_overlap=True, mitigation=None, rate=2000.0):
         ],
         source=ConstantSource(rate),
         cluster=ClusterConfig(num_nodes=1, cores_per_node=4),
-        checkpoint=CheckpointConfig(interval_s=interval, first_at_s=interval,
-                                    allow_overlap=allow_overlap),
+        checkpoint=CheckpointConfig(interval_s=interval, first_at_s=interval),
         cost=CostModel(cpu_seconds_per_message=0.0002),
         mitigation=mitigation,
         seed=5,
@@ -90,22 +89,6 @@ def test_randomized_trigger_spreads_compactions_across_checkpoints():
     # the static trigger would concentrate everything on every 4th CP;
     # randomization spreads over more checkpoints
     assert busy_checkpoints >= 4
-
-
-def test_disallow_overlap_rejects_concurrent_trigger():
-    job = make_job(interval=4.0, allow_overlap=False)
-    fired = {}
-
-    def double_trigger():
-        fired["first"] = job.coordinator.trigger()
-        # first checkpoint's flushes are still in flight
-        fired["second"] = job.coordinator.trigger()
-
-    job.sim.schedule(2.0, double_trigger)
-    job.run(3.0)
-    assert fired["first"] is not None
-    assert fired["second"] is None
-    assert job.coordinator.skipped_overlapping == 1
 
 
 def test_instances_block_during_flush():

@@ -1,11 +1,10 @@
-"""Behavioural tests: memtable-full flushes, init-phase desync,
-auto-delay, and the result views."""
+"""Behavioural tests: memtable-full flushes, init-phase desync and the
+result views."""
 
 import numpy as np
 import pytest
 
 from repro.config import CheckpointConfig, ClusterConfig, CostModel
-from repro.core import MitigationPlan
 from repro.lsm import KiB, LSMOptions
 from repro.stream import ConstantSource, PiecewiseSource, StageSpec, StreamJob
 
@@ -67,17 +66,6 @@ def test_init_phase_desynchronizes_l0_counters():
     assert flushes_a > flushes_b  # tighter buffer + init burst flushed more
     a_store = job.stage("a").instances[0].store
     assert a_store.stats.memtable_full_flushes > 0
-
-
-def test_auto_delay_policy_updates_from_observations():
-    plan = MitigationPlan(compaction_delay_s=0.5, auto_delay=True)
-    job = small_cluster(mitigation=plan)
-    policy = job.backend.delay_policy
-    assert policy.current_delay() == 0.5
-    policy.observe_flush_phase(2000.0, 0.5, 1000.0, blocked_fraction=0.5)
-    assert policy.current_delay() == pytest.approx(0.5)  # = 2000*0.5*0.5/1000
-    policy.observe_flush_phase(2000.0, 1.0, 1000.0, blocked_fraction=1.0)
-    assert policy.current_delay() == pytest.approx(2.0)
 
 
 def test_result_queue_series_shape():
