@@ -34,7 +34,6 @@ from .analysis.millibottleneck import (
 from .cluster import (
     ClusterManager,
     ClusterSpec,
-    MembershipEvent,
     PhiAccrualDetector,
     install_cluster,
 )
@@ -186,7 +185,6 @@ __all__ = [
     "TuneReport",
     # elastic cluster layer (membership, failover, migration)
     "ClusterSpec",
-    "MembershipEvent",
     "ClusterManager",
     "PhiAccrualDetector",
     "install_cluster",

@@ -11,9 +11,12 @@ on top of the sim kernel:
   data plane frozen, queued inputs shed) once phi crosses the
   threshold — graceful degradation: only the fenced node's keys stop,
   everything else keeps flowing.
-* **Scheduled membership.**  ``ClusterSpec.events`` joins fresh worker
-  nodes (engine topology grows mid-run) and drains/retires leaving
-  ones, each followed by a keyed rebalance toward an even spread.
+* **Membership changes.**  :meth:`ClusterManager.node_join` adds fresh
+  worker nodes (engine topology grows mid-run) and
+  :meth:`ClusterManager.node_leave` drains and retires leaving ones,
+  each followed by a keyed rebalance toward an even spread; a
+  scheduled scale-out or scale-in is a ``node_join``/``node_leave``
+  entry of the run's fault plan, which the fault injector calls here.
 * **State migration.**  Moving a partition means checkpoint-snapshot →
   one bandwidth-paced transfer → restore on the destination → atomic
   ownership flip (single event time: host maps, flows and the ownership
@@ -40,7 +43,7 @@ from ..stream.checkpoint import snapshot_digest
 from ..stream.engine import Subsystem
 from ..stream.state_backend import stall_level
 from .detector import PhiAccrualDetector
-from .spec import ClusterSpec, MembershipEvent
+from .spec import ClusterSpec
 
 __all__ = ["ClusterManager", "install_cluster"]
 
@@ -130,11 +133,6 @@ class ClusterManager(Subsystem):
         now = self.sim.now
         for name in sorted(self.live):
             self.detector.register(name, now)
-        for event in self.spec.events:
-            self.sim.schedule(
-                event.at_s, self._membership_event, event,
-                priority=HIGH_PRIORITY,
-            )
         spawn(
             self.sim,
             self._membership_loop(),
@@ -215,14 +213,8 @@ class ClusterManager(Subsystem):
             tracer.instant(name, "cluster", self.sim.now, tid=tid, **fields)
 
     # ------------------------------------------------------------------
-    # scheduled membership
+    # membership changes
     # ------------------------------------------------------------------
-
-    def _membership_event(self, event: MembershipEvent) -> None:
-        if event.action == "join":
-            self.node_join(event.count)
-        else:
-            self.node_leave(event.count)
 
     def node_join(self, count: int = 1) -> List[str]:
         """Add *count* fresh worker nodes and rebalance onto them."""

@@ -1,10 +1,12 @@
-"""Declarative cluster membership and migration configuration.
+"""Declarative cluster migration configuration.
 
 A :class:`ClusterSpec` describes what varies between elastic runs as
-plain, frozen data: how fast partition snapshots transfer, the deadline
-the ``migration-no-lost-state`` invariant holds a transfer to, and the
-scheduled membership events (scale-out joins and graceful leaves).  The
-heartbeat cadence, the phi-accrual detector's tuning, the handover
+plain, frozen data: how fast partition snapshots transfer and the
+deadline the ``migration-no-lost-state`` invariant holds a transfer to.
+Scheduled scale-out and scale-in are not part of it: they are
+``node_join``/``node_leave`` entries of the run's
+:class:`~repro.faults.FaultPlan`, on the same timeline as its faults.
+The heartbeat cadence, the phi-accrual detector's tuning, the handover
 pause and the migration concurrency cap are constants of
 :mod:`repro.cluster.coordinator`.
 Joined nodes take the job's per-node core count, and a node that comes
@@ -18,47 +20,10 @@ one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from ..errors import ConfigurationError
 
-__all__ = ["MEMBERSHIP_ACTIONS", "MembershipEvent", "ClusterSpec"]
-
-#: Supported scheduled membership actions.
-MEMBERSHIP_ACTIONS = ("join", "leave")
-
-
-@dataclass(frozen=True, kw_only=True)
-class MembershipEvent:
-    """One scheduled membership change: *count* nodes join or leave at
-    *at_s*.  Leaves retire the highest-named live nodes after draining
-    their partitions through live migration."""
-
-    action: str = "join"
-    at_s: float = 0.0
-    count: int = 1
-
-    def __post_init__(self) -> None:
-        if self.action not in MEMBERSHIP_ACTIONS:
-            raise ConfigurationError(
-                f"unknown membership action {self.action!r}; expected one of "
-                f"{MEMBERSHIP_ACTIONS}"
-            )
-        if self.at_s < 0:
-            raise ConfigurationError(f"membership at_s must be >= 0, got {self.at_s}")
-        if self.count < 1:
-            raise ConfigurationError(f"membership count must be >= 1, got {self.count}")
-
-    def to_dict(self) -> dict:
-        return {"action": self.action, "at_s": self.at_s, "count": self.count}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MembershipEvent":
-        return cls(
-            action=data.get("action", "join"),
-            at_s=float(data.get("at_s", 0.0)),
-            count=int(data.get("count", 1)),
-        )
+__all__ = ["ClusterSpec"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -71,29 +36,28 @@ class ClusterSpec:
     #: Per-migration transfer deadline: a transfer still in flight well
     #: past it is flagged by the ``migration-no-lost-state`` invariant.
     transfer_deadline_s: float = 15.0
-    #: Scheduled membership changes.
-    events: Tuple[MembershipEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if self.migration_bandwidth_mb_s <= 0:
             raise ConfigurationError("migration_bandwidth_mb_s must be > 0")
         if self.transfer_deadline_s <= 0:
             raise ConfigurationError("transfer_deadline_s must be > 0")
-        coerced = tuple(
-            event if isinstance(event, MembershipEvent)
-            else MembershipEvent.from_dict(dict(event))
-            for event in self.events
-        )
-        object.__setattr__(self, "events", coerced)
 
     def to_dict(self) -> dict:
         return {
             "migration_bandwidth_mb_s": self.migration_bandwidth_mb_s,
             "transfer_deadline_s": self.transfer_deadline_s,
-            "events": [event.to_dict() for event in self.events],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterSpec":
+        if data.get("events"):
+            # dropping them would run a static cluster under an elastic
+            # scenario's name
+            raise ConfigurationError(
+                "cluster 'events' are no longer read: schedule each as a "
+                "fault-plan entry, FaultSpec(kind='node_join' or "
+                "'node_leave', at_s=<at_s>, factor=<count>)"
+            )
         names = {f for f in cls.__dataclass_fields__}
         return cls(**{k: v for k, v in data.items() if k in names})

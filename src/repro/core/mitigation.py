@@ -107,7 +107,3 @@ class MitigationPlan:
         flush = self.flush_threads or default_flush
         compaction = self.compaction_threads or default_compaction
         return flush, compaction
-
-    @property
-    def is_baseline(self) -> bool:
-        return self == MitigationPlan.baseline()

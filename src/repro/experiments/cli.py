@@ -19,12 +19,13 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cluster import coordinator
 from ..errors import ConfigurationError, ReproError
+from ..faults.plan import MEMBERSHIP_KINDS
 from ..scenarios.library import scenario
 from ..scenarios.spec import ScenarioSpec
 from .claims import FIGURES, evaluate
@@ -150,10 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command].run(args)
+        status = COMMANDS[args.command].run(args)
+        sys.stdout.flush()
+        return status
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed the pipe (``repro ... | head``): Python's
+        # documented recipe, so the flush at exit writes to nowhere
+        # instead of printing a second traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 # ----------------------------------------------------------------------
@@ -610,8 +619,14 @@ def _cluster_command(args) -> int:
 
     if args.action == "show":
         payload = spec.cluster.to_dict()
+        membership = [
+            fault for fault in spec.faults or ()
+            if fault.kind in MEMBERSHIP_KINDS
+        ]
         if args.json:
-            _emit_json(payload)
+            _emit_json(dict(payload, membership=[
+                asdict(fault) for fault in membership
+            ]))
             return 0
         print(f"== cluster spec of {spec.name} ==")
         print(f"heartbeat {coordinator.HEARTBEAT_INTERVAL_S}s, "
@@ -622,10 +637,11 @@ def _cluster_command(args) -> int:
               f"deadline {payload['transfer_deadline_s']}s, "
               f"handover pause {coordinator.HANDOVER_PAUSE_S}s, "
               f"max parallel {coordinator.MAX_PARALLEL_MIGRATIONS}")
-        if payload.get("events"):
+        if membership:
             headers = ["action", "at [s]", "count"]
-            rows = [[e["action"], f"{e['at_s']:.1f}", e["count"]]
-                    for e in payload["events"]]
+            rows = [[fault.kind.removeprefix("node_"), f"{fault.at_s:.1f}",
+                     int(fault.factor)]
+                    for fault in membership]
             print(render_table(headers, rows))
         else:
             print("membership schedule: none (static unless faulted)")

@@ -35,6 +35,7 @@ from .plan import (
     CLUSTER_FAULT_KINDS,
     FAULT_KINDS,
     GLOBAL_KINDS,
+    MEMBERSHIP_KINDS,
     PRESET_PLANS,
     FaultPlan,
     FaultSpec,
@@ -50,6 +51,7 @@ __all__ = [
     "FAULT_KINDS",
     "GLOBAL_KINDS",
     "INVARIANTS",
+    "MEMBERSHIP_KINDS",
     "PRESET_PLANS",
     "CheckpointedWordCount",
     "FaultInjector",

@@ -1,9 +1,9 @@
 """The fault injector: schedules a :class:`FaultPlan` onto a built job.
 
 Every fault is two kernel events — a high-priority *begin* at ``at_s``
-and a matching *end* ``duration_s`` later — so injection is exactly as
-deterministic as the rest of the simulation: the same seed and plan
-produce the same event sequence, byte for byte.
+and a matching *end* ``duration_s`` later; a membership change is one —
+so injection is exactly as deterministic as the rest of the simulation:
+the same seed and plan produce the same event sequence, byte for byte.
 
 Fault semantics
 ---------------
@@ -40,17 +40,22 @@ Fault semantics
 ``network_partition``
     The node keeps running but its heartbeats (and any transfers
     touching it) are cut off; a recorded no-op without a cluster layer.
+``node_join`` / ``node_leave``
+    An instant, not a window: the cluster manager's ``node_join`` /
+    ``node_leave`` with ``factor`` nodes, which log, trace and rebalance
+    it themselves.  Without a cluster layer, a ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
+from ..errors import ConfigurationError
 from ..sim.events import HIGH_PRIORITY
 from ..sim.process import spawn
 from ..stream.engine import Subsystem
 from .capacity import capacity_dip
-from .plan import ALL_NODES, GLOBAL_KINDS, FaultPlan, FaultSpec
+from .plan import ALL_NODES, GLOBAL_KINDS, MEMBERSHIP_KINDS, FaultPlan, FaultSpec
 
 __all__ = ["FaultInjector"]
 
@@ -77,8 +82,23 @@ class FaultInjector(Subsystem):
     # ------------------------------------------------------------------
 
     def install(self) -> FaultInjector:
+        manager = self.job.subsystems.get("cluster")
+        if manager is None and any(
+            spec.kind in MEMBERSHIP_KINDS for spec in self.plan.faults
+        ):
+            raise ConfigurationError(
+                f"fault plan {self.plan.name!r} schedules "
+                f"{' / '.join(MEMBERSHIP_KINDS)}, which need the cluster "
+                "layer: install_cluster before inject_faults"
+            )
         self.job.attach("faults", self)
         for spec in self.plan.faults:
+            if spec.kind in MEMBERSHIP_KINDS:
+                self.sim.schedule(
+                    spec.at_s, getattr(manager, spec.kind), int(spec.factor),
+                    priority=HIGH_PRIORITY,
+                )
+                continue
             for node in self._targets(spec):
                 self.sim.schedule(
                     spec.at_s, self._begin, spec, node, priority=HIGH_PRIORITY

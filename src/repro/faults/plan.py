@@ -9,7 +9,8 @@ they contain no simulator references — so they round-trip through
 can be generated from a seed (:meth:`FaultPlan.random`) for
 property-based testing.  :meth:`FaultPlan.shrink` yields
 strictly-simpler candidate plans so a failing random plan can be
-minimised before it is reported.
+minimised before it is reported.  Scheduled scale-out and scale-in are
+entries too (:data:`MEMBERSHIP_KINDS`): one timeline, one shrinker.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "ALL_NODES",
     "CLUSTER_FAULT_KINDS",
     "FAULT_KINDS",
+    "MEMBERSHIP_KINDS",
     "FaultPlan",
     "FaultSpec",
     "PRESET_PLANS",
@@ -61,6 +63,10 @@ CLUSTER_FAULT_KINDS = (
 #: Every fault kind the injector knows how to begin and end.
 ALL_FAULT_KINDS = FAULT_KINDS + CLUSTER_FAULT_KINDS
 
+#: Membership changes of ``factor`` nodes at ``at_s`` (cluster layer
+#: required); never drawn by :meth:`FaultPlan.random`.
+MEMBERSHIP_KINDS = ("node_join", "node_leave")
+
 #: Sentinel ``node`` value: the fault hits every node in the cluster.
 ALL_NODES = -1
 
@@ -84,14 +90,15 @@ class FaultSpec:
     #: Kind-specific intensity: bandwidth fraction for ``slow_disk``,
     #: source-rate multiplier for ``kafka_backpressure``, the timeout in
     #: seconds for ``checkpoint_timeout``, the down/up cycle count for
-    #: ``node_flap``; unused by the other kinds.
+    #: ``node_flap``, the whole node count (>= 1) for ``node_join`` and
+    #: ``node_leave``; unused by the other kinds.
     factor: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in ALL_FAULT_KINDS:
+        if self.kind not in ALL_FAULT_KINDS + MEMBERSHIP_KINDS:
             raise ConfigurationError(
                 f"unknown fault kind {self.kind!r}; expected one of "
-                f"{', '.join(ALL_FAULT_KINDS)}"
+                f"{', '.join(ALL_FAULT_KINDS + MEMBERSHIP_KINDS)}"
             )
         if self.at_s < 0:
             raise ConfigurationError(f"fault at_s must be >= 0, got {self.at_s}")
@@ -104,6 +111,13 @@ class FaultSpec:
         if self.kind == "slow_disk" and self.factor > 1.0:
             raise ConfigurationError(
                 "slow_disk factor is a remaining-bandwidth fraction in (0, 1], "
+                f"got {self.factor}"
+            )
+        if self.kind in MEMBERSHIP_KINDS and (
+            self.factor < 1 or not float(self.factor).is_integer()
+        ):
+            raise ConfigurationError(
+                f"{self.kind} factor is a whole node count >= 1, "
                 f"got {self.factor}"
             )
 
@@ -182,20 +196,27 @@ class FaultPlan:
         return cls(name=f"random-{seed}", faults=tuple(faults))
 
     def shrink(self) -> Iterator[FaultPlan]:
-        """Strictly-simpler candidates: drop one fault, then halve one
-        fault's duration.  Used to minimise a violating random plan."""
+        """Strictly-simpler candidates: drop one entry, then halve one
+        fault's duration or one membership change's node count.  Used to
+        minimise a violating plan."""
         if len(self.faults) > 1:
             for index in range(len(self.faults)):
                 rest = self.faults[:index] + self.faults[index + 1:]
                 yield replace(self, name=f"{self.name}-shrunk", faults=rest)
         for index, fault in enumerate(self.faults):
-            if fault.duration_s > 0.5:
+            if fault.kind in MEMBERSHIP_KINDS:
+                if fault.factor < 2:
+                    continue
+                halved = replace(fault, factor=float(fault.factor // 2))
+            elif fault.duration_s > 0.5:
                 halved = replace(fault, duration_s=round(fault.duration_s / 2, 6))
-                yield replace(
-                    self,
-                    name=f"{self.name}-shrunk",
-                    faults=self.faults[:index] + (halved,) + self.faults[index + 1:],
-                )
+            else:
+                continue
+            yield replace(
+                self,
+                name=f"{self.name}-shrunk",
+                faults=self.faults[:index] + (halved,) + self.faults[index + 1:],
+            )
 
 
 def shrink_failing(

@@ -168,13 +168,6 @@ class CompactionPolicy(ABC):
     ) -> Optional[CompactionPick]:
         """Return an unclaimed pick, or ``None`` when nothing is due."""
 
-    def due(self, levels: LevelManager) -> bool:
-        """Non-claiming check: would :meth:`pick` plausibly return work?"""
-        return (
-            levels.needs_l0_compaction()
-            or levels.peek_overflow_level() is not None
-        )
-
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------

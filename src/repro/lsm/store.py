@@ -247,10 +247,6 @@ class LSMStore:
     def l0_file_count(self) -> int:
         return self.levels.l0_file_count
 
-    def compaction_due(self) -> bool:
-        """Non-claiming check: is compaction work plausibly available?"""
-        return self.policy.due(self.levels)
-
     def install_compaction_policy(self, policy, params: Optional[dict] = None) -> CompactionPolicy:
         """Switch this store to *policy* (a name or an instance)."""
         if isinstance(policy, CompactionPolicy):

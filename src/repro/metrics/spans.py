@@ -43,9 +43,6 @@ class ActivitySpan:
         """True when the two spans share any positive-length interval."""
         return self.start < other.end and other.start < self.end
 
-    def overlap_duration(self, other: ActivitySpan) -> float:
-        return max(0.0, min(self.end, other.end) - max(self.start, other.start))
-
 
 class SpanLog:
     """An append-only log of :class:`ActivitySpan` records."""
@@ -91,12 +88,6 @@ class SpanLog:
     def total_input_bytes(self, **filters) -> int:
         return sum(s.input_bytes for s in self.spans(**filters))
 
-    def mean_duration(self, **filters) -> float:
-        selected = self.spans(**filters)
-        if not selected:
-            return 0.0
-        return sum(s.duration for s in selected) / len(selected)
-
     # ------------------------------------------------------------------
     # derived timelines
     # ------------------------------------------------------------------
@@ -137,12 +128,6 @@ class SpanLog:
             np.add.at(delta, hi[valid], -1.0)
             counts = np.cumsum(delta[:-1])
         return times, counts
-
-    def peak_concurrency(self, start: float, end: float, **filters) -> int:
-        _times, counts = self.concurrency_series(start, end, kind=filters.get("kind"),
-                                                 stage=filters.get("stage"),
-                                                 node=filters.get("node"))
-        return int(counts.max()) if len(counts) else 0
 
     def overlap_seconds(
         self, kind_a: str, kind_b: str, start: float, end: float, dt: float = 0.01

@@ -31,8 +31,8 @@ that scenario for every seed.  Each run's summary is then audited:
   run.
 
 ``cluster=True`` runs each sampled scenario under a default
-:class:`~repro.cluster.ClusterSpec` (failure detector + failover, no
-membership schedule) and lets ``random_faults`` draw from
+:class:`~repro.cluster.ClusterSpec` (failure detector + failover) when
+it has none, and lets ``random_faults`` draw from
 :data:`~repro.faults.ALL_FAULT_KINDS`, so node-crash, node-flap and
 network-partition windows enter the soak mix.
 
@@ -335,12 +335,13 @@ def run_soak(
     With ``random_faults=True`` each seed gets its own
     :meth:`FaultPlan.random` schedule (seeded by that seed), otherwise
     every seed runs the same *faults* plan (the ``combined`` preset by
-    default).  Runs execute through the parallel executor and result
+    default); either way the scenario's own node joins and leaves stay
+    in the plan.  Runs execute through the parallel executor and result
     cache, so a repeated soak is a cache read.
 
     ``cluster=True`` installs a default elastic cluster layer
-    (:class:`~repro.cluster.ClusterSpec`, no membership schedule) on
-    every scenario run and widens the random-fault kind pool to
+    (:class:`~repro.cluster.ClusterSpec`) on every scenario run that has
+    none and widens the random-fault kind pool to
     :data:`~repro.faults.ALL_FAULT_KINDS`, so node crashes, flaps and
     network partitions exercise detector-driven failover; the audit then
     also requires every migration resolved and every partition owned.
@@ -372,8 +373,7 @@ def run_soak(
             plan = load_fault_plan(faults)
         spec = sample_scenario(seed) if kind == "library" else scenario(kind)
         spec = replace(
-            spec,
-            faults=plan,
+            spec.with_faults(plan),
             # no config leaves the scenario's own in force
             resilience=spec.resilience if config is None else config,
             cluster=(

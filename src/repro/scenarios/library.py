@@ -19,7 +19,7 @@ import random
 from dataclasses import replace
 from typing import List, Sequence
 
-from ..cluster.spec import ClusterSpec, MembershipEvent
+from ..cluster.spec import ClusterSpec
 from ..errors import ConfigurationError, did_you_mean
 from ..faults.plan import FaultPlan, FaultSpec
 from .spec import ScenarioSpec, WorkloadSpec
@@ -141,15 +141,12 @@ def _build_library() -> dict:
                 period_s=240.0,
                 trough_factor=0.4,
             ),
-            cluster=ClusterSpec(
-                events=(
-                    MembershipEvent(action="join", at_s=60.0, count=4),
-                    MembershipEvent(action="leave", at_s=150.0, count=4),
-                ),
-            ),
+            cluster=ClusterSpec(),
             faults=FaultPlan(
                 name="elastic-mid-run-crash",
                 faults=(
+                    FaultSpec(kind="node_join", at_s=60.0, factor=4.0),
+                    FaultSpec(kind="node_leave", at_s=150.0, factor=4.0),
                     FaultSpec(
                         kind="node_crash", at_s=110.0, duration_s=3.0, node=1
                     ),

@@ -25,7 +25,7 @@ from ..apps import APPS
 from ..cluster.spec import ClusterSpec
 from ..core.mitigation import MitigationPlan
 from ..errors import ConfigurationError
-from ..faults.plan import FaultPlan
+from ..faults.plan import MEMBERSHIP_KINDS, FaultPlan
 from ..resilience import load_resilience_config
 from ..resilience.config import ResilienceConfig
 from ..storage.backend import profile_by_name
@@ -184,8 +184,9 @@ class ScenarioSpec:
     tenants: int = 1
     #: Join-app buffering horizon (its state size is rate x window).
     window_s: float = 30.0
-    #: Elastic cluster layer (repro.cluster): membership schedule and
-    #: migration pacing.  ``None`` = static topology; serialized (and
+    #: Elastic cluster layer (repro.cluster): failure detection and
+    #: migration pacing; its scheduled joins and leaves are entries of
+    #: ``faults``.  ``None`` = static topology; serialized (and
     #: cache-keyed) only when set, so legacy scenario keys are
     #: untouched.
     cluster: Optional[ClusterSpec] = None
@@ -252,7 +253,13 @@ class ScenarioSpec:
         return payload
 
     def with_faults(self, faults: Optional[FaultPlan]) -> ScenarioSpec:
-        """A copy running under a different fault plan."""
+        """A copy running under a different fault plan, with the
+        scenario's own ``node_join``/``node_leave`` entries kept ahead of
+        *faults*' entries."""
         from dataclasses import replace
 
+        own = tuple(s for s in self.faults or () if s.kind in MEMBERSHIP_KINDS)
+        if own:
+            base = self.faults if faults is None else faults
+            faults = replace(base, faults=own + tuple(faults or ()))
         return replace(self, faults=faults)

@@ -127,13 +127,3 @@ class TrafficModel:
                 event_time=timestamp,
             )
 
-    def street_of(self, car: Car) -> bytes:
-        return street_key(car.x, car.y, self.grid_size)
-
-    def street_densities(self) -> dict:
-        """Cars per street — the quantity stage s1 ranks."""
-        densities: dict = {}
-        for car in self.cars:
-            key = self.street_of(car)
-            densities[key] = densities.get(key, 0) + 1
-        return densities

@@ -36,6 +36,9 @@ def test_facade_covers_the_advertised_surface():
     # no state transfer ever retried, tripped a breaker or joined a
     # node of its own shape
     assert not {"RetryPolicy", "CircuitBreaker", "NodeSpec"} & set(api.__all__)
+    # node joins and leaves are fault-plan entries
+    assert "MembershipEvent" not in api.__all__
+    assert len(api.__all__) == 100
 
 
 def test_facade_reexports_are_the_implementation_objects():

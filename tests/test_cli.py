@@ -2,12 +2,18 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.cluster import ClusterSpec
 from repro.experiments.cli import EXPERIMENTS, build_parser, main
+from repro.faults import FaultSpec
+from repro.scenarios import scenario
 
 DATA = Path(__file__).parent / "data"
 #: Both recorded by tests/make_cli_parser_golden.py at the commit before
@@ -326,8 +332,31 @@ def test_cluster_show_renders_spec(capsys):
 def test_cluster_show_json_roundtrips(capsys):
     assert main(["cluster", "show", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert [e["action"] for e in payload["events"]] == ["join", "leave"]
-    assert payload["migration_bandwidth_mb_s"] > 0
+    spec = scenario("elastic_scale")
+    assert ClusterSpec.from_dict(payload) == spec.cluster
+    # the membership table, from the scenario's fault plan
+    membership = [FaultSpec(**entry) for entry in payload["membership"]]
+    assert membership == list(spec.faults)[:2]
+    assert [f.kind for f in membership] == ["node_join", "node_leave"]
+
+
+def test_closed_stdout_pipe_ends_without_a_traceback():
+    """``repro ... | head`` closing the pipe early is exit 1 and a quiet
+    stderr: the read end is closed before the child starts, so every
+    write to stdout fails."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "scenarios", "list", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == ""
 
 
 def test_cluster_rejects_scenarios_without_a_cluster_layer(capsys):

@@ -3,7 +3,7 @@ node flap, network partition, and the plan/preset/shrink plumbing."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, MembershipEvent, install_cluster
+from repro.cluster import ClusterSpec, install_cluster
 from repro.errors import ConfigurationError
 from repro.faults import (
     ALL_FAULT_KINDS,
@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.trace import Tracer
 
-from .test_cluster_membership import cluster_spec, hosted_partitions, small_job
+from .test_cluster_membership import hosted_partitions, join, leave, small_job
 
 DURATION = 50.0
 
@@ -28,7 +28,7 @@ def plan_of(*faults) -> FaultPlan:
 
 def run_clustered(plan, spec=None, duration=DURATION, seed=3):
     job = small_job(seed=seed)
-    manager = install_cluster(job, spec if spec is not None else cluster_spec())
+    manager = install_cluster(job, spec if spec is not None else ClusterSpec())
     if plan is not None:
         inject_faults(job, plan)
     result = job.run(duration)
@@ -73,7 +73,7 @@ def test_unsuspected_node_crash_recovers_like_a_worker_crash():
 
     def crash(kind, clustered):
         job = small_job()
-        manager = install_cluster(job, cluster_spec()) if clustered else None
+        manager = install_cluster(job, ClusterSpec()) if clustered else None
         inject_faults(job, plan_of(FaultSpec(kind=kind, at_s=14.0,
                                              duration_s=0.5, node=0)))
         job.run(30.0)
@@ -99,7 +99,7 @@ def test_failover_restores_through_the_checkpoint_seam():
     over; each restore of its shipped snapshot is a restore event and a
     ``checkpoint-restore`` instant, like an in-place recovery."""
     job = small_job(tracer=Tracer())
-    manager = install_cluster(job, cluster_spec())
+    manager = install_cluster(job, ClusterSpec())
     inject_faults(job, plan_of(FaultSpec(kind="node_crash", at_s=14.0,
                                          duration_s=2.0, node=0)))
     job.run(30.0)
@@ -130,10 +130,9 @@ def test_crash_during_migration_never_splits_ownership():
         # so the crash at t=21 lands mid-flight in the t=20 rebalance
         migration_bandwidth_mb_s=0.05,
         transfer_deadline_s=60.0,
-        events=(MembershipEvent(action="join", at_s=20.0, count=1),),
     )
-    plan = plan_of(FaultSpec(kind="node_crash", at_s=21.0, duration_s=3.0,
-                             node=1))
+    plan = plan_of(join(20.0), FaultSpec(kind="node_crash", at_s=21.0,
+                                         duration_s=3.0, node=1))
     job, manager, result = run_clustered(plan, spec=spec, duration=70.0)
 
     aborted = [m for m in manager.migrations if m["status"] == "aborted"]
@@ -238,10 +237,9 @@ def test_planned_move_to_a_crashed_destination_stays_with_its_source():
     spec = ClusterSpec(
         migration_bandwidth_mb_s=0.05,
         transfer_deadline_s=60.0,
-        events=(MembershipEvent(action="leave", at_s=20.0, count=1),),
     )
-    plan = plan_of(FaultSpec(kind="node_crash", at_s=21.0, duration_s=50.0,
-                             node=1))
+    plan = plan_of(leave(20.0), FaultSpec(kind="node_crash", at_s=21.0,
+                                          duration_s=50.0, node=1))
     job = small_job(nodes=3)
     manager = install_cluster(job, spec)
     inject_faults(job, plan)
@@ -363,3 +361,81 @@ def test_shrink_handles_cluster_kinds():
     )
     assert len(shrunk.faults) == 1
     assert shrunk.faults[0].kind == "node_crash"
+
+
+# ----------------------------------------------------------------------
+# node_join / node_leave: membership changes as plan entries
+# ----------------------------------------------------------------------
+
+
+def test_membership_entries_are_instants_not_fault_windows():
+    tracer = Tracer()
+    job = small_job(tracer=tracer)
+    install_cluster(job, ClusterSpec())
+    injector = inject_faults(job, plan_of(join(10.0), leave(25.0)))
+    result = job.run(40.0)
+    manager = job.subsystems["cluster"]
+    assert [(e["event"], e["time"]) for e in manager.membership_log][:2] == [
+        ("join", 10.0), ("leave-begin", 25.0),
+    ]
+    # the manager's log, instants and rebalance windows are the record
+    assert injector.events == [] and injector.windows == []
+    assert result.fault_events == []
+    assert injector.report()["events"] == []
+    assert not [e for e in tracer if e.cat == "fault"]
+    assert {"node-join", "node-drain"} <= {e.name for e in tracer
+                                           if e.cat == "cluster"}
+    assert [label for label, _, _ in manager.windows][0] == "rebalance:scale-out:+1"
+
+
+def test_membership_entry_without_cluster_layer_is_rejected():
+    job = small_job()
+    with pytest.raises(ConfigurationError, match="cluster layer"):
+        inject_faults(job, plan_of(
+            FaultSpec(kind="worker_crash", at_s=5.0), leave(10.0),
+        ))
+    assert "faults" not in job.subsystems
+
+
+def _scale_steps(membership_log) -> list:
+    return [(entry["event"], entry["time"]) for entry in membership_log
+            if entry["event"] in ("join", "leave-begin")]
+
+
+ELASTIC_STEPS = [("join", 60.0)] * 4 + [("leave-begin", 150.0)] * 4
+
+
+def test_elastic_scale_keeps_its_schedule_under_another_plan():
+    from repro.experiments.runner import ExperimentSettings
+    from repro.scenarios import run_scenario, scenario
+
+    spec = scenario("elastic_scale").with_faults(preset_plan("crash"))
+    assert [f.kind for f in spec.faults] == [
+        "node_join", "node_leave", "worker_crash",
+    ]
+    settings = ExperimentSettings(duration_s=155.0, warmup_s=20.0, seed=1)
+    result = run_scenario(spec, settings=settings)
+    manager = result.job.subsystems["cluster"]
+    assert _scale_steps(manager.membership_log) == ELASTIC_STEPS
+    assert [e["kind"] for e in result.fault_events] == ["worker_crash"]
+
+
+def test_elastic_scale_soak_keeps_its_schedule(monkeypatch):
+    from repro.experiments import parallel
+    from repro.resilience.soak import run_soak
+
+    summaries = []
+    run_grid = parallel.run_grid
+
+    def spy(specs, **kwargs):
+        summaries.extend(run_grid(specs, **kwargs))
+        return summaries
+
+    monkeypatch.setattr(parallel, "run_grid", spy)
+    report = run_soak(kind="elastic_scale", seeds=(1,), duration_s=155.0,
+                      warmup_s=20.0, cache=False)
+    (summary,) = summaries
+    assert _scale_steps(summary.cluster["membership"]) == ELASTIC_STEPS
+    kinds = [fault["kind"] for fault in report.plan["faults"]]
+    assert kinds[:2] == ["node_join", "node_leave"]
+    assert "node_crash" not in kinds

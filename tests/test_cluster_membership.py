@@ -3,9 +3,10 @@ join/leave, rebalancing, ownership accounting and determinism."""
 
 import pytest
 
-from repro.cluster import ClusterSpec, MembershipEvent, install_cluster
+from repro.cluster import ClusterSpec, install_cluster
 from repro.config import CheckpointConfig, ClusterConfig
 from repro.errors import SimulationError
+from repro.faults import FaultPlan, FaultSpec, inject_faults
 from repro.serialize import canonical_json
 from repro.stream.engine import StreamJob
 from repro.stream.sources import ConstantSource
@@ -33,8 +34,19 @@ def small_job(seed=3, tracer=None, nodes=2):
     )
 
 
-def cluster_spec(*events, **kwargs):
-    return ClusterSpec(events=tuple(events), **kwargs)
+def join(at_s, count=1):
+    return FaultSpec(kind="node_join", at_s=at_s, factor=float(count))
+
+
+def leave(at_s, count=1):
+    return FaultSpec(kind="node_leave", at_s=at_s, factor=float(count))
+
+
+def elastic(job, *membership, **kwargs):
+    """Install the cluster layer, then schedule *membership* as a plan."""
+    manager = install_cluster(job, ClusterSpec(**kwargs))
+    inject_faults(job, FaultPlan(name="membership", faults=membership))
+    return manager
 
 
 def hosted_partitions(job):
@@ -48,18 +60,16 @@ def hosted_partitions(job):
 
 def test_install_sets_manager_and_rejects_double_install():
     job = small_job()
-    manager = install_cluster(job, cluster_spec())
+    manager = install_cluster(job, ClusterSpec())
     assert job.subsystems["cluster"] is manager
     assert sorted(manager.live) == ["node0", "node1"]
     with pytest.raises(SimulationError):
-        install_cluster(job, cluster_spec())
+        install_cluster(job, ClusterSpec())
 
 
 def test_scheduled_join_adds_a_node_and_rebalances():
     job = small_job()
-    manager = install_cluster(
-        job, cluster_spec(MembershipEvent(action="join", at_s=10.0, count=1))
-    )
+    manager = elastic(job, join(10.0))
     result = job.run(DURATION)
     assert sorted(manager.live) == ["node0", "node1", "node2"]
     hosts = hosted_partitions(job)
@@ -76,9 +86,7 @@ def test_scheduled_join_adds_a_node_and_rebalances():
 
 def test_scheduled_leave_drains_and_retires():
     job = small_job()
-    manager = install_cluster(
-        job, cluster_spec(MembershipEvent(action="leave", at_s=10.0, count=1))
-    )
+    manager = elastic(job, leave(10.0))
     result = job.run(DURATION)
     assert sorted(manager.live) == ["node0"]
     assert manager.retired == ["node1"]
@@ -95,18 +103,14 @@ def test_scheduled_leave_drains_and_retires():
 
 def test_leave_keeps_at_least_one_node():
     job = small_job()
-    manager = install_cluster(
-        job, cluster_spec(MembershipEvent(action="leave", at_s=10.0, count=5))
-    )
+    manager = elastic(job, leave(10.0, count=5))
     job.run(30.0)
     assert sorted(manager.live) == ["node0"]
 
 
 def test_migration_records_ride_the_summary():
     job = small_job()
-    install_cluster(
-        job, cluster_spec(MembershipEvent(action="join", at_s=10.0, count=1))
-    )
+    elastic(job, join(10.0))
     result = job.run(DURATION)
     summary = result.summary()
     assert summary["cluster"]["nodes"]["live"] == ["node0", "node1", "node2"]
@@ -120,9 +124,7 @@ def test_migration_records_ride_the_summary():
 def test_cluster_events_are_traced():
     tracer = Tracer()
     job = small_job(tracer=tracer)
-    install_cluster(
-        job, cluster_spec(MembershipEvent(action="join", at_s=10.0, count=1))
-    )
+    elastic(job, join(10.0))
     job.run(30.0)
     names = {e.name for e in tracer if e.cat == "cluster"}
     assert {"node-join", "rebalance-plan", "partition-migrate",
@@ -133,10 +135,7 @@ def test_elastic_run_is_deterministic():
     """Same seed + same membership schedule => byte-identical summary."""
     def run_once():
         job = small_job(seed=7)
-        install_cluster(job, cluster_spec(
-            MembershipEvent(action="join", at_s=8.0, count=2),
-            MembershipEvent(action="leave", at_s=24.0, count=1),
-        ))
+        elastic(job, join(8.0, count=2), leave(24.0))
         return canonical_json(job.run(DURATION).summary())
 
     assert run_once() == run_once()
@@ -144,10 +143,7 @@ def test_elastic_run_is_deterministic():
 
 def test_ownership_log_is_contiguous():
     job = small_job()
-    manager = install_cluster(job, cluster_spec(
-        MembershipEvent(action="join", at_s=8.0, count=1),
-        MembershipEvent(action="leave", at_s=20.0, count=1),
-    ))
+    manager = elastic(job, join(8.0), leave(20.0))
     job.run(DURATION)
     last_owner = {}
     for flip in manager.ownership_log:

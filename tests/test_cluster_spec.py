@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterSpec, MembershipEvent
+from repro.cluster import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.experiments.parallel import cache_key_from_dict
+from repro.faults import MEMBERSHIP_KINDS, FaultSpec
 from repro.scenarios import ScenarioSpec, scenario
 
 GOLDEN_KEYS = Path(__file__).parent / "data" / "scenario_cache_keys.json"
@@ -19,13 +20,20 @@ GOLDEN_KEYS = Path(__file__).parent / "data" / "scenario_cache_keys.json"
 
 
 def test_membership_event_rejects_unknown_action():
-    with pytest.raises(ConfigurationError):
-        MembershipEvent(action="reboot")
+    """Membership changes are fault-plan entries of two kinds only."""
+    with pytest.raises(ConfigurationError) as info:
+        FaultSpec(kind="node_reboot", at_s=10.0, factor=1.0)
+    for kind in MEMBERSHIP_KINDS:
+        assert kind in str(info.value)
 
 
 def test_membership_event_rejects_zero_count():
-    with pytest.raises(ConfigurationError):
-        MembershipEvent(action="join", count=0)
+    """``factor`` is the whole node count of a join or leave."""
+    for kind in MEMBERSHIP_KINDS:
+        for count in (0.0, 0.5, 2.5, -2.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError):
+                FaultSpec(kind=kind, at_s=10.0, factor=count)
+        assert FaultSpec(kind=kind, at_s=10.0, factor=3.0).factor == 3.0
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -33,21 +41,30 @@ def test_membership_event_rejects_zero_count():
     {"migration_bandwidth_mb_s": -1.0},
     {"transfer_deadline_s": 0.0},
     {"transfer_deadline_s": -1.0},
+    # a stored schedule from before joins and leaves were plan entries
+    # must not load as a static cluster
+    {"events": [{"action": "join", "at_s": 60.0, "count": 4}]},
+    {"events": [{"action": "leave", "at_s": 150.0, "count": 4}]},
     {"events": [{"action": "reboot"}]},
-    {"events": [{"action": "join", "count": 0}]},
-    {"events": [{"action": "leave", "at_s": -1.0}]},
-    {"events": [MembershipEvent(), {"action": "join", "count": -2}]},
+    {"migration_bandwidth_mb_s": 50.0, "events": [{}]},
 ])
 def test_cluster_spec_rejects_bad_knobs(kwargs):
     with pytest.raises(ConfigurationError):
-        ClusterSpec(**kwargs)
+        ClusterSpec.from_dict(kwargs)
 
 
 def test_cluster_spec_coerces_nested_dicts():
-    spec = ClusterSpec(
-        events=[{"action": "join", "at_s": 10.0, "count": 2}],
-    )
-    assert spec.events == (MembershipEvent(action="join", at_s=10.0, count=2),)
+    spec = ScenarioSpec(name="elastic", cluster={"transfer_deadline_s": 30.0})
+    assert spec.cluster == ClusterSpec(transfer_deadline_s=30.0)
+
+
+def test_stored_cluster_events_name_the_plan_entries():
+    with pytest.raises(ConfigurationError) as info:
+        ScenarioSpec.from_dict({
+            "name": "elastic",
+            "cluster": {"events": [{"action": "join", "at_s": 60.0, "count": 4}]},
+        })
+    assert "node_join" in str(info.value) and "node_leave" in str(info.value)
 
 
 # ----------------------------------------------------------------------
@@ -56,14 +73,7 @@ def test_cluster_spec_coerces_nested_dicts():
 
 
 def test_cluster_spec_roundtrips():
-    spec = ClusterSpec(
-        migration_bandwidth_mb_s=40.0,
-        transfer_deadline_s=30.0,
-        events=(
-            MembershipEvent(action="join", at_s=20.0, count=2),
-            MembershipEvent(action="leave", at_s=80.0, count=2),
-        ),
-    )
+    spec = ClusterSpec(migration_bandwidth_mb_s=40.0, transfer_deadline_s=30.0)
     assert ClusterSpec.from_dict(spec.to_dict()) == spec
     assert ClusterSpec.from_dict(
         json.loads(json.dumps(spec.to_dict()))
@@ -72,13 +82,13 @@ def test_cluster_spec_roundtrips():
 
 def test_cluster_spec_from_dict_drops_knobs_it_no_longer_has():
     """Specs stored while transfers still retried behind a breaker,
-    joins and rejoins still had their own knobs, and the detector,
-    handover and concurrency constants were still fields, load as the
-    same spec."""
-    spec = ClusterSpec(migration_bandwidth_mb_s=0.05,
-                       events=(MembershipEvent(at_s=5.0),))
+    joins and rejoins still had their own knobs, the detector, handover
+    and concurrency constants were still fields, and an empty membership
+    schedule was still serialized, load as the same spec."""
+    spec = ClusterSpec(migration_bandwidth_mb_s=0.05)
     stored = dict(
         spec.to_dict(),
+        events=[],
         node={"cores": 0},
         retry={"max_attempts": 4, "base_delay_s": 0.25, "multiplier": 2.0,
                "max_delay_s": 4.0, "jitter": 0.2},
@@ -88,11 +98,11 @@ def test_cluster_spec_from_dict_drops_knobs_it_no_longer_has():
         max_parallel_migrations=2,
     )
     assert ClusterSpec.from_dict(stored) == spec
-    assert len(ClusterSpec().to_dict()) == 3
+    assert len(ClusterSpec().to_dict()) == 2
 
 
 def test_cluster_spec_registered_with_serializer():
-    spec = ClusterSpec(events=(MembershipEvent(at_s=5.0),))
+    spec = ClusterSpec(transfer_deadline_s=5.0)
     assert ClusterSpec.from_dict(spec.to_dict()) == spec
 
 
@@ -105,10 +115,10 @@ def test_scenario_without_cluster_serializes_without_the_key():
 def test_scenario_with_cluster_roundtrips():
     spec = ScenarioSpec(
         name="elastic",
-        cluster=ClusterSpec(events=(MembershipEvent(at_s=30.0),)),
+        cluster=ClusterSpec(migration_bandwidth_mb_s=30.0),
     )
     payload = spec.to_dict()
-    assert payload["cluster"]["events"][0]["at_s"] == 30.0
+    assert payload["cluster"]["migration_bandwidth_mb_s"] == 30.0
     assert ScenarioSpec.from_dict(json.loads(json.dumps(payload))) == spec
 
 
@@ -143,8 +153,8 @@ def test_legacy_scenario_keys_survived_the_cluster_field():
 
 def test_elastic_scale_is_in_the_library():
     spec = scenario("elastic_scale")
-    assert spec.cluster is not None
-    actions = [event.action for event in spec.cluster.events]
-    assert actions == ["join", "leave"]
-    assert spec.faults is not None
-    assert [f.kind for f in spec.faults.faults] == ["node_crash"]
+    assert spec.cluster == ClusterSpec()
+    assert [(f.kind, f.at_s, f.factor) for f in spec.faults] == [
+        ("node_join", 60.0, 4.0), ("node_leave", 150.0, 4.0),
+        ("node_crash", 110.0, 0.5),
+    ]

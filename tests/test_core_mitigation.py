@@ -82,7 +82,6 @@ def test_drain_time_validation():
 
 def test_baseline_plan_is_all_off():
     plan = MitigationPlan.baseline()
-    assert plan.is_baseline
     assert not plan.randomize_compaction_trigger
     assert plan.compaction_delay_s == 0.0
     assert isinstance(plan.l0_trigger_policy(4, random.Random(0)), StaticL0Trigger)

@@ -21,8 +21,6 @@ def test_span_duration_and_overlap():
     assert a.duration == 2.0
     assert a.overlaps(b) and b.overlaps(a)
     assert not a.overlaps(c)  # touching endpoints do not overlap
-    assert a.overlap_duration(b) == pytest.approx(1.0)
-    assert a.overlap_duration(c) == 0.0
 
 
 def test_filtering_by_kind_stage_node_window():
@@ -37,13 +35,12 @@ def test_filtering_by_kind_stage_node_window():
     assert len(log) == 3
 
 
-def test_total_input_bytes_and_mean_duration():
+def test_total_input_bytes():
     log = SpanLog()
     log.add(span(kind="compaction", input_bytes=100, start=0, end=1))
     log.add(span(kind="compaction", input_bytes=300, start=0, end=3))
     assert log.total_input_bytes(kind="compaction") == 400
-    assert log.mean_duration(kind="compaction") == pytest.approx(2.0)
-    assert log.mean_duration(kind="flush") == 0.0
+    assert log.total_input_bytes(kind="flush") == 0
 
 
 def test_concurrency_series_counts_overlaps():
@@ -56,13 +53,6 @@ def test_concurrency_series_counts_overlaps():
     assert at(1.5) == 2
     assert at(2.5) == 1
     assert at(3.5) == 0
-
-
-def test_peak_concurrency():
-    log = SpanLog()
-    for i in range(5):
-        log.add(span(start=1.0, end=2.0, instance=i))
-    assert log.peak_concurrency(0.0, 3.0) == 5
 
 
 def test_overlap_seconds_between_kinds():

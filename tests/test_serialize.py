@@ -12,7 +12,7 @@ import pytest
 import repro
 from repro.analysis.millibottleneck import MillibottleneckReport, SpikeAttribution
 from repro.analysis.overlap import OverlapReport
-from repro.cluster.spec import ClusterSpec, MembershipEvent
+from repro.cluster.spec import ClusterSpec
 from repro.core.autotuner import TunedConfig, TuneReport
 from repro.core.mitigation import MitigationPlan
 from repro.experiments.runner import ExperimentSettings
@@ -73,17 +73,14 @@ def _workload():
 
 def _fault_plan():
     return FaultPlan(name="p", faults=(
+        FaultSpec(kind="node_join", at_s=20.0, factor=2.0),
         FaultSpec(kind="worker_crash", at_s=30.0, duration_s=2.0, node=1),
         FaultSpec(kind="slow_disk", at_s=40.0, duration_s=3.0, factor=0.25),
     ))
 
 
 def _cluster():
-    return ClusterSpec(
-        migration_bandwidth_mb_s=40.0, transfer_deadline_s=30.0,
-        events=(MembershipEvent(action="join", at_s=20.0, count=2),
-                MembershipEvent(action="leave", at_s=60.0)),
-    )
+    return ClusterSpec(migration_bandwidth_mb_s=40.0, transfer_deadline_s=30.0)
 
 
 def _race_report():
@@ -138,8 +135,6 @@ SAMPLES = {
     "InvariantViolation": lambda: InvariantViolation(
         invariant="exactly_once", time=12.5, message="duplicate commit",
         details={"offset": 42, "instances": ["s0#1"]}),
-    "MembershipEvent": lambda: MembershipEvent(action="leave", at_s=30.0,
-                                               count=2),
     "MillibottleneckReport": lambda: MillibottleneckReport(
         window_s=0.05, threshold_s=0.8, spikes=[_spike()],
         saturation_windows=[(47.0, 49.0)], alignment=0.75,

@@ -4,16 +4,17 @@ detector — plus the composed-run golden that pins the refactor."""
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.millibottleneck import analyze_result, detect
-from repro.cluster import ClusterSpec, MembershipEvent, install_cluster
+from repro.cluster import ClusterSpec, install_cluster
 from repro.errors import AnalysisError, SimulationError
 from repro.experiments.runner import ExperimentSettings
-from repro.faults import inject_faults, preset_plan
+from repro.faults import FaultSpec, inject_faults, preset_plan
 from repro.resilience import install_resilience
 from repro.scenarios import build_scenario_job, scenario
 from repro.scenarios.run import run_scenario
@@ -29,13 +30,13 @@ def composed_run():
     the preset ``chaos`` plan, resilience on, and the scenario's 4→8→4
     membership plan pulled forward (20 s / 45 s instead of 60 s / 150 s)
     so the cluster layer contributes windows inside the short run."""
+    chaos = preset_plan("chaos")
     spec = scenario(
         "elastic_scale",
-        cluster=ClusterSpec(events=(
-            MembershipEvent(action="join", at_s=20.0, count=4),
-            MembershipEvent(action="leave", at_s=45.0, count=4),
-        )),
-        faults=preset_plan("chaos"),
+        faults=replace(chaos, faults=(
+            FaultSpec(kind="node_join", at_s=20.0, factor=4.0),
+            FaultSpec(kind="node_leave", at_s=45.0, factor=4.0),
+        ) + chaos.faults),
         resilience=True,
     )
     return run_scenario(spec, settings=COMPOSED)

@@ -39,12 +39,6 @@ def test_street_key_grid_mapping():
     assert street_key(251.0, 499.0, 250.0) == b"street:1:1"
 
 
-def test_street_densities_cover_all_cars():
-    model = TrafficModel(num_cars=200, seed=3)
-    densities = model.street_densities()
-    assert sum(densities.values()) == 200
-
-
 def test_hotspot_skew_concentrates_downtown():
     skewed = TrafficModel(num_cars=3000, hotspot_skew=3.0, seed=4)
     uniform = TrafficModel(num_cars=3000, hotspot_skew=0.0, seed=4)
