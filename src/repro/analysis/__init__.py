@@ -6,7 +6,6 @@ from .millibottleneck import (
     MillibottleneckReport,
     SpikeAttribution,
     analyze_result,
-    analyze_summary,
     analyze_trace,
     detect,
 )
@@ -14,9 +13,7 @@ from .overlap import (
     OverlapReport,
     alignment_score,
     burst_alignment,
-    coincidence_period,
     overlap_report,
-    scheduled_overlap_times,
 )
 
 __all__ = [
@@ -29,13 +26,10 @@ __all__ = [
     "MillibottleneckReport",
     "SpikeAttribution",
     "analyze_result",
-    "analyze_summary",
     "analyze_trace",
     "detect",
     "OverlapReport",
     "alignment_score",
     "burst_alignment",
-    "coincidence_period",
     "overlap_report",
-    "scheduled_overlap_times",
 ]

@@ -12,14 +12,14 @@ alternating between checkpoint periods, the LCM cadence of Figure 1) or
 *statistical* ShadowSync (several stages' bursts landing in the same
 period, §3.3) via :mod:`repro.analysis.overlap`.
 
-Three entry points cover the three places evidence lives:
+Spans are the only evidence.  Two entry points cover the two places
+they live:
 
 * :func:`analyze_result` — a live :class:`~repro.stream.engine.StreamJobResult`
   (spans + CPU series + coordinator all in memory);
-* :func:`analyze_summary` — a cached :class:`~repro.experiments.summary.RunSummary`
-  (concurrency timelines, no CPU series);
 * :func:`analyze_trace` — a list of :class:`~repro.trace.TraceEvent`
-  (e.g. loaded back from an exported JSONL trace).
+  (e.g. loaded back from an exported JSONL trace, or a cached run's
+  :meth:`~repro.experiments.summary.RunSummary.to_tracer`).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "MillibottleneckReport",
     "detect",
     "analyze_result",
-    "analyze_summary",
     "analyze_trace",
     "spans_from_trace",
 ]
@@ -119,7 +118,8 @@ class MillibottleneckReport:
     spikes: List[SpikeAttribution] = field(default_factory=list)
     #: CPU saturation windows (empty when no CPU data was supplied).
     saturation_windows: List[Tuple[float, float]] = field(default_factory=list)
-    #: Stage-burst alignment score; None without per-checkpoint counts.
+    #: Stage-burst alignment score; None without checkpoints or staged
+    #: spans.
     alignment: Optional[float] = None
     #: "scheduled" | "statistical" | "none"
     classification: str = "none"
@@ -214,13 +214,9 @@ def detect(
     *,
     window_s: float = 0.05,
     spans: Optional[SpanLog] = None,
-    concurrency_times: Optional[Sequence[float]] = None,
-    flush_concurrency: Optional[Sequence[float]] = None,
-    compaction_concurrency: Optional[Sequence[float]] = None,
     cpu: Optional[StepSeries] = None,
     capacity: Optional[float] = None,
     checkpoint_times: Sequence[float] = (),
-    per_checkpoint: Optional[Dict[int, Dict[str, int]]] = None,
     windows: Optional[Mapping[str, Sequence[Window]]] = None,
     threshold: Optional[float] = None,
     saturation: float = 0.95,
@@ -228,14 +224,15 @@ def detect(
 ) -> MillibottleneckReport:
     """Core detector over a windowed-p99.9 timeline.
 
-    *times*/*p999* is the latency timeline (window *window_s*).  Spans
-    may come either as a :class:`SpanLog` or, for cached summaries, as
-    flush/compaction concurrency arrays on *concurrency_times*.  When a
-    CPU :class:`StepSeries` (and its *capacity*) is given, spikes whose
-    window never saturates the CPU stay unattributed and the report
-    carries the run's saturation windows.  *windows* maps each of
-    :data:`CHANNELS` to the known-cause spans of that kind; a spike
-    carries the labels of every span its window overlaps.
+    *times*/*p999* is the latency timeline (window *window_s*) and
+    *spans* the run's flush/compaction :class:`SpanLog`; the run's
+    alignment counts each stage's compactions per checkpoint period of
+    *checkpoint_times*.  When a CPU :class:`StepSeries` (and its
+    *capacity*) is given, spikes whose window never saturates the CPU
+    stay unattributed and the report carries the run's saturation
+    windows.  *windows* maps each of :data:`CHANNELS` to the
+    known-cause spans of that kind; a spike carries the labels of every
+    span its window overlaps.
 
     A p99.9 peak lags the flush/compaction burst behind it by the drain
     time, so a spike's evidence window opens at the last checkpoint at
@@ -273,14 +270,6 @@ def detect(
             max_duration=float("inf"),
         )
 
-    ct = cf = cc = None
-    if concurrency_times is not None:
-        ct = np.asarray(concurrency_times, dtype=float)
-        cf = np.asarray(flush_concurrency, dtype=float)
-        cc = np.asarray(compaction_concurrency, dtype=float)
-        if not (ct.shape == cf.shape == cc.shape):
-            raise AnalysisError("concurrency arrays must have equal shapes")
-
     cps = np.asarray(checkpoint_times, dtype=float)
     spacing = float(np.median(np.diff(cps))) if len(cps) > 1 else 0.0
 
@@ -307,15 +296,6 @@ def detect(
             policies = sorted(
                 {getattr(s, "policy", "") for s in compactions} - {""}
             )
-        elif ct is not None and len(ct) > 1:
-            dt = float(np.median(np.diff(ct)))
-            mask = (ct >= w0) & (ct <= w1)
-            if mask.any():
-                n_flush = int(cf[mask].max())
-                n_comp = int(cc[mask].max())
-                overlap_s = float(
-                    np.sum((cf[mask] > 0) & (cc[mask] > 0)) * dt
-                )
 
         cpu_frac: Optional[float] = None
         if cpu is not None and capacity is not None:
@@ -324,12 +304,6 @@ def detect(
             )
 
         cp_index = _checkpoint_index(cps, spike.peak_time)
-        if not stages and per_checkpoint is not None and cp_index in per_checkpoint:
-            stages = sorted(
-                name
-                for name, count in per_checkpoint[cp_index].items()
-                if count > 0
-            )
 
         labels = {
             channel: sorted(
@@ -369,8 +343,11 @@ def detect(
             )
         )
 
-    if per_checkpoint:
-        report.alignment = alignment_score(per_checkpoint)
+    stage_names = sorted({s.stage for s in spans or () if s.stage})
+    if len(cps) and stage_names:
+        report.alignment = alignment_score(
+            burst_alignment(spans, stage_names, checkpoint_times)
+        )
     if report.attributed_count == 0:
         report.classification = "none"
     elif report.alignment is not None and report.alignment >= STATISTICAL_ALIGNMENT:
@@ -400,12 +377,6 @@ def analyze_result(
     checkpoints = [
         t for t in result.coordinator.checkpoint_times() if start <= t <= end
     ]
-    stage_names = [stage.name for stage in result.job.stages]
-    per_checkpoint = (
-        burst_alignment(result.spans, stage_names, checkpoints)
-        if checkpoints
-        else None
-    )
     kwargs.setdefault("cpu", result.cpu_series(None))
     kwargs.setdefault("capacity", result.job.cluster.cores_per_node)
     return detect(
@@ -414,50 +385,7 @@ def analyze_result(
         window_s=window_s,
         spans=result.spans,
         checkpoint_times=checkpoints,
-        per_checkpoint=per_checkpoint,
         windows=result.windows(),
-        **kwargs,
-    )
-
-
-def analyze_summary(summary, **kwargs) -> MillibottleneckReport:
-    """Run the detector on a cached :class:`RunSummary`.
-
-    Summaries carry no CPU series, so attribution relies on span
-    concurrency alone (``cpu_saturated_fraction`` stays ``None``).
-    Attribution windows are rebuilt from the summary's per-layer
-    digests.
-    """
-    resilience = summary.resilience or {}
-    shed = (resilience.get("shed") or {}).get("windows", [])
-    windows = {
-        "faults": [
-            (f"{e['kind']}@{e['node']}", e["start"], e["end"])
-            for e in summary.fault_events
-            if e.get("end") is not None
-        ],
-        "resilience": [
-            (label, start, end)
-            for label, start, end in [
-                *resilience.get("mode_windows", []),
-                *(("load-shed", start, end) for start, end in shed),
-            ]
-            if end is not None
-        ],
-        "cluster": [
-            tuple(window) for window in (summary.cluster or {}).get("windows", [])
-        ],
-    }
-    return detect(
-        summary.fine_times,
-        summary.fine_p999,
-        window_s=summary.fine_window_s,
-        concurrency_times=summary.concurrency_times,
-        flush_concurrency=summary.flush_concurrency,
-        compaction_concurrency=summary.compaction_concurrency,
-        checkpoint_times=summary.checkpoint_times,
-        per_checkpoint=summary.per_checkpoint_compactions or None,
-        windows=windows,
         **kwargs,
     )
 
@@ -516,9 +444,11 @@ def analyze_trace(
     Expects the tracks :meth:`StreamJobResult.export_trace` writes:
     flush/compaction ``X`` spans, per-node ``cpu`` counters, a
     ``latency_p999`` counter track, and ``checkpoint-trigger`` instants.
-    Pass *capacity* (cores per node) to enable CPU gating.  Fault
-    windows are read off the ``fault-inject`` instants; *windows* adds
-    (or, per channel, replaces) attribution windows.
+    Checkpoints before the latency track's first window are ignored, as
+    :func:`analyze_result` ignores those before its *start*.  Pass
+    *capacity* (cores per node) to enable CPU gating.  Fault windows are
+    read off the ``fault-inject`` instants; *windows* adds (or, per
+    channel, replaces) attribution windows.
     """
     events = list(events)
     lat_t, lat_v = _counter_track(events, "latency")
@@ -526,13 +456,9 @@ def analyze_trace(
         raise AnalysisError("trace has no latency_p999 counter track")
     spans = spans_from_trace(events)
     checkpoints = sorted(
-        e.ts for e in events if e.ph == "i" and e.name == "checkpoint-trigger"
-    )
-    stage_names = sorted({s.stage for s in spans if s.stage})
-    per_checkpoint = (
-        burst_alignment(spans, stage_names, checkpoints)
-        if checkpoints and stage_names
-        else None
+        e.ts
+        for e in events
+        if e.ph == "i" and e.name == "checkpoint-trigger" and e.ts >= lat_t[0]
     )
     cpu_t, cpu_v = _counter_track(events, "cpu", mean_over_tids=True)
     cpu = StepSeries(zip(cpu_t, cpu_v)) if len(cpu_t) and capacity else None
@@ -553,7 +479,6 @@ def analyze_trace(
         cpu=cpu,
         capacity=capacity if cpu is not None else None,
         checkpoint_times=checkpoints,
-        per_checkpoint=per_checkpoint,
         windows={"faults": fault_windows, **(windows or {})},
         **kwargs,
     )

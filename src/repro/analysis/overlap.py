@@ -6,15 +6,12 @@ and timelines:
 * when do flush and compaction activities overlap, and for how long
   (the direct ShadowSync exposure, §3.2);
 * do compaction bursts of different stages coincide (statistical
-  ShadowSync, §3.3);
-* where will scheduled overlaps recur, given the trigger periods — the
-  LCM argument of Figure 1.
+  ShadowSync, §3.3).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -22,53 +19,10 @@ from ..errors import AnalysisError
 from ..metrics.spans import SpanLog
 
 __all__ = [
-    "scheduled_overlap_times",
     "overlap_report",
     "burst_alignment",
     "OverlapReport",
 ]
-
-
-def scheduled_overlap_times(
-    period_a: float,
-    period_b: float,
-    horizon: float,
-    offset_a: float = 0.0,
-    offset_b: float = 0.0,
-    tolerance: float = 1e-9,
-) -> List[float]:
-    """Times within ``[0, horizon]`` at which two periodic activities
-    fire simultaneously.
-
-    For commensurable periods the coincidences recur with period
-    ``lcm(period_a, period_b)`` — the scheduling argument behind
-    Figure 1's spike cadence (flush every 8 s, compaction every 32 s ⇒
-    overlap every 32 s).
-    """
-    if period_a <= 0 or period_b <= 0:
-        raise AnalysisError("periods must be positive")
-    times: List[float] = []
-    t_a = offset_a
-    while t_a <= horizon + tolerance:
-        # Is t_a also a firing time of b?
-        k = round((t_a - offset_b) / period_b)
-        if k >= 0 and abs(offset_b + k * period_b - t_a) <= tolerance:
-            times.append(t_a)
-        t_a += period_a
-    return times
-
-
-def coincidence_period(period_a: float, period_b: float) -> Optional[float]:
-    """LCM of two periods if they are commensurable (rational ratio),
-    else ``None`` (coincidences never exactly recur)."""
-    if period_a <= 0 or period_b <= 0:
-        raise AnalysisError("periods must be positive")
-    ratio = period_a / period_b
-    frac = (ratio).as_integer_ratio()
-    # Guard against irrational-ish ratios exploding the fraction.
-    if frac[0] > 10**6 or frac[1] > 10**6:
-        return None
-    return period_b * frac[0] / math.gcd(frac[0], frac[1]) * 1.0
 
 
 class OverlapReport:

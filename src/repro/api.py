@@ -28,7 +28,6 @@ from .analysis.millibottleneck import (
     MillibottleneckReport,
     SpikeAttribution,
     analyze_result,
-    analyze_summary,
     analyze_trace,
 )
 from .cluster import (
@@ -95,7 +94,6 @@ from .scenarios import (
     build_scenario_job,
     run_scenario,
     sample_scenario,
-    sample_scenarios,
     scenario,
     scenario_names,
 )
@@ -141,7 +139,6 @@ __all__ = [
     "scenario",
     "scenario_names",
     "sample_scenario",
-    "sample_scenarios",
     "build_scenario_job",
     # runs
     "run_grid",
@@ -224,7 +221,6 @@ __all__ = [
     "MillibottleneckReport",
     "SpikeAttribution",
     "analyze_result",
-    "analyze_summary",
     "analyze_trace",
     # static analysis & sanitizers
     "lint",

@@ -506,7 +506,7 @@ def _scenarios_command(args) -> int:
     _no_cache(),
 )
 def _trace_command(args) -> int:
-    from ..analysis.millibottleneck import analyze_summary
+    from ..analysis.millibottleneck import analyze_trace
 
     summary = _run_one(args, exemplar(args.experiment),
                        f"trace:{args.experiment}", trace=True)
@@ -528,7 +528,7 @@ def _trace_command(args) -> int:
         return 2
     print(f"{len(tracer)} events ({summary.scenario} run, schema "
           f"{summary.trace_schema}) -> {out}")
-    print(analyze_summary(summary).render())
+    print(analyze_trace(tracer.events).render())
     return 0
 
 

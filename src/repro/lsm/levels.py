@@ -136,12 +136,6 @@ class LevelManager:
     # compaction picking
     # ------------------------------------------------------------------
 
-    def needs_l0_compaction(self, trigger: Optional[int] = None) -> bool:
-        """True when the number of *idle* L0 files reaches the trigger."""
-        if trigger is None:
-            trigger = self.options.effective_l0_trigger()
-        return len(self.idle_l0()) >= trigger
-
     def idle_l0(self) -> List[SSTable]:
         """L0 tables not claimed by a running compaction, newest first."""
         return [t for t in self._levels[0] if t.table_id not in self._compacting]

@@ -87,12 +87,6 @@ class SSTable:
     def max_key(self) -> Optional[bytes]:
         return self._keys[-1] if self._keys else None
 
-    def key_range_overlaps(self, other: SSTable) -> bool:
-        """True when the key ranges of the two tables intersect."""
-        if not self._keys or not other._keys:
-            return False
-        return self.min_key <= other.max_key and other.min_key <= self.max_key
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SSTable #{self.table_id} L{self.level} entries={len(self)} "

@@ -10,7 +10,6 @@ from .library import (
     SCENARIOS,
     SOAK_POOL,
     sample_scenario,
-    sample_scenarios,
     scenario,
     scenario_names,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "resolve_scenario",
     "run_scenario",
     "sample_scenario",
-    "sample_scenarios",
     "scenario",
     "scenario_names",
     "scenario_shard_unit",

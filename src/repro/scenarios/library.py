@@ -30,7 +30,6 @@ __all__ = [
     "scenario",
     "scenario_names",
     "sample_scenario",
-    "sample_scenarios",
 ]
 
 
@@ -217,10 +216,3 @@ def sample_scenario(
         raise ConfigurationError("scenario pool must not be empty")
     rng = random.Random(100003 * salt + seed)
     return scenario(rng.choice(list(pool)))
-
-
-def sample_scenarios(
-    seeds: Sequence[int], pool: Sequence[str] = SOAK_POOL, salt: int = 0
-) -> List[ScenarioSpec]:
-    """One deterministic pool draw per seed."""
-    return [sample_scenario(seed, pool=pool, salt=salt) for seed in seeds]

@@ -114,8 +114,8 @@ class WorkloadSpec:
             at_s, hot_fraction, hot_node = entry
             if at_s < 0:
                 raise ConfigurationError("skew at_s must be >= 0")
-            if not 0.0 <= hot_fraction <= 1.0:
-                raise ConfigurationError("skew hot_fraction must be in [0, 1]")
+            if not 0.0 < hot_fraction <= 1.0:
+                raise ConfigurationError("skew hot_fraction must be in (0, 1]")
             if int(hot_node) < 0:
                 raise ConfigurationError("skew hot_node must be >= 0")
 

@@ -3,13 +3,12 @@
 After each checkpoint Dracena ships the new SSTable files to HDFS for
 persistence.  The transfer is asynchronous and off the worker's CPU, so
 it does not participate in ShadowSync — but it is part of the system
-the paper describes, and its recovery-point metric (how far the remote
-copy lags) is used by one of the examples.
+the paper describes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.resource import ProcessorSharingResource, ResourceTask
@@ -63,10 +62,3 @@ class HdfsBackup:
     @property
     def pending(self) -> int:
         return self._pending
-
-    def recovery_point_lag(self) -> Optional[float]:
-        """Transfer time of the most recent completed backup."""
-        if not self.completed:
-            return None
-        _cp, _nbytes, submit, finish = self.completed[-1]
-        return finish - submit

@@ -8,12 +8,10 @@ from repro.analysis.millibottleneck import (
     MillibottleneckReport,
     SpikeAttribution,
     analyze_result,
-    analyze_summary,
     analyze_trace,
     default_threshold,
     detect,
 )
-from repro.analysis.overlap import burst_alignment
 from repro.errors import AnalysisError
 from repro.metrics.spans import ActivitySpan, SpanLog
 from repro.metrics.timeline import StepSeries
@@ -81,38 +79,21 @@ def test_cpu_gate_blocks_unsaturated_windows():
     assert report.saturation_windows  # the hot interval is flagged
 
 
-def test_detect_from_concurrency_arrays():
-    spikes_at = [25.0]
-    times, values = synthetic_timeline(spikes_at, duration=50.0)
-    grid = np.arange(0.0, 50.0, 0.05)
-    flush = ((grid >= 24.6) & (grid < 25.1)).astype(float)
-    compaction = ((grid >= 24.8) & (grid < 25.6)).astype(float) * 2
-    report = detect(
-        times, values,
-        concurrency_times=grid,
-        flush_concurrency=flush,
-        compaction_concurrency=compaction,
-    )
-    assert report.attributed_count == 1
-    spike = report.spikes[0]
-    assert spike.flush_spans == 1 and spike.compaction_spans == 2
-    assert spike.overlap_s == pytest.approx(0.3, abs=0.1)
-
-
 def test_scheduled_vs_statistical_classification():
     spikes_at = [10.0, 42.0]
     times, values = synthetic_timeline(spikes_at, duration=60.0)
     checkpoints = [8.0, 16.0, 24.0, 32.0, 40.0, 48.0]
-    # one stage bursting alone -> scheduled
-    single = detect(times, values, spans=overlap_spans(spikes_at, ("s0",)),
-                    checkpoint_times=checkpoints,
-                    per_checkpoint={0: {"s0": 2, "s1": 0}, 4: {"s0": 2, "s1": 0},
-                                    2: {"s0": 0, "s1": 2}})
+    # s0 bursting under the spikes, s1 alone at the third checkpoint
+    # with no spike there: the stages take turns -> scheduled
+    spans = overlap_spans(spikes_at, ("s0",))
+    spans.add(ActivitySpan("compaction", "c@24", "s1", 0, "node0",
+                           24.2, 25.0, 5000))
+    single = detect(times, values, spans=spans, checkpoint_times=checkpoints)
     assert single.classification == "scheduled"
+    assert single.alignment == pytest.approx(0.70, abs=0.01)
     # both stages bursting together -> statistical
     both = detect(times, values, spans=overlap_spans(spikes_at, ("s0", "s1")),
-                  checkpoint_times=checkpoints,
-                  per_checkpoint={0: {"s0": 2, "s1": 2}, 4: {"s0": 2, "s1": 2}})
+                  checkpoint_times=checkpoints)
     assert both.classification == "statistical"
     assert both.alignment == pytest.approx(1.0)
     assert all(s.checkpoint_index in (0, 4) for s in both.spikes)
@@ -141,7 +122,6 @@ def burst_scene(stages_at, spiking=True):
     return dict(
         times=times, p999=latency, spans=spans, cpu=StepSeries(cpu),
         capacity=16.0, checkpoint_times=checkpoints, threshold=1.0,
-        per_checkpoint=burst_alignment(spans, ["s0", "s1"], checkpoints),
     )
 
 
@@ -268,23 +248,24 @@ def test_attributes_every_4th_checkpoint_spikes(fig8_result):
     assert report.saturation_windows
 
 
-def test_summary_and_trace_paths_agree_with_live(fig8_result, tmp_path):
-    from repro.api import ExperimentSettings, read_jsonl, summarize_run
+@pytest.mark.parametrize("experiment", ["fig8", "fig1"])
+def test_trace_path_reads_what_the_live_detector_reads(experiment, fig8_result):
+    """The trace ``repro trace`` writes — a summary's events plus its
+    latency track — yields the live report without CPU gating, spike
+    by spike."""
+    from repro.api import ExperimentSettings, run_scenario, summarize_run
+    from repro.experiments.cli import exemplar
 
     settings = ExperimentSettings(duration_s=104.0, warmup_s=32.0, trace=True)
-    live = analyze_result(fig8_result, start=32.0)
-
-    summary = summarize_run(fig8_result, settings)
-    from_summary = analyze_summary(summary)
-    assert from_summary.spike_count == live.spike_count
-    assert from_summary.attributed_fraction >= 0.9
-
-    path = tmp_path / "fig8.jsonl"
-    fig8_result.export_trace(path)
-    from_trace = analyze_trace(read_jsonl(path), capacity=16)
-    # the trace path sees the full run (no warmup cut) and derives its
-    # latency track from the exported counters, so compare attribution only
-    assert from_trace.attributed_fraction >= 0.9
+    result = (fig8_result if experiment == "fig8"
+              else run_scenario(exemplar(experiment), settings=settings))
+    live = analyze_result(result, start=32.0, cpu=None, capacity=None)
+    traced = analyze_trace(summarize_run(result, settings).to_tracer().events)
+    assert traced.spike_count == live.spike_count >= 3
+    for ours, theirs in zip(traced.spikes, live.spikes):
+        assert ours.to_dict() == theirs.to_dict()
+    assert traced.alignment == live.alignment
+    assert traced.classification == live.classification
 
 
 def test_trace_path_requires_latency_track():

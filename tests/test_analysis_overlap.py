@@ -1,47 +1,14 @@
-"""Unit tests for overlap analysis and scheduled-coincidence math."""
+"""Unit tests for overlap analysis."""
 
 import pytest
 
 from repro.analysis import (
     alignment_score,
     burst_alignment,
-    coincidence_period,
     overlap_report,
-    scheduled_overlap_times,
 )
 from repro.errors import AnalysisError
 from repro.metrics import ActivitySpan, SpanLog
-
-
-def test_scheduled_overlaps_at_lcm():
-    """Figure 1's setting: flush every 8 s, compaction every 32 s —
-    they coincide every 32 s."""
-    times = scheduled_overlap_times(8.0, 32.0, horizon=130.0)
-    assert times == [0.0, 32.0, 64.0, 96.0, 128.0]
-
-
-def test_scheduled_overlaps_with_offsets():
-    times = scheduled_overlap_times(8.0, 32.0, horizon=100.0,
-                                    offset_a=4.0, offset_b=4.0)
-    assert times == [4.0, 36.0, 68.0, 100.0]
-
-
-def test_disjoint_offsets_never_coincide():
-    times = scheduled_overlap_times(8.0, 32.0, horizon=200.0, offset_a=1.0)
-    assert times == []
-
-
-def test_coincidence_period_is_lcm():
-    assert coincidence_period(8.0, 32.0) == pytest.approx(32.0)
-    assert coincidence_period(6.0, 4.0) == pytest.approx(12.0)
-    assert coincidence_period(16.0, 16.0) == pytest.approx(16.0)
-
-
-def test_invalid_periods_raise():
-    with pytest.raises(AnalysisError):
-        scheduled_overlap_times(0.0, 1.0, 10.0)
-    with pytest.raises(AnalysisError):
-        coincidence_period(-1.0, 2.0)
 
 
 def make_log():

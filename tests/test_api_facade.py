@@ -20,7 +20,7 @@ def test_facade_covers_the_advertised_surface():
         "run_scenario", "run_grid",
         "ExperimentSettings", "RunSpec", "RunSummary", "MitigationPlan",
         "Tracer", "NullTracer", "build_scenario_job", "scenario",
-        "analyze_result", "analyze_summary", "analyze_trace",
+        "analyze_result", "analyze_trace",
     }
     assert expected <= set(api.__all__)
     # an app is a row of repro.apps.APPS: one builder serves them all
@@ -38,7 +38,10 @@ def test_facade_covers_the_advertised_surface():
     assert not {"RetryPolicy", "CircuitBreaker", "NodeSpec"} & set(api.__all__)
     # node joins and leaves are fault-plan entries
     assert "MembershipEvent" not in api.__all__
-    assert len(api.__all__) == 100
+    # spans are the detector's only evidence: a cached run is analyzed
+    # through its trace
+    assert "analyze_summary" not in api.__all__
+    assert len(api.__all__) == 98
 
 
 def test_facade_reexports_are_the_implementation_objects():

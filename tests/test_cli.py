@@ -170,6 +170,22 @@ def test_trace_command_writes_trace_and_report(capsys, tmp_path):
     assert any(e.cat == "latency" for e in events)
 
 
+def test_trace_command_prints_the_report_of_the_trace_it_writes(
+    capsys, tmp_path
+):
+    """One reading per spike: the printed report is the detector's
+    answer on the written file, span counts included."""
+    from repro.analysis.millibottleneck import analyze_trace
+    from repro.trace import read_jsonl
+
+    out_path = tmp_path / "fig8.jsonl"
+    assert main(["trace", "fig8", "--duration", "104", "--warmup", "32",
+                 "--out", str(out_path)]) == 0
+    report = analyze_trace(read_jsonl(out_path))
+    assert report.render() in capsys.readouterr().out
+    assert report.spike_count == 3
+
+
 def test_sync_audits_a_recorded_trace_file_and_names_it(capsys, tmp_path):
     """``repro trace`` output feeds ``repro sync --trace-file``; the
     report names the file, not the flags' default scenario and seed."""

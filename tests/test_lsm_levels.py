@@ -41,7 +41,6 @@ def test_no_compaction_below_trigger():
     levels = LevelManager(options(trigger=4))
     for _ in range(3):
         levels.add_l0(l0_table())
-    assert not levels.needs_l0_compaction()
     assert pick_compaction(levels) is None
 
 

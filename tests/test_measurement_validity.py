@@ -15,16 +15,25 @@ from dataclasses import replace
 
 import pytest
 
-from repro.analysis.millibottleneck import analyze_result, analyze_summary
+from repro.analysis.millibottleneck import analyze_result, analyze_trace
 from repro.api import run_scenario
 from repro.experiments import DEFAULT_SETTINGS, summarize_run
 from repro.experiments.figures import SCHEDULED
 from repro.metrics.percentiles import weighted_quantile
 
 
+#: The standard window, traced: the trace path reads the run's spans.
+TRACED = replace(DEFAULT_SETTINGS, trace=True)
+
+
+def traced(result, settings):
+    """The detector's report on the trace ``repro trace`` writes."""
+    return analyze_trace(summarize_run(result, settings).to_tracer().events)
+
+
 @pytest.fixture(scope="module")
 def baseline():
-    return run_scenario("baseline_traffic", settings=DEFAULT_SETTINGS)
+    return run_scenario("baseline_traffic", settings=TRACED)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -45,7 +54,7 @@ def test_tail_does_not_depend_on_where_the_timeline_starts(baseline):
 
 
 def test_detector_names_the_statistical_exemplar(baseline):
-    report = analyze_summary(summarize_run(baseline, DEFAULT_SETTINGS))
+    report = traced(baseline, TRACED)
     assert report.classification == "statistical"
     assert report.attributed_count >= 3
 
@@ -60,15 +69,15 @@ def test_exemplar_verdicts_do_not_depend_on_run_length(
     baseline, spec, verdict, duration_s, warmup_s
 ):
     """The same verdict, every spike attributed, at ``repro trace``'s
-    104 s / 32 s and the standard 200 s / 40 s, live and from a summary."""
-    settings = replace(DEFAULT_SETTINGS, duration_s=duration_s, warmup_s=warmup_s)
-    if spec == "baseline_traffic" and settings == DEFAULT_SETTINGS:
+    104 s / 32 s and the standard 200 s / 40 s, live and from its trace."""
+    settings = replace(TRACED, duration_s=duration_s, warmup_s=warmup_s)
+    if spec == "baseline_traffic" and settings == TRACED:
         result = baseline
     else:
         result = run_scenario(spec, settings=settings)
     for report in (
         analyze_result(result, start=warmup_s),
-        analyze_summary(summarize_run(result, settings)),
+        traced(result, settings),
     ):
         assert report.classification == verdict
         assert report.spike_count >= 3

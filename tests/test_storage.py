@@ -43,7 +43,6 @@ def test_hdfs_backup_takes_transfer_time():
     checkpoint_id, nbytes, submit, finish = hdfs.completed[0]
     assert checkpoint_id == 1
     assert finish - submit == pytest.approx(1.5)
-    assert hdfs.recovery_point_lag() == pytest.approx(1.5)
 
 
 def test_hdfs_concurrent_backups_share_uplink():
@@ -62,7 +61,6 @@ def test_hdfs_zero_bytes_completes_immediately():
     hdfs = HdfsBackup(sim)
     hdfs.backup(9, 0)
     assert hdfs.completed[0][0] == 9
-    assert hdfs.recovery_point_lag() == 0.0
 
 
 def test_degraded_composes_without_stacking_the_name():

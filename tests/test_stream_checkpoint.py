@@ -45,7 +45,6 @@ def test_checkpoint_triggers_hdfs_backup():
     assert len(job.hdfs.completed) >= 2
     checkpoint_id, nbytes, submit, finish = job.hdfs.completed[0]
     assert nbytes > 0 and finish >= submit
-    assert job.hdfs.recovery_point_lag() is not None
 
 
 def test_every_flush_bumps_l0_counter_until_compaction():
