@@ -19,8 +19,8 @@ so the claim is testable:
   scheduling), here approximated with a small fixed pool.
 
 Used via :meth:`SilkPolicy.as_mitigation_plan` plus
-:func:`install_silk_pauses` on a built job; see
-:func:`repro.experiments.figures.ablation_silk` (``repro paper
+:func:`install_silk_pauses` on a built job; see the ``ablation_silk``
+row of :data:`repro.experiments.figures.ABLATIONS` (``repro paper
 ablation_silk``).
 """
 

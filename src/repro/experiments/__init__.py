@@ -1,6 +1,7 @@
-"""Experiment definitions: one function per paper table/figure
-(:mod:`.figures`), the claims table that checks them (:mod:`.claims`),
-plus the parallel executor and serializable run summaries they share."""
+"""Experiment definitions: one table row per paper table/figure and the
+runner that makes their runs (:mod:`.figures`), the claims table that
+checks them (:mod:`.claims`), plus the parallel executor and
+serializable run summaries they share."""
 
 from .parallel import (
     RunSpec,

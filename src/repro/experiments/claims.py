@@ -17,18 +17,14 @@ row; see DESIGN.md §10.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .figures import ABLATIONS, EXPERIMENTS, takes_jobs
+from .figures import FIGURES, run_figures
 from .report import render_table
 
 __all__ = ["CLAIMS", "FIGURES", "Claim", "ClaimResult", "ClaimsReport", "evaluate"]
-
-#: Figure id -> the function whose dict the rows read: everything
-#: ``repro run`` accepts plus the claim-only ablations.
-FIGURES: Dict[str, Callable] = {**EXPERIMENTS, **ABLATIONS}
 
 
 @dataclass(frozen=True)
@@ -459,21 +455,17 @@ def evaluate(
 ) -> ClaimsReport:
     """Check the rows of *figures* (default: the whole table).
 
-    Each selected figure function runs once, at the standard settings;
-    an alias (``fig3``) selects the rows of the function it shares.
-    *jobs* fans the sweep-shaped figures' runs over worker processes.
+    :func:`~repro.experiments.figures.run_figures` makes each distinct
+    run of the selected figures once, at the standard settings; an alias
+    (``fig3``) selects the rows of the figure it shares.  *jobs* fans
+    the runs of the summary figures over worker processes.
     """
     wanted = {FIGURES[name] for name in figures or FIGURES}
-    outs: Dict[Callable, dict] = {}
+    selected = [claim for claim in CLAIMS if FIGURES[claim.figure] in wanted]
+    outs = run_figures(dict.fromkeys(claim.figure for claim in selected), jobs=jobs)
     rows = []
-    for claim in CLAIMS:
-        experiment = FIGURES[claim.figure]
-        if experiment not in wanted:
-            continue
-        if experiment not in outs:
-            sweeps = {"jobs": jobs} if takes_jobs(experiment) else {}
-            outs[experiment] = experiment(**sweeps)
-        values = claim.measure(outs[experiment])
+    for claim in selected:
+        values = claim.measure(outs[claim.figure])
         if not isinstance(values, tuple):
             values = (values,)
         rows.append(

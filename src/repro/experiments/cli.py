@@ -4,12 +4,12 @@
 COMMAND --help`` their flags; each is one row of :data:`COMMANDS` (see
 DESIGN.md §9).
 
-The output is plain text (tables and ASCII timelines); experiment
-functions are resolved from :mod:`repro.experiments.figures`.  Sweep
-experiments accept ``--jobs N`` to run their independent simulations on
-``N`` worker processes, and all of them reuse the content-addressed
-result cache under ``.repro-cache/`` (disable with ``--no-cache`` or
-``REPRO_CACHE=off``).
+The output is plain text (tables and ASCII timelines); experiments are
+the rows of :data:`repro.experiments.figures.EXPERIMENTS`, made by
+:func:`~repro.experiments.figures.run_figures`.  ``--jobs N`` runs a
+figure's independent simulations on ``N`` worker processes, and all of
+them reuse the content-addressed result cache under ``.repro-cache/``
+(disable with ``--no-cache`` or ``REPRO_CACHE=off``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..faults.plan import MEMBERSHIP_KINDS
 from ..scenarios.library import scenario
 from ..scenarios.spec import ScenarioSpec
 from .claims import FIGURES, evaluate
-from .figures import EXPERIMENTS, SCHEDULED, takes_jobs
+from .figures import EXPERIMENTS, run_figures
 from .parallel import (
     CACHE_ENV,
     RunSpec,
@@ -42,28 +42,6 @@ from .runner import ExperimentSettings
 from .summary import RunSummary
 
 __all__ = ["COMMANDS", "EXPERIMENTS", "main", "build_parser"]
-
-#: The single run that best illustrates what an experiment measures,
-#: where that is not the plain traffic baseline (sweeps use their
-#: baseline point); see :func:`exemplar`.
-EXEMPLARS: Dict[str, ScenarioSpec] = {
-    "fig1": SCHEDULED,
-    "fig3": SCHEDULED,
-    "table1": SCHEDULED,
-    "fig6": SCHEDULED,
-    "fig7": SCHEDULED,
-    "fig17": scenario("baseline_wordcount"),
-    "fig18": scenario("baseline_wordcount"),
-    "fig19": scenario("baseline_traffic", storage="nvme"),
-    "fig20": scenario("baseline_wordcount", storage="nvme"),
-}
-
-
-def exemplar(experiment: str) -> ScenarioSpec:
-    """The scenario ``repro trace`` and ``repro run --faults`` run for
-    *experiment*."""
-    return EXEMPLARS.get(experiment, scenario("baseline_traffic"))
-
 
 # ----------------------------------------------------------------------
 # the command table
@@ -174,9 +152,9 @@ def _harness_env(no_cache: bool):
     """``--no-cache`` as ``REPRO_CACHE=off`` for the duration of one
     command.
 
-    Every experiment executes its runs through
+    Every experiment executes its summary runs through
     :func:`~repro.experiments.parallel.run_grid`, which reads it — so
-    it is not threaded through each figure function.
+    it is not threaded through the figure rows.
     """
     wanted = {CACHE_ENV: "off"} if no_cache else {}
     saved = {name: os.environ.get(name) for name in wanted}
@@ -296,7 +274,7 @@ def _summarize(name: str, out: dict) -> str:
 @command("list", "list available experiments")
 def _list_command(args) -> int:
     for name in sorted(EXPERIMENTS):
-        doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
+        doc = EXPERIMENTS[name].doc.strip().splitlines()[0]
         print(f"{name:10s} {doc}")
     return 0
 
@@ -337,14 +315,11 @@ def _run_command(args) -> int:
         raise ConfigurationError(
             "'repro run' needs an experiment name or --scenario NAME"
         )
-    experiment = EXPERIMENTS[args.experiment]
     if args.faults:
         return _run_faulted(args)
-    kwargs = {"settings": _settings(args)}
-    if takes_jobs(experiment):
-        kwargs["jobs"] = args.jobs
+    settings = _settings(args)
     with _harness_env(args.no_cache):
-        out = experiment(**kwargs)
+        (out,) = run_figures([args.experiment], settings, args.jobs).values()
     if args.json:
         _emit_json(out)
     else:
@@ -380,7 +355,7 @@ def _run_faulted(args) -> int:
     from ..faults import load_fault_plan
 
     plan = load_fault_plan(args.faults)
-    summary = _run_one(args, exemplar(args.experiment).with_faults(plan),
+    summary = _run_one(args, EXPERIMENTS[args.experiment].scenario.with_faults(plan),
                        f"faults:{args.experiment}")
     if args.json:
         _emit_json(summary.to_dict())
@@ -508,7 +483,7 @@ def _scenarios_command(args) -> int:
 def _trace_command(args) -> int:
     from ..analysis.millibottleneck import analyze_trace
 
-    summary = _run_one(args, exemplar(args.experiment),
+    summary = _run_one(args, EXPERIMENTS[args.experiment].scenario,
                        f"trace:{args.experiment}", trace=True)
     if not summary.trace_events:
         print("run produced no trace events", file=sys.stderr)

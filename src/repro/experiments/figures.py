@@ -1,18 +1,21 @@
-"""One function per table/figure of the paper's evaluation.
+"""The paper's evaluation as one table: a figure is a row.
 
-Each function runs the relevant experiment(s) with the standard
-settings and returns a plain dict of the series/rows the paper plots,
+Each :class:`Figure` row declares the runs an experiment needs — its
+``variants``, overrides of its exemplar ``scenario`` — and a ``reduce``
+that turns them into a plain dict of the series/rows the paper plots,
 plus the derived quantities the reproduction is judged on (spike
-period, knee position, reduction ratios).  The claims table
-(:mod:`repro.experiments.claims`, ``repro paper``) calls these and
-checks the *shape* criteria of DESIGN.md §4 and §6.
+period, knee position, reduction ratios).  :func:`run_figures` makes
+every distinct run of the selected rows once and reduces each row once;
+``repro run`` and the claims table (:mod:`repro.experiments.claims`,
+``repro paper``) both call it.  Rows whose runs cannot be declared
+(Figure 15's long run, the live Ablations C, D and E) declare no
+variants and make their runs inside ``reduce``.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import replace
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -26,38 +29,96 @@ from ..core.allocation import (
 )
 from ..core.mitigation import MitigationPlan
 from ..core.silk import SilkPolicy, install_silk_pauses
+from ..errors import AnalysisError
 from ..faults.capacity import capacity_dip
 from ..scenarios.library import scenario
 from ..scenarios.run import build_scenario_job, run_scenario
+from ..scenarios.spec import ScenarioSpec
 from ..sim.process import spawn
 from ..stream import ConstantSource, StageSpec, StreamJob
-from .parallel import RunSpec, run_grid
+from .parallel import RunSpec, run_grid, spec_cache_key
 from .runner import DEFAULT_SETTINGS, ExperimentSettings
 
-__all__ = [
-    "fig1_fig3_baseline_timeline",
-    "table1_checkpoint_stats",
-    "fig6_point_in_time",
-    "fig7_zoom_spans",
-    "fig8_statistical",
-    "fig12_delay_sweep",
-    "fig13_flush_thread_sweep",
-    "fig14_compaction_thread_sweep",
-    "fig15_kneedle",
-    "fig16_traffic_mitigation",
-    "fig17_wordcount_tails",
-    "fig18_wordcount_timeline",
-    "fig19_traffic_nvme",
-    "fig20_wordcount_nvme",
-    "headline_reduction",
-    "ablation_mitigations",
-    "ablation_gc_pauses",
-    "ablation_silk",
-    "ablation_checkpoint_mode",
-    "EXPERIMENTS",
-    "ABLATIONS",
-    "takes_jobs",
-]
+__all__ = ["Figure", "EXPERIMENTS", "ABLATIONS", "FIGURES", "run_figures"]
+
+BASELINE = scenario("baseline_traffic")
+
+#: §3.2's scheduled-ShadowSync deployment: 16 s checkpoints with the
+#: stages' L0 counters out of phase (Figures 1, 3, 6, 7 and Table 1).
+SCHEDULED = scenario(
+    "baseline_traffic",
+    name="scheduled_traffic",
+    interval_s=16.0,
+    initial_l0="staggered",
+)
+
+#: The variants of a row that reads its exemplar run alone.
+ONE_RUN = (("run", {}),)
+
+
+@dataclass(frozen=True, eq=False)
+class Figure:
+    """One row: an experiment's runs and the reducer that reads them.
+
+    Rows compare by identity, so an alias id (``fig3``) names the same
+    row object and is reduced once.
+    """
+
+    #: what the row shows; ``repro list`` prints its first line
+    doc: str
+    #: ``(run by variant label, settings) -> figure dict``
+    reduce: Callable[[Dict[str, Any], ExperimentSettings], Dict]
+    #: the exemplar ``repro trace`` and ``repro run --faults`` run; each
+    #: variant overrides fields of it
+    scenario: ScenarioSpec = BASELINE
+    #: ``(label, ScenarioSpec overrides)`` pairs, one run each
+    variants: Tuple[Tuple[str, dict], ...] = ()
+    #: ``reduce`` reads the live ``StreamJobResult`` (CPU, queues,
+    #: spans), which a cached ``RunSummary`` does not carry
+    live: bool = False
+
+    def specs(self, settings: ExperimentSettings) -> Dict[str, RunSpec]:
+        """The declared runs under *settings*, by variant label."""
+        return {
+            label: RunSpec(
+                scenario=replace(self.scenario, **overrides),
+                settings=settings,
+                label=label,
+            )
+            for label, overrides in self.variants
+        }
+
+
+def run_figures(
+    ids: Iterable[str],
+    settings: ExperimentSettings = DEFAULT_SETTINGS,
+    jobs: Optional[int] = None,
+) -> Dict[str, Dict]:
+    """Each selected figure's dict, by id.
+
+    One :func:`run_grid` call makes the distinct declared runs of the
+    summary rows (*jobs* fans it over worker processes), one
+    :func:`run_scenario` per distinct live run follows, then each
+    selected row is reduced once.
+    """
+    ids = list(ids)
+    rows = {FIGURES[name]: FIGURES[name].specs(settings) for name in ids}
+    grid: Dict[str, RunSpec] = {}
+    live: Dict[str, RunSpec] = {}
+    for row, specs in rows.items():
+        for spec in specs.values():
+            (live if row.live else grid).setdefault(spec_cache_key(spec), spec)
+    summaries = dict(zip(grid, run_grid(list(grid.values()), jobs=jobs)))
+    results = {
+        key: run_scenario(spec.scenario, settings=settings)
+        for key, spec in live.items()
+    }
+    outs = {}
+    for row, specs in rows.items():
+        made = results if row.live else summaries
+        runs = {label: made[spec_cache_key(spec)] for label, spec in specs.items()}
+        outs[row] = row.reduce(runs, settings)
+    return {name: outs[FIGURES[name]] for name in ids}
 
 
 def _timeline(result, settings: ExperimentSettings):
@@ -77,31 +138,16 @@ def _verdict(result, settings: ExperimentSettings) -> Dict:
     }
 
 
-#: §3.2's scheduled-ShadowSync deployment: 16 s checkpoints with the
-#: stages' L0 counters out of phase (Figures 1, 3, 6, 7 and Table 1).
-SCHEDULED = scenario(
-    "baseline_traffic",
-    name="scheduled_traffic",
-    interval_s=16.0,
-    initial_l0="staggered",
-)
+def _is_burst(row) -> bool:
+    return sum(row.compaction_count.values()) >= 32
 
 
 # ----------------------------------------------------------------------
-# §2 + §3.2 — the scheduled ShadowSync exemplar (16 s checkpoints)
+# §2 + §3 — one exemplar run each (live: CPU, queues, spans)
 # ----------------------------------------------------------------------
 
-def fig1_fig3_baseline_timeline(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-) -> Dict:
-    """Figures 1 and 3: periodic latency spikes on the baseline.
-
-    16 s checkpoints with stage counters out of phase (§3.2's observed
-    condition): each stage's compaction burst recurs every 64 s, the
-    two stages alternate, so spikes arrive every ~32 s — the LCM
-    cadence of Figure 1.
-    """
-    result = run_scenario(SCHEDULED, settings=settings)
+def _baseline_timeline(runs, settings: ExperimentSettings) -> Dict:
+    result = runs["run"]
     times, p999 = _timeline(result, settings)
     spikes = find_spikes(times, p999, threshold=default_threshold(p999))
     return {
@@ -115,25 +161,12 @@ def fig1_fig3_baseline_timeline(
     }
 
 
-def table1_checkpoint_stats(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-) -> Dict:
-    """Table 1: per-checkpoint flush/compaction statistics.
-
-    Five consecutive checkpoints after warmup; compaction bursts of 64
-    hit alternating stages (s1 at the 1st and 5th, s0 in between),
-    matching the staggered scheduled pattern.
-    """
-    result = run_scenario(SCHEDULED, settings=settings)
-    stats = result.checkpoint_stats()
+def _checkpoint_stats(runs, settings: ExperimentSettings) -> Dict:
+    stats = runs["run"].checkpoint_stats()
     after_warmup = [s for s in stats if s.time >= settings.warmup_s]
     # Align the 5-checkpoint window on a burst checkpoint, as the paper
     # does (its window starts at a synchronization point, 152 s).
-    start = 0
-    for i, row in enumerate(after_warmup):
-        if sum(row.compaction_count.values()) >= 32:
-            start = i
-            break
+    start = next((i for i, row in enumerate(after_warmup) if _is_burst(row)), 0)
     selected = after_warmup[start : start + 5]
     return {
         "rows": [s.to_dict() for s in selected],
@@ -141,9 +174,8 @@ def table1_checkpoint_stats(
     }
 
 
-def fig6_point_in_time(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
-    """Figure 6: CPU, queues and activity concurrency around the spikes."""
-    result = run_scenario(SCHEDULED, settings=settings)
+def _point_in_time(runs, settings: ExperimentSettings) -> Dict:
+    result = runs["run"]
     start, end = settings.measure_span
     cpu = result.cpu_series("node0")
     cpu_t, cpu_v = cpu.on_grid(start, end, 0.05)
@@ -167,23 +199,21 @@ def fig6_point_in_time(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     }
 
 
-def fig7_zoom_spans(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
-    """Figure 7: individual flush/compaction spans in one burst window.
-
-    Flushes are short and numerous; the compaction burst's spans last
-    much longer because 64 jobs share 16 compaction threads per node
-    while contending with message processing.
-    """
-    result = run_scenario(SCHEDULED, settings=settings)
-    # find a checkpoint with a compaction burst after warmup
-    stats = result.checkpoint_stats()
-    burst_cp = None
-    for row in stats:
-        if row.time >= settings.warmup_s and sum(row.compaction_count.values()) >= 32:
-            burst_cp = row
-            break
-    if burst_cp is None:  # pragma: no cover - defensive
-        raise RuntimeError("no compaction burst found")
+def _zoom_spans(runs, settings: ExperimentSettings) -> Dict:
+    result = runs["run"]
+    burst_cp = next(
+        (
+            row
+            for row in result.checkpoint_stats()
+            if row.time >= settings.warmup_s and _is_burst(row)
+        ),
+        None,
+    )
+    if burst_cp is None:
+        raise AnalysisError(
+            f"no compaction burst found after the {settings.warmup_s:g} s "
+            f"warmup of a {settings.duration_s:g} s run; run longer"
+        )
     window = (burst_cp.time - 0.5, burst_cp.time + 8.0)
     flushes = result.flush_spans(window=window)
     compactions = result.compaction_spans(window=window)
@@ -198,14 +228,8 @@ def fig7_zoom_spans(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     }
 
 
-# ----------------------------------------------------------------------
-# §3.3 — statistical ShadowSync (8 s checkpoints, aligned counters)
-# ----------------------------------------------------------------------
-
-def fig8_statistical(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
-    """Figure 8: aligned counters put both stages' bursts in the same
-    checkpoint → even higher spikes (> 2 s) in a 32 s cycle."""
-    result = run_scenario("baseline_traffic", settings=settings)
+def _statistical(runs, settings: ExperimentSettings) -> Dict:
+    result = runs["run"]
     times, p999 = _timeline(result, settings)
     spikes = find_spikes(times, p999, threshold=1.0)
     cps = [
@@ -235,127 +259,43 @@ def fig8_statistical(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
 DELAY_SWEEP_S = (0.1, 0.5, 1.0, 3.0, 6.0, 8.0)
 
 
-def fig12_delay_sweep(
-    delays=DELAY_SWEEP_S,
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 12: compaction delay sweep (on top of the randomized
-    trigger, §4.1's combined setting).  Best around the ~1 s drain
-    time; a delay near the checkpoint interval wraps into the next
-    flush and regresses."""
-    specs = [
-        RunSpec(
-            scenario=scenario(
-                "baseline_traffic",
-                mitigation=MitigationPlan(
-                    randomize_compaction_trigger=True, compaction_delay_s=delay
-                ),
-            ),
-            settings=settings,
-            label=f"delay={delay:g}s",
+def _sweep(
+    doc: str,
+    column: str,
+    points: tuple,
+    plan: Callable[[Any], MitigationPlan],
+    skip: tuple = (),
+) -> Figure:
+    """A row sweeping one knob of ``baseline_traffic``: one variant per
+    point under ``plan(point)``, a row of tails per point, and the point
+    with the lowest p99.9 (points in *skip* excluded)."""
+
+    def reduce(runs, settings: ExperimentSettings) -> Dict:
+        rows = [{column: point, **runs[str(point)].tails} for point in points]
+        best = min(
+            (row for row in rows if row[column] not in skip),
+            key=lambda row: row["p999"],
         )
-        for delay in delays
-    ]
-    summaries = run_grid(specs, jobs=jobs)
-    rows = [
-        {"delay_s": delay, **summary.tails}
-        for delay, summary in zip(delays, summaries)
-    ]
-    best = min(rows, key=lambda r: r["p999"])
-    return {"rows": rows, "best_delay_s": best["delay_s"]}
+        return {"rows": rows, f"best_{column}": best[column]}
+
+    variants = tuple((str(point), {"mitigation": plan(point)}) for point in points)
+    return Figure(doc=doc, reduce=reduce, variants=variants)
 
 
-def fig13_flush_thread_sweep(
-    threads=(1, 2, 4, 8, 16, 32, 64),
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 13: flush-pool sweep with §4.1 mitigations active so the
-    flush effect is not drowned by compaction spikes.  Severe
-    under-allocation is catastrophic; ≈ cores is best; 4× cores pays
-    lock-contention overhead."""
-    specs = [
-        RunSpec(
-            scenario=scenario(
-                "baseline_traffic",
-                mitigation=MitigationPlan(
-                    randomize_compaction_trigger=True,
-                    compaction_delay_s=1.0,
-                    flush_threads=n,
-                ),
-            ),
-            settings=settings,
-            label=f"flush_threads={n}",
-        )
-        for n in threads
-    ]
-    summaries = run_grid(specs, jobs=jobs)
-    rows = [
-        {"flush_threads": n, **summary.tails}
-        for n, summary in zip(threads, summaries)
-    ]
-    best = min(rows, key=lambda r: r["p999"])
-    return {"rows": rows, "best_flush_threads": best["flush_threads"]}
-
-
-def fig14_compaction_thread_sweep(
-    threads=(1, 2, 4, 8, 16),
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 14: compaction-pool sweep on the baseline.  One thread
-    cannot keep up (L0 write stalls; tails grow with run length — the
-    paper reports minutes), a handful is best, and the default 16
-    recreates the full ShadowSync contention."""
-    specs = [
-        RunSpec(
-            scenario=scenario(
-                "baseline_traffic",
-                mitigation=MitigationPlan(compaction_threads=n),
-            ),
-            settings=settings,
-            label=f"compaction_threads={n}",
-        )
-        for n in threads
-    ]
-    summaries = run_grid(specs, jobs=jobs)
-    rows = [
-        {"compaction_threads": n, **summary.tails}
-        for n, summary in zip(threads, summaries)
-    ]
-    good = [r for r in rows if r["compaction_threads"] > 1]
-    best = min(good, key=lambda r: r["p999"])
-    return {"rows": rows, "best_compaction_threads": best["compaction_threads"]}
-
-
-def fig15_kneedle(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 15: infer the compaction allocation from one run.
-
-    50 ms windows of a randomized-trigger run (whose burst sizes vary
-    naturally) are binned by observed per-node compaction concurrency;
-    Kneedle finds the knee of the latency-vs-concurrency curve.  The
-    knee falls at the CPU headroom (16 cores − 12 steady ≈ 4), matching
-    Figure 14's brute-force best allocation."""
+def _kneedle(_runs, settings: ExperimentSettings) -> Dict:
     long_settings = replace(
         settings, duration_s=max(settings.duration_s, 280.0)
     )
-    (summary,) = run_grid(
-        [
-            RunSpec(
-                scenario=scenario(
-                    "baseline_traffic",
-                    mitigation=MitigationPlan(randomize_compaction_trigger=True),
-                ),
-                settings=long_settings,
-                label="fig15-long-run",
-            )
-        ],
-        jobs=jobs,
-    )
+    (summary,) = run_grid([
+        RunSpec(
+            scenario=scenario(
+                "baseline_traffic",
+                mitigation=MitigationPlan(randomize_compaction_trigger=True),
+            ),
+            settings=long_settings,
+            label="fig15-long-run",
+        )
+    ])
     wt = np.array(summary.fine_times)
     wl = np.array(summary.fine_p999)
     ct = np.array(summary.concurrency_times)
@@ -374,27 +314,20 @@ def fig15_kneedle(
 # §5 — evaluation of the mitigation methods
 # ----------------------------------------------------------------------
 
-def _baseline_vs_solution(
-    baseline: str,
-    settings: ExperimentSettings,
-    storage: str = "tmpfs",
-    jobs: Optional[int] = None,
-) -> Dict:
-    specs = [
-        RunSpec(
-            scenario=scenario(baseline, mitigation=plan, storage=storage),
-            settings=settings,
-            label=name,
-        )
-        for name, plan in (
-            ("baseline", None),
-            ("solution", MitigationPlan.paper_solution()),
-        )
-    ]
-    summaries = run_grid(specs, jobs=jobs)
+#: Baseline vs the §4 solution (randomized trigger + 1 s delay).
+VERSUS = (
+    ("baseline", {}),
+    ("solution", {"mitigation": MitigationPlan.paper_solution()}),
+)
+
+
+def _versus(runs, settings: ExperimentSettings) -> Dict:
+    """The two sides of :data:`VERSUS`; each further variant adds its
+    p99.9 as ``<label>_p999``."""
     out: Dict = {}
-    for spec, summary in zip(specs, summaries):
-        out[spec.label] = {
+    for label in ("baseline", "solution"):
+        summary = runs[label]
+        out[label] = {
             "tails": summary.tails,
             "timeline": (summary.coarse_times, summary.coarse_p999),
             "peak_p999": summary.peak_p999,
@@ -411,79 +344,13 @@ def _baseline_vs_solution(
     out["reduction_p95"] = reduction_ratio(
         out["baseline"]["tails"]["p95"], out["solution"]["tails"]["p95"]
     )
+    for label in list(runs)[len(VERSUS):]:
+        out[f"{label}_p999"] = runs[label].tails["p999"]
     return out
 
 
-def fig16_traffic_mitigation(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 16: traffic job, baseline vs §4 solution (randomized
-    trigger + 1 s delay).  Spikes above 2 s become sub-second; the
-    compaction activity spreads across the 4-checkpoint cycle."""
-    return _baseline_vs_solution("baseline_traffic", settings, jobs=jobs)
-
-
-def fig17_wordcount_tails(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 17: WordCount p99.9 — baseline ≈ 1.3 s vs solution ≈ 0.7 s."""
-    return _baseline_vs_solution("baseline_wordcount", settings, jobs=jobs)
-
-
-def fig18_wordcount_timeline(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 18: WordCount fine-grained timelines and concurrency."""
-    return _baseline_vs_solution("baseline_wordcount", settings, jobs=jobs)
-
-
-def fig19_traffic_nvme(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 19: traffic on NVMe — mitigations remain effective when
-    flush/compaction pay real I/O costs."""
-    return _baseline_vs_solution("baseline_traffic", settings, storage="nvme", jobs=jobs)
-
-
-def fig20_wordcount_nvme(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Figure 20: WordCount on NVMe — baseline degrades vs tmpfs and
-    the mitigations still remove the ShadowSync spikes."""
-    out = _baseline_vs_solution("baseline_wordcount", settings, storage="nvme", jobs=jobs)
-    # the figure's claim is a comparison against Figure 17's baseline
-    tmpfs = fig17_wordcount_tails(settings, jobs)
-    out["tmpfs_baseline_p999"] = tmpfs["baseline"]["tails"]["p999"]
-    return out
-
-
-def headline_reduction(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """§5 headline: mitigated p99.9 ≲ 20–25 % and p95 < 50 % of the
-    baseline (with all three §4 techniques enabled)."""
-    baseline, full = run_grid(
-        [
-            RunSpec(
-                scenario="baseline_traffic", settings=settings, label="baseline"
-            ),
-            RunSpec(
-                scenario=scenario(
-                    "baseline_traffic", mitigation=MitigationPlan.full()
-                ),
-                settings=settings,
-                label="mitigated",
-            ),
-        ],
-        jobs=jobs,
-    )
-    b, f = baseline.tails, full.tails
+def _headline(runs, settings: ExperimentSettings) -> Dict:
+    b, f = runs["baseline"].tails, runs["mitigated"].tails
     return {
         "baseline": b,
         "mitigated": f,
@@ -496,45 +363,22 @@ def headline_reduction(
 # ablations (DESIGN.md §6) — not in the paper; claim-only ids
 # ----------------------------------------------------------------------
 
-def _traffic_p999(plans: Dict, settings: ExperimentSettings, jobs) -> Dict:
-    """Whole-run p99.9 of ``baseline_traffic`` under each plan of *plans*."""
-    specs = [
-        RunSpec(
-            scenario=scenario("baseline_traffic", mitigation=plan),
-            settings=settings,
-            label=str(name),
-        )
-        for name, plan in plans.items()
-    ]
-    summaries = run_grid(specs, jobs=jobs)
-    return {name: summary.tails["p999"] for name, summary in zip(plans, summaries)}
+#: Ablation A: the §4.1 solution decomposed into its two techniques.
+TECHNIQUES = {
+    "baseline": MitigationPlan.baseline(),
+    "random-only": MitigationPlan(randomize_compaction_trigger=True),
+    "delay-only": MitigationPlan(compaction_delay_s=1.0),
+    "both": MitigationPlan.paper_solution(),
+}
+#: Ablation B: the randomized trigger's α spread, in checkpoints.
+SPREADS = (1, 2, 4, 8)
 
 
-def ablation_mitigations(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-    jobs: Optional[int] = None,
-) -> Dict:
-    """Ablations A and B: decompose the §4.1 solution into its two
-    techniques (the paper only evaluates the combination), and vary the
-    randomized trigger's α spread around the paper's choice of the
-    4-checkpoint cycle length."""
-    techniques = {
-        "baseline": MitigationPlan.baseline(),
-        "random-only": MitigationPlan(randomize_compaction_trigger=True),
-        "delay-only": MitigationPlan(compaction_delay_s=1.0),
-        "both": MitigationPlan.paper_solution(),
-    }
-    spreads = {
-        spread: MitigationPlan(
-            randomize_compaction_trigger=True,
-            trigger_spread=spread,
-            compaction_delay_s=1.0,
-        )
-        for spread in (1, 2, 4, 8)
-    }
+def _mitigations(runs, settings: ExperimentSettings) -> Dict:
+    p999 = {label: summary.tails["p999"] for label, summary in runs.items()}
     return {
-        "p999": _traffic_p999(techniques, settings, jobs),
-        "spread_p999": _traffic_p999(spreads, settings, jobs),
+        "p999": {name: p999[name] for name in TECHNIQUES},
+        "spread_p999": {spread: p999[f"spread={spread}"] for spread in SPREADS},
     }
 
 
@@ -565,10 +409,7 @@ def _gc_pauses(job, interval_s=17.3, pause_s=0.35, jitter=0.3, first_at_s=5.0):
         spawn(sim, loop(node), name=f"gc-injector-{node.name}")
 
 
-def ablation_gc_pauses(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
-    """Ablation C: other ShadowSync sources (§6, the paper's future
-    work).  Periodic stop-the-world pauses injected into the *mitigated*
-    traffic job create a tail the LSM mitigations do not address."""
+def _gc(_runs, settings: ExperimentSettings) -> Dict:
     plan = MitigationPlan.paper_solution()
     quiet = _live_traffic(settings, plan)
     paused = _live_traffic(settings, plan, prepare=_gc_pauses)
@@ -591,12 +432,7 @@ def _submit_concentration(result) -> float:
     return max(counts.values()) / total if total else 0.0
 
 
-def ablation_silk(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
-    """Ablation D: a SILK-style I/O scheduler vs the paper's
-    desynchronization (§7).  SILK (flush priority + throttled compaction
-    pool) reduces burst *intensity*, but the bursts stay synchronized on
-    every 4th checkpoint, and under a compaction-heavier cost model the
-    throttled pool falls behind while the full-pool solution does not."""
+def _silk(_runs, settings: ExperimentSettings) -> Dict:
     silk = SilkPolicy()
     heavy = CostModel(compaction_cpu_seconds_per_mb=0.7)
 
@@ -633,13 +469,7 @@ def ablation_silk(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Dict:
     }
 
 
-def ablation_checkpoint_mode(
-    settings: ExperimentSettings = DEFAULT_SETTINGS,
-) -> Dict:
-    """Ablation E: incremental vs full-snapshot checkpoints.  A
-    full-snapshot backend serializes the whole keyed state every
-    checkpoint — the cost incremental backup (§1, [8]) exists to avoid —
-    yet ShadowSync exists even with incremental checkpoints."""
+def _checkpoint_mode(_runs, settings: ExperimentSettings) -> Dict:
     out: Dict = {"p999": {}, "checkpoint_gb": {}}
     for mode, incremental in (("incremental", True), ("full", False)):
         result = StreamJob(
@@ -662,38 +492,176 @@ def ablation_checkpoint_mode(
     return out
 
 
-#: CLI name -> experiment function: the ids ``repro run`` / ``trace``
-#: accept and the claims table resolves its rows through.
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig1": fig1_fig3_baseline_timeline,
-    "fig3": fig1_fig3_baseline_timeline,
-    "table1": table1_checkpoint_stats,
-    "fig6": fig6_point_in_time,
-    "fig7": fig7_zoom_spans,
-    "fig8": fig8_statistical,
-    "fig12": fig12_delay_sweep,
-    "fig13": fig13_flush_thread_sweep,
-    "fig14": fig14_compaction_thread_sweep,
-    "fig15": fig15_kneedle,
-    "fig16": fig16_traffic_mitigation,
-    "fig17": fig17_wordcount_tails,
-    "fig18": fig18_wordcount_timeline,
-    "fig19": fig19_traffic_nvme,
-    "fig20": fig20_wordcount_nvme,
-    "headline": headline_reduction,
+# ----------------------------------------------------------------------
+# the table
+# ----------------------------------------------------------------------
+
+_FIG1 = Figure(
+    doc="""Figures 1 and 3: periodic latency spikes on the baseline.
+
+    16 s checkpoints with stage counters out of phase (§3.2's observed
+    condition): each stage's compaction burst recurs every 64 s, the
+    two stages alternate, so spikes arrive every ~32 s — the LCM
+    cadence of Figure 1.
+    """,
+    reduce=_baseline_timeline, scenario=SCHEDULED, variants=ONE_RUN, live=True,
+)
+
+_FIG17 = Figure(
+    doc="Figure 17: WordCount p99.9 — baseline ≈ 1.3 s vs solution ≈ 0.7 s.",
+    reduce=_versus, scenario=scenario("baseline_wordcount"), variants=VERSUS,
+)
+
+#: CLI name -> row: the ids ``repro run`` / ``trace`` accept and the
+#: claims table resolves its rows through.
+EXPERIMENTS: Dict[str, Figure] = {
+    "fig1": _FIG1,
+    "fig3": _FIG1,
+    "table1": Figure(
+        doc="""Table 1: per-checkpoint flush/compaction statistics.
+
+        Five consecutive checkpoints after warmup; compaction bursts of 64
+        hit alternating stages (s1 at the 1st and 5th, s0 in between),
+        matching the staggered scheduled pattern.
+        """,
+        reduce=_checkpoint_stats, scenario=SCHEDULED, variants=ONE_RUN, live=True,
+    ),
+    "fig6": Figure(
+        doc="Figure 6: CPU, queues and activity concurrency around the spikes.",
+        reduce=_point_in_time, scenario=SCHEDULED, variants=ONE_RUN, live=True,
+    ),
+    "fig7": Figure(
+        doc="""Figure 7: individual flush/compaction spans in one burst window.
+
+        Flushes are short and numerous; the compaction burst's spans last
+        much longer because 64 jobs share 16 compaction threads per node
+        while contending with message processing.
+        """,
+        reduce=_zoom_spans, scenario=SCHEDULED, variants=ONE_RUN, live=True,
+    ),
+    "fig8": Figure(
+        doc="""Figure 8: aligned counters put both stages' bursts in the same
+        checkpoint → even higher spikes (> 2 s) in a 32 s cycle.""",
+        reduce=_statistical, variants=ONE_RUN, live=True,
+    ),
+    "fig12": _sweep(
+        """Figure 12: compaction delay sweep (on top of the randomized
+        trigger, §4.1's combined setting).  Best around the ~1 s drain
+        time; a delay near the checkpoint interval wraps into the next
+        flush and regresses.""",
+        "delay_s", DELAY_SWEEP_S,
+        lambda delay: MitigationPlan(
+            randomize_compaction_trigger=True, compaction_delay_s=delay
+        ),
+    ),
+    "fig13": _sweep(
+        """Figure 13: flush-pool sweep with §4.1 mitigations active so the
+        flush effect is not drowned by compaction spikes.  Severe
+        under-allocation is catastrophic; ≈ cores is best; 4× cores pays
+        lock-contention overhead.""",
+        "flush_threads", (1, 2, 4, 8, 16, 32, 64),
+        lambda n: MitigationPlan(
+            randomize_compaction_trigger=True,
+            compaction_delay_s=1.0,
+            flush_threads=n,
+        ),
+    ),
+    "fig14": _sweep(
+        """Figure 14: compaction-pool sweep on the baseline.  One thread
+        cannot keep up (L0 write stalls; tails grow with run length — the
+        paper reports minutes), a handful is best, and the default 16
+        recreates the full ShadowSync contention.""",
+        "compaction_threads", (1, 2, 4, 8, 16),
+        lambda n: MitigationPlan(compaction_threads=n),
+        skip=(1,),
+    ),
+    "fig15": Figure(
+        doc="""Figure 15: infer the compaction allocation from one run.
+
+        50 ms windows of a randomized-trigger run (whose burst sizes vary
+        naturally) are binned by observed per-node compaction concurrency;
+        Kneedle finds the knee of the latency-vs-concurrency curve.  The
+        knee falls at the CPU headroom (16 cores − 12 steady ≈ 4), matching
+        Figure 14's brute-force best allocation.""",
+        reduce=_kneedle,
+    ),
+    "fig16": Figure(
+        doc="""Figure 16: traffic job, baseline vs §4 solution (randomized
+        trigger + 1 s delay).  Spikes above 2 s become sub-second; the
+        compaction activity spreads across the 4-checkpoint cycle.""",
+        reduce=_versus, variants=VERSUS,
+    ),
+    "fig17": _FIG17,
+    "fig18": replace(
+        _FIG17, doc="Figure 18: WordCount fine-grained timelines and concurrency."
+    ),
+    "fig19": Figure(
+        doc="""Figure 19: traffic on NVMe — mitigations remain effective when
+        flush/compaction pay real I/O costs.""",
+        reduce=_versus, scenario=scenario("baseline_traffic", storage="nvme"),
+        variants=VERSUS,
+    ),
+    "fig20": Figure(
+        doc="""Figure 20: WordCount on NVMe — baseline degrades vs tmpfs and
+        the mitigations still remove the ShadowSync spikes.""",
+        reduce=_versus, scenario=scenario("baseline_wordcount", storage="nvme"),
+        # the figure's claim is a comparison against Figure 17's baseline
+        variants=(*VERSUS, ("tmpfs_baseline", {"storage": "tmpfs"})),
+    ),
+    "headline": Figure(
+        doc="""§5 headline: mitigated p99.9 ≲ 20–25 % and p95 < 50 % of the
+        baseline (with all three §4 techniques enabled).""",
+        reduce=_headline,
+        variants=(
+            ("baseline", {}),
+            ("mitigated", {"mitigation": MitigationPlan.full()}),
+        ),
+    ),
 }
-
-
-def takes_jobs(experiment: Callable) -> bool:
-    """Whether *experiment* runs through the sweep executor."""
-    return "jobs" in inspect.signature(experiment).parameters
-
 
 #: Claim-only ids: ``repro paper`` evaluates them, ``repro run`` does
 #: not offer them.
-ABLATIONS: Dict[str, Callable] = {
-    "ablation_mitigations": ablation_mitigations,
-    "ablation_gc": ablation_gc_pauses,
-    "ablation_silk": ablation_silk,
-    "ablation_checkpoint": ablation_checkpoint_mode,
+ABLATIONS: Dict[str, Figure] = {
+    "ablation_mitigations": Figure(
+        doc="""Ablations A and B: decompose the §4.1 solution into its two
+        techniques (the paper only evaluates the combination), and vary the
+        randomized trigger's α spread around the paper's choice of the
+        4-checkpoint cycle length.""",
+        reduce=_mitigations,
+        variants=(
+            *((name, {"mitigation": plan}) for name, plan in TECHNIQUES.items()),
+            *(
+                (f"spread={spread}", {"mitigation": MitigationPlan(
+                    randomize_compaction_trigger=True,
+                    trigger_spread=spread,
+                    compaction_delay_s=1.0,
+                )})
+                for spread in SPREADS
+            ),
+        ),
+    ),
+    "ablation_gc": Figure(
+        doc="""Ablation C: other ShadowSync sources (§6, the paper's future
+        work).  Periodic stop-the-world pauses injected into the *mitigated*
+        traffic job create a tail the LSM mitigations do not address.""",
+        reduce=_gc,
+    ),
+    "ablation_silk": Figure(
+        doc="""Ablation D: a SILK-style I/O scheduler vs the paper's
+        desynchronization (§7).  SILK (flush priority + throttled compaction
+        pool) reduces burst *intensity*, but the bursts stay synchronized on
+        every 4th checkpoint, and under a compaction-heavier cost model the
+        throttled pool falls behind while the full-pool solution does not.""",
+        reduce=_silk,
+    ),
+    "ablation_checkpoint": Figure(
+        doc="""Ablation E: incremental vs full-snapshot checkpoints.  A
+        full-snapshot backend serializes the whole keyed state every
+        checkpoint — the cost incremental backup (§1, [8]) exists to avoid —
+        yet ShadowSync exists even with incremental checkpoints.""",
+        reduce=_checkpoint_mode,
+    ),
 }
+
+#: Every row by id: what ``repro run`` accepts plus the ablations.
+FIGURES: Dict[str, Figure] = {**EXPERIMENTS, **ABLATIONS}

@@ -254,11 +254,11 @@ def test_trace_path_reads_what_the_live_detector_reads(experiment, fig8_result):
     latency track — yields the live report without CPU gating, spike
     by spike."""
     from repro.api import ExperimentSettings, run_scenario, summarize_run
-    from repro.experiments.cli import exemplar
+    from repro.experiments.figures import EXPERIMENTS
 
     settings = ExperimentSettings(duration_s=104.0, warmup_s=32.0, trace=True)
     result = (fig8_result if experiment == "fig8"
-              else run_scenario(exemplar(experiment), settings=settings))
+              else run_scenario(EXPERIMENTS[experiment].scenario, settings=settings))
     live = analyze_result(result, start=32.0, cpu=None, capacity=None)
     traced = analyze_trace(summarize_run(result, settings).to_tracer().events)
     assert traced.spike_count == live.spike_count >= 3

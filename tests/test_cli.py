@@ -437,6 +437,8 @@ def test_stdout_matches_golden(command, capsys, monkeypatch):
       "--warmup", "1"], {}),
     (["sync", "--static-only", "--dynamic-only"], {}),
     (["sync", "--static-only", "--trace-file", "{tmp}/a-file"], {}),
+    # too short a run for Figure 7's burst window
+    (["run", "fig7", "--duration", "12", "--warmup", "4"], {}),
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(
     argv, env, capsys, monkeypatch, tmp_path

@@ -11,7 +11,6 @@ import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -104,19 +103,12 @@ def test_equal_content_is_one_cache_address():
     ) == spec_cache_key(library)
 
 
-def test_fig12_sweep_and_perfbench_share_cache_addresses(monkeypatch):
+def test_fig12_sweep_and_perfbench_share_cache_addresses():
     fig12_sweep = pytest.importorskip("perfbench.workloads.fig12_sweep")
-    captured = []
-
-    def capture(specs, **_):
-        captured.extend(specs)
-        return [SimpleNamespace(tails={"p999": 0.0}) for _ in specs]
-
-    monkeypatch.setattr(figures, "run_grid", capture)
-    figures.fig12_delay_sweep(settings=SETTINGS)
+    sweep = figures.EXPERIMENTS["fig12"].specs(SETTINGS).values()
     bench = fig12_sweep.build(seed=SETTINGS.seed, small=False)["specs"]
     bench = [replace(spec, settings=SETTINGS) for spec in bench]
-    assert [spec_cache_key(s) for s in captured] == [
+    assert [spec_cache_key(s) for s in sweep] == [
         spec_cache_key(s) for s in bench
     ]
 
