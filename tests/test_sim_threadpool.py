@@ -23,15 +23,23 @@ def job(cpu, name, work, on_complete=None, kind="flush"):
     return SimJob(name, kind, [JobPhase(cpu, work, demand=1.0)], on_complete)
 
 
+def finished(pool):
+    """Names of the jobs *pool* finishes, in order, via its "end" hook."""
+    names = []
+    pool.observers.append(lambda j, what: names.append(j.name) if what == "end" else None)
+    return names
+
+
 def test_pool_caps_concurrency():
     sim, cpu, pool = setup_pool(size=2)
+    done = finished(pool)
     for i in range(5):
         pool.submit(job(cpu, f"j{i}", work=1.0))
     assert pool.active_count == 2
     assert pool.pending_count == 3
     sim.run()
     assert pool.active_count == 0
-    assert len(pool.completed_jobs) == 5
+    assert len(done) == 5
 
 
 def test_fifo_start_order():
@@ -96,12 +104,13 @@ def test_resize_grows_pool_and_starts_pending():
 
 def test_resize_shrink_does_not_preempt():
     sim, cpu, pool = setup_pool(size=3)
+    done = finished(pool)
     for i in range(3):
         pool.submit(job(cpu, f"j{i}", work=1.0))
     pool.resize(1)
     assert pool.active_count == 3  # running jobs keep their slots
     sim.run()
-    assert len(pool.completed_jobs) == 3
+    assert len(done) == 3
 
 
 def test_observer_sequence():
